@@ -1,0 +1,42 @@
+"""Golden reports: every builtin op of the benchmark, run in-process.
+
+`perfbench/expected.json` stores, for each CLI op of the benchmark, the
+expected exit status and the sha256 of the report file it writes.  Here
+each op on a builtin (by name, not a generated spec file) runs through
+`bhl.cli.main(... --out FILE)` and must reproduce both.  The file is only
+read, never rewritten.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from bhl.cli import main
+
+EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
+
+
+def _builtin_ops():
+    ops = json.loads(EXPECTED.read_text())["ops"]
+    return sorted((op_id, exp) for op_id, exp in ops.items()
+                  if not op_id.endswith(".json"))
+
+
+@pytest.mark.parametrize("op_id,expected", _builtin_ops(),
+                         ids=[op_id for op_id, _ in _builtin_ops()])
+def test_builtin_report_matches_golden(op_id, expected, tmp_path, capsys):
+    command, name = op_id.split(" ")
+    out = tmp_path / "report.json"
+    code = main([command, "--builtin", name, "--out", str(out)])
+    assert code == expected["exit"]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == expected["sha256"]
+
+
+def test_golden_covers_every_builtin_command():
+    ops = _builtin_ops()
+    assert len(ops) == 41
+    assert {op_id.split(" ")[0] for op_id, _ in ops} == {
+        "antipode", "bosonize", "check-hopf", "reconstruct", "stability",
+        "verify-reconstruction", "yd-check"}
