@@ -42,11 +42,10 @@ class CheckReport:
 
     def witness(self, name):
         """First nonzero entry of a named residual, as (row, col, value)."""
-        r = self.residual(name).matrix
-        for i in range(r.rows):
-            for j in range(r.cols):
-                if r.entries[i][j]:
-                    return (i, j, r.entries[i][j])
+        for i, row in enumerate(self.residual(name).matrix.data):
+            if row:
+                j = min(row)
+                return (i, j, row[j])
         return None
 
     def __repr__(self):
@@ -206,14 +205,17 @@ def solve_antipode(B):
     H = B.carrier
     n = H.dim
     field = H.ctx.field
-    m_mat, d_mat = B.m.matrix, B.delta.matrix
-    terms = []
-    for k in range(n):
-        A_k = Matrix(field, [[m_mat.entries[p][i * n + k] for i in range(n)]
-                             for p in range(n)])
-        B_k = Matrix(field, [[d_mat.entries[j * n + k][q] for q in range(n)]
-                             for j in range(n)])
-        terms.append((A_k, B_k))
+    # A_k[p][i] = m[p][i*n + k] and B_k[j] = delta[j*n + k]
+    A_rows = [[{} for _ in range(n)] for _ in range(n)]
+    for p, col, v in B.m.matrix.items():
+        i, k = divmod(col, n)
+        A_rows[k][p][i] = v
+    B_rows = [[None] * n for _ in range(n)]
+    for row_index, row in enumerate(B.delta.matrix.data):
+        j, k = divmod(row_index, n)
+        B_rows[k][j] = row
+    terms = [(Matrix.from_rows(field, A_rows[k], n),
+              Matrix.from_rows(field, B_rows[k], n)) for k in range(n)]
     ue = (B.u * B.eps).matrix
     S_mat = solve_product_constraints(field, [(terms, ue)], (n, n))
     S = GradedMorphism(H, H, S_mat)
@@ -330,65 +332,48 @@ def bosonize_with_maps(R, group=None):
         tctx, [("%s#%s" % (lr, _group_label(g)), ())
                for lr, _ in R.carrier.basis for g in els])
 
-    z = field.zero
     chi = ctx.chi
-    m_R, d_R, e_R, u_R, S_R = (R.m.matrix, R.delta.matrix, R.eps.matrix,
-                               R.u.matrix, R.S.matrix)
+    m_R, d_R, e_R, u_R = R.m.matrix, R.delta.matrix, R.eps.matrix, R.u.matrix
     deg = R.carrier.degree
 
     # multiplication: (r_i # g_k)(r_j # g_l) = chi(g_k, |r_j|) (r_i r_j # g_k g_l)
     m_data = {}
-    for i in range(nR):
-        for j in range(nR):
-            col_R = i * nR + j
-            for p in range(nR):
-                c = m_R.entries[p][col_R]
-                if not c:
-                    continue
-                for k, gk in enumerate(els):
-                    cc = c * chi.value(field, gk, deg(j))
-                    if not cc:
-                        continue
-                    for l, gl in enumerate(els):
-                        out_g = gidx[group.add(gk, gl)]
-                        row = p * nG + out_g
-                        col = (i * nG + k) * N + (j * nG + l)
-                        m_data[(row, col)] = cc
+    for p, col_R, c in m_R.items():
+        i, j = divmod(col_R, nR)
+        for k, gk in enumerate(els):
+            cc = c * chi.value(field, gk, deg(j))
+            for l, gl in enumerate(els):
+                out_g = gidx[group.add(gk, gl)]
+                row = p * nG + out_g
+                col = (i * nG + k) * N + (j * nG + l)
+                m_data[(row, col)] = cc
     m = GradedMorphism(tensor_obj(carrier, carrier), carrier,
                        Matrix.from_dict(field, N, N * N, m_data))
 
     # coproduct: (r # g) |-> sum (r1 # |r2| g) (x) (r2 # g)
     d_data = {}
-    for i in range(nR):
-        for p in range(nR):
-            for q in range(nR):
-                c = d_R.entries[p * nR + q][i]
-                if not c:
-                    continue
-                dq = deg(q)
-                for k, gk in enumerate(els):
-                    a = gidx[group.add(dq, gk)]
-                    row = (p * nG + a) * N + (q * nG + k)
-                    col = i * nG + k
-                    d_data[(row, col)] = c
+    for row_R, i, c in d_R.items():
+        p, q = divmod(row_R, nR)
+        dq = deg(q)
+        for k, gk in enumerate(els):
+            a = gidx[group.add(dq, gk)]
+            row = (p * nG + a) * N + (q * nG + k)
+            col = i * nG + k
+            d_data[(row, col)] = c
     delta = GradedMorphism(carrier, tensor_obj(carrier, carrier),
                            Matrix.from_dict(field, N * N, N, d_data))
 
     unit = unit_object(tctx)
     e_data = {}
-    for i in range(nR):
-        c = e_R.entries[0][i]
-        if c:
-            for k in range(nG):
-                e_data[(0, i * nG + k)] = c
+    for i, c in e_R.data[0].items():
+        for k in range(nG):
+            e_data[(0, i * nG + k)] = c
     eps = GradedMorphism(carrier, unit, Matrix.from_dict(field, 1, N, e_data))
 
     e_index = gidx[group.zero]
     u_data = {}
-    for i in range(nR):
-        c = u_R.entries[i][0]
-        if c:
-            u_data[(i * nG + e_index, 0)] = c
+    for i, _, c in u_R.items():
+        u_data[(i * nG + e_index, 0)] = c
     u = GradedMorphism(unit, carrier, Matrix.from_dict(field, N, 1, u_data))
 
     bialR = BialgebraData(carrier, m, u, delta, eps)
@@ -398,19 +383,15 @@ def bosonize_with_maps(R, group=None):
     group_hopf = _group_algebra_on(tctx, group)
     # projection (r # g) |-> eps_R(r) g   and   inclusion g |-> 1 # g
     p_data = {}
-    for i in range(nR):
-        c = e_R.entries[0][i]
-        if c:
-            for k in range(nG):
-                p_data[(k, i * nG + k)] = c
+    for i, c in e_R.data[0].items():
+        for k in range(nG):
+            p_data[(k, i * nG + k)] = c
     projection = GradedMorphism(carrier, group_hopf.carrier,
                                 Matrix.from_dict(field, nG, N, p_data))
     i_data = {}
-    for i in range(nR):
-        c = u_R.entries[i][0]
-        if c:
-            for k in range(nG):
-                i_data[(i * nG + k, k)] = c
+    for i, _, c in u_R.items():
+        for k in range(nG):
+            i_data[(i * nG + k, k)] = c
     inclusion = GradedMorphism(group_hopf.carrier, carrier,
                                Matrix.from_dict(field, N, nG, i_data))
     return BosonizationResult(hopf, projection, inclusion, group_hopf)

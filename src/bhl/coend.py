@@ -155,20 +155,15 @@ def _relation_columns(diagram, spaces, offsets):
         dA, dB = A.carrier.dim, B.carrier.dim
         offA, offB = offsets[ai], offsets[bi]
         name = "dinaturality[%d->%d]" % (ai, bi)
-        zero = A.carrier.ctx.field.zero
         for f in hom_basis(A, B):
-            ent = f.matrix.entries
-            col_support = [[i for i in range(dB) if ent[i][a]] for a in range(dA)]
-            row_support = [[j for j in range(dA) if ent[b][j]] for b in range(dB)]
+            f_rows = f.matrix.data
+            f_cols = f.matrix.transpose().data
             for a in range(dA):
                 for b in range(dB):
-                    col = {}
-                    for i in col_support[a]:
-                        k = offB + i * dB + b
-                        col[k] = col.get(k, zero) + ent[i][a]
-                    for j in row_support[b]:
+                    col = {offB + i * dB + b: v for i, v in f_cols[a].items()}
+                    for j, v in f_rows[b].items():
                         k = offA + a * dA + j
-                        col[k] = col.get(k, zero) - ent[b][j]
+                        col[k] = col[k] - v if k in col else -v
                     col = {k: v for k, v in col.items() if v}
                     if col:
                         yield name, col
@@ -208,26 +203,16 @@ class CoendResult:
                 return i
         raise KeyError("comodule is not a block of the diagram")
 
-    def has_block(self, B):
-        try:
-            self.block_index(B)
-            return True
-        except KeyError:
-            return False
-
     def pi(self, B):
         """The universal map F(B) (x) *F(B) -> quotient."""
         i = self.block_index(B)
         S, off = self.spaces[i], self.offsets[i]
+        end = off + S.dim
         P = self.presentation.projection
-        grid = [[P.entries[q][off + k] for k in range(S.dim)]
-                for q in range(self.dim)]
+        rows = [{k - off: v for k, v in row.items() if off <= k < end}
+                for row in P.data]
         return GradedMorphism(S, self.quotient,
-                              Matrix(P.field, grid, cols=S.dim))
-
-    def section_matrix(self):
-        """A canonical right inverse of the full projection (ambient x dim)."""
-        return self.presentation.section
+                              Matrix.from_rows(P.field, rows, S.dim))
 
     def check_regular_surjective(self):
         """The regular block alone must already cover the quotient."""
@@ -240,8 +225,8 @@ class CoendResult:
     def residual_report(self):
         """Re-stream every relation column through the projection; all must
         project to zero, and the presentation identities must hold."""
-        P = self.presentation.projection
-        zero = P.field.zero
+        # column k of the projection, as {quotient row: value}
+        P_cols = self.presentation.projection.transpose().data
         bad = set()
         names = []
         for name, col in _relation_columns(self.diagram, self.spaces,
@@ -250,13 +235,12 @@ class CoendResult:
                 names.append(name)
             if name in bad:
                 continue
-            for q in range(self.dim):
-                s = zero
-                for k, v in col.items():
-                    s = s + P.entries[q][k] * v
-                if s:
-                    bad.add(name)
-                    break
+            image = {}
+            for k, v in col.items():
+                for q, p in P_cols[k].items():
+                    image[q] = image[q] + p * v if q in image else p * v
+            if any(image.values()):
+                bad.add(name)
         checks = [(name, name not in bad) for name in names]
         try:
             self.presentation.verify()
@@ -264,6 +248,12 @@ class CoendResult:
         except AssertionError:  # pragma: no cover - verify runs at build time
             checks.append(("presentation", False))
         return FlagReport(checks)
+
+
+def _free_coordinates(pres):
+    """The ambient coordinate each quotient basis vector sits at: the
+    section has a single unit entry per column, at a free coordinate."""
+    return [min(col) for col in pres.section.transpose().data]
 
 
 def compute_coend(diagram):
@@ -282,12 +272,7 @@ def compute_coend(diagram):
                 return S.degree(p - off)
         raise IndexError(p)
 
-    free = []
-    for q in range(pres.quotient_dim):
-        for p in range(total):
-            if pres.section.entries[p][q]:
-                free.append(p)
-                break
+    free = _free_coordinates(pres)
     quotient = GradedObject(ctx, [("c%d" % k, coord_degree(p))
                                   for k, p in enumerate(free)])
     return CoendResult(diagram, spaces, offsets, pres, quotient)
@@ -307,14 +292,10 @@ def check_stability(small, big):
         for k in range(small.spaces[i].dim):
             inj[small.offsets[i] + k] = big.offsets[j] + k
     Pb = big.presentation.projection
-    sec = small.presentation.section
-    field = Pb.field
-    # the section has a single unit entry per column, at a free coordinate
-    free = [next(p for p in range(sec.rows) if sec.entries[p][r])
-            for r in range(small.dim)]
-    kappa = Matrix(field, [[Pb.entries[q][inj[free[r]]]
-                            for r in range(small.dim)]
-                           for q in range(big.dim)], cols=small.dim)
+    Pb_cols = Pb.transpose().data
+    kappa = Matrix.from_rows(
+        Pb.field, [Pb_cols[inj[p]] for p in _free_coordinates(small.presentation)],
+        big.dim).transpose()
     checks.append(("comparison_iso",
                    small.dim == big.dim and kappa.rank() == small.dim))
     for i, B in enumerate(small.diagram.blocks):

@@ -106,26 +106,16 @@ def direct_sum_comodule(A, B):
     carrier = direct_sum_obj(A.carrier, B.carrier)
     n = dA + dB
     field = carrier.ctx.field
-    data = {}
-    for (r, c) in _nonzero(A.coaction.matrix):
+    rows = [{} for _ in range(nH * n)]
+    for r, row in enumerate(A.coaction.matrix.data):
         h, v = divmod(r, dA)
-        data[(h * n + v, c)] = A.coaction.matrix.entries[r][c]
-    for (r, c) in _nonzero(B.coaction.matrix):
+        rows[h * n + v] = row
+    for r, row in enumerate(B.coaction.matrix.data):
         h, w = divmod(r, dB)
-        data[(h * n + dA + w, dA + c)] = B.coaction.matrix.entries[r][c]
+        rows[h * n + dA + w] = {dA + c: x for c, x in row.items()}
     rho = GradedMorphism(carrier, tensor_obj(Hd.carrier, carrier),
-                         Matrix.from_dict(field, nH * n, n, data))
+                         Matrix.from_rows(field, rows, n))
     return Comodule(Hd, carrier, rho)
-
-
-def _nonzero(m):
-    out = []
-    for i in range(m.rows):
-        row = m.entries[i]
-        for j in range(m.cols):
-            if row[j]:
-                out.append((i, j))
-    return out
 
 
 def hom_space(A, B):
@@ -147,17 +137,15 @@ def hom_space(A, B):
             if VB.degree(i) == VA.degree(j):
                 unknowns[(i, j)] = len(unknowns)
     rows = defaultdict(dict)
-    for (r, c) in _nonzero(B.coaction.matrix):
+    for r, c, v in B.coaction.matrix.items():
         h, i2 = divmod(r, dB)
-        v = B.coaction.matrix.entries[r][c]
         for j in range(dA):
             k = unknowns.get((c, j))
             if k is not None:
                 eq = rows[(h, i2, j)]
                 eq[k] = eq.get(k, field.zero) + v
-    for (r, c) in _nonzero(A.coaction.matrix):
+    for r, c, v in A.coaction.matrix.items():
         h, j2 = divmod(r, dA)
-        v = A.coaction.matrix.entries[r][c]
         for i2 in range(dB):
             k = unknowns.get((i2, j2))
             if k is not None:
@@ -169,12 +157,10 @@ def hom_space(A, B):
         elim.add(vec)
     small = _kernel_from_rref(field, len(unknowns), elim.rref_rows())
     # expand back to full row-major (i, j) coordinates
-    z = field.zero
-    full = [[z] * small.cols for _ in range(dB * dA)]
+    full = [{} for _ in range(dB * dA)]
     for (i, j), k in unknowns.items():
-        for c in range(small.cols):
-            full[i * dA + j][c] = small.entries[k][c]
-    return Matrix(field, full, cols=small.cols)
+        full[i * dA + j] = small.data[k]
+    return Matrix.from_rows(field, full, small.cols)
 
 
 def hom_basis(A, B):
@@ -182,10 +168,13 @@ def hom_basis(A, B):
     mat = hom_space(A, B)
     dA, dB = A.carrier.dim, B.carrier.dim
     out = []
-    for c in range(mat.cols):
-        grid = [[mat.entries[i * dA + j][c] for j in range(dA)] for i in range(dB)]
+    for col in mat.transpose().data:
+        rows = [{} for _ in range(dB)]
+        for k, v in col.items():
+            i, j = divmod(k, dA)
+            rows[i][j] = v
         out.append(GradedMorphism(A.carrier, B.carrier,
-                                  Matrix(A.carrier.ctx.field, grid, cols=dA)))
+                                  Matrix.from_rows(mat.field, rows, dA)))
     return out
 
 

@@ -364,27 +364,50 @@ def parse_scalar(field, text):
 # ---------------------------------------------------------------------------
 
 class Matrix:
-    """Dense exact matrix over a CycloField (row-major, immutable)."""
+    """Sparse exact matrix over a CycloField (row-major, immutable).
 
-    __slots__ = ("field", "rows", "cols", "entries")
+    `data` is a tuple with one dict {column: Scalar} per row.  A row dict
+    never holds a zero, so products, Kronecker products and zero tests cost
+    the number of nonzeros, not rows x cols.  Row dicts may be shared
+    between matrices and are never mutated once a matrix holds them.
+    """
+
+    __slots__ = ("field", "rows", "cols", "data", "_hash")
 
     def __init__(self, field, entries, cols=None):
+        """From a dense grid: a list of equal-length rows of Scalars."""
+        ncols = len(entries[0]) if entries else (cols or 0)
+        data = []
+        for row in entries:
+            if len(row) != ncols:
+                raise ValueError("ragged matrix")
+            data.append({j: v for j, v in enumerate(row) if v})
         self.field = field
-        self.entries = tuple(tuple(e for e in row) for row in entries)
-        self.rows = len(self.entries)
-        self.cols = len(self.entries[0]) if self.entries else (cols or 0)
-        for row in self.entries:
-            assert len(row) == self.cols, "ragged matrix"
+        self.data = tuple(data)
+        self.rows = len(data)
+        self.cols = ncols
+        self._hash = None
+
+    @classmethod
+    def from_rows(cls, field, data, cols):
+        """From sparse rows: {column: Scalar} dicts without zeros, all
+        columns below `cols`.  The dicts are taken over, not copied."""
+        self = cls.__new__(cls)
+        self.field = field
+        self.data = tuple(data)
+        self.rows = len(self.data)
+        self.cols = cols
+        self._hash = None
+        return self
 
     @classmethod
     def zeros(cls, field, rows, cols):
-        z = field.zero
-        return cls(field, [[z] * cols for _ in range(rows)], cols=cols)
+        return cls.from_rows(field, [{} for _ in range(rows)], cols)
 
     @classmethod
     def identity(cls, field, n):
-        z, o = field.zero, field.one
-        return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)])
+        one = field.one
+        return cls.from_rows(field, [{i: one} for i in range(n)], n)
 
     @classmethod
     def from_rational(cls, field, rows):
@@ -392,49 +415,85 @@ class Matrix:
 
     @classmethod
     def from_dict(cls, field, rows, cols, data):
-        """Build from {(i, j): Scalar}."""
-        z = field.zero
-        grid = [[z] * cols for _ in range(rows)]
+        """Build from {(i, j): Scalar}; indices must lie in rows x cols."""
+        out = [{} for _ in range(rows)]
         for (i, j), v in data.items():
-            grid[i][j] = v
-        return cls(field, grid)
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise ValueError("entry (%d,%d) outside a %dx%d matrix"
+                                 % (i, j, rows, cols))
+            if v:
+                out[i][j] = v
+        return cls.from_rows(field, out, cols)
 
-    @classmethod
-    def column(cls, field, values):
-        return cls(field, [[v] for v in values])
+    @property
+    def entries(self):
+        """Dense read-only view, rebuilt on every access (for serializing)."""
+        z = self.field.zero
+        return tuple(tuple(row.get(j, z) for j in range(self.cols))
+                     for row in self.data)
+
+    def items(self):
+        """(row, col, value) of every nonzero, row by row."""
+        for i, row in enumerate(self.data):
+            for j, v in row.items():
+                yield i, j, v
 
     def __getitem__(self, key):
         i, j = key
-        return self.entries[i][j]
+        return self.data[i].get(j, self.field.zero)
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and other.field == self.field
-                and other.entries == self.entries)
+                and other.rows == self.rows and other.cols == self.cols
+                and other.data == self.data)
 
     def __hash__(self):
-        return hash((self.field.order, self.entries))
+        if self._hash is None:
+            self._hash = hash((self.field.order, self.rows, self.cols,
+                               tuple(frozenset(row.items()) for row in self.data)))
+        return self._hash
 
     def __repr__(self):
         return "Matrix(%dx%d over %r)" % (self.rows, self.cols, self.field)
 
     def is_zero(self):
-        return not any(any(row) for row in self.entries)
+        return not any(self.data)
+
+    def _merge(self, other, sign):
+        assert self.rows == other.rows and self.cols == other.cols
+        out = []
+        for r1, r2 in zip(self.data, other.data):
+            if not r2 or (not r1 and sign > 0):
+                out.append(r1 or r2)
+                continue
+            row = dict(r1)
+            for j, v in r2.items():
+                if j in row:
+                    s = row[j] + v if sign > 0 else row[j] - v
+                    if s:
+                        row[j] = s
+                    else:
+                        del row[j]
+                else:
+                    row[j] = v if sign > 0 else -v
+            out.append(row)
+        return Matrix.from_rows(self.field, out, self.cols)
 
     def __add__(self, other):
-        assert self.rows == other.rows and self.cols == other.cols
-        return Matrix(self.field, [[a + b for a, b in zip(r1, r2)]
-                                   for r1, r2 in zip(self.entries, other.entries)])
+        return self._merge(other, 1)
 
     def __sub__(self, other):
-        assert self.rows == other.rows and self.cols == other.cols
-        return Matrix(self.field, [[a - b for a, b in zip(r1, r2)]
-                                   for r1, r2 in zip(self.entries, other.entries)])
+        return self._merge(other, -1)
 
     def __neg__(self):
-        return Matrix(self.field, [[-a for a in row] for row in self.entries])
+        return Matrix.from_rows(self.field, [{j: -v for j, v in row.items()}
+                                             for row in self.data], self.cols)
 
     def scale(self, s):
-        return Matrix(self.field, [[s * a for a in row] for row in self.entries])
+        if not s:
+            return Matrix.zeros(self.field, self.rows, self.cols)
+        return Matrix.from_rows(self.field, [{j: s * v for j, v in row.items()}
+                                             for row in self.data], self.cols)
 
     def __mul__(self, other):
         """Matrix product."""
@@ -443,63 +502,67 @@ class Matrix:
             return self.scale(s)
         assert self.cols == other.rows, \
             "shape mismatch %dx%d * %dx%d" % (self.rows, self.cols, other.rows, other.cols)
-        z = self.field.zero
-        a, b = self.entries, other.entries
+        b = other.data
         out = []
-        for i in range(self.rows):
-            arow = a[i]
-            orow = [z] * other.cols
-            for k in range(self.cols):
-                v = arow[k]
-                if v:
-                    brow = b[k]
-                    for j in range(other.cols):
-                        w = brow[j]
-                        if w:
-                            orow[j] = orow[j] + v * w
-            out.append(orow)
-        return Matrix(self.field, out, cols=other.cols)
+        for arow in self.data:
+            if len(arow) == 1:
+                # one term per entry: products of nonzeros are nonzero
+                (k, v), = arow.items()
+                out.append({j: v * w for j, w in b[k].items()})
+                continue
+            acc = {}
+            for k, v in arow.items():
+                for j, w in b[k].items():
+                    if j in acc:
+                        acc[j] = acc[j] + v * w
+                    else:
+                        acc[j] = v * w
+            out.append({j: s for j, s in acc.items() if s})
+        return Matrix.from_rows(self.field, out, other.cols)
 
     __rmul__ = scale
 
     def __matmul__(self, other):
         """Kronecker (tensor) product, row-major on both indices."""
+        bc = other.cols
         out = []
-        for i in range(self.rows):
-            for k in range(other.rows):
-                row = []
-                for j in range(self.cols):
-                    v = self.entries[i][j]
-                    if v:
-                        row.extend(v * w for w in other.entries[k])
-                    else:
-                        row.extend([self.field.zero] * other.cols)
-                out.append(row)
-        return Matrix(self.field, out)
+        for arow in self.data:
+            shifted = [(j * bc, v) for j, v in arow.items()]
+            for brow in other.data:
+                out.append({off + l: v * w for off, v in shifted
+                            for l, w in brow.items()})
+        return Matrix.from_rows(self.field, out, self.cols * bc)
 
     def transpose(self):
-        if not self.entries:
-            return Matrix.zeros(self.field, self.cols, 0)
-        return Matrix(self.field, list(zip(*self.entries)), cols=self.rows)
+        out = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.data):
+            for j, v in row.items():
+                out[j][i] = v
+        return Matrix.from_rows(self.field, out, self.rows)
 
     def hstack(self, other):
         assert self.rows == other.rows
-        return Matrix(self.field, [list(r1) + list(r2)
-                                   for r1, r2 in zip(self.entries, other.entries)])
-
-    def column_vector(self, j):
-        return [self.entries[i][j] for i in range(self.rows)]
+        off = self.cols
+        out = []
+        for r1, r2 in zip(self.data, other.data):
+            row = dict(r1)
+            for j, v in r2.items():
+                row[off + j] = v
+            out.append(row)
+        return Matrix.from_rows(self.field, out, self.cols + other.cols)
 
     def rank(self):
-        return len(rref(self)[1])
+        return _eliminate(self.field, self.data).rank
 
     def inverse(self):
         assert self.rows == self.cols, "inverse of non-square matrix"
         n = self.rows
-        aug, pivots = rref(self.hstack(Matrix.identity(self.field, n)))
-        if len(pivots) < n or pivots != tuple(range(n)):
+        aug = self.hstack(Matrix.identity(self.field, n))
+        rows = _eliminate(self.field, aug.data).rref_rows()
+        if [p for p, _ in rows] != list(range(n)):
             raise NoSolutionError("matrix is singular")
-        return Matrix(self.field, [row[n:] for row in aug.entries])
+        return Matrix.from_rows(self.field, [{j - n: v for j, v in row.items()
+                                              if j >= n} for _, row in rows], n)
 
 
 # ---------------------------------------------------------------------------
@@ -534,43 +597,17 @@ class SparseEliminator:
                 inv = c.inverse()
                 rows[p] = {k: v * inv for k, v in vec.items() if v}
                 return True
+            nc = -c
             for k, v in row.items():
                 if k in vec:
-                    nv = vec[k] - c * v
+                    nv = vec[k] + nc * v
                     if nv:
                         vec[k] = nv
                     else:
                         del vec[k]
                 else:
-                    vec[k] = -c * v
+                    vec[k] = nc * v
         return False
-
-    def reduce(self, vec):
-        """Forward-reduce a copy of vec; returns the (sparse) residual."""
-        vec = dict(vec)
-        rows = self.rows
-        out = {}
-        while vec:
-            p = min(vec)
-            c = vec.pop(p)
-            if not c:
-                continue
-            row = rows.get(p)
-            if row is None:
-                out[p] = c
-                continue
-            for k, v in row.items():
-                if k == p:
-                    continue
-                if k in vec:
-                    nv = vec[k] - c * v
-                    if nv:
-                        vec[k] = nv
-                    else:
-                        del vec[k]
-                else:
-                    vec[k] = -c * v
-        return out
 
     @property
     def rank(self):
@@ -588,30 +625,28 @@ class SparseEliminator:
             for k in [k for k in row if k != p and k in reduced]:
                 c = row.pop(k)
                 if c:
+                    nc = -c
                     for kk, vv in reduced[k].items():
                         if kk == k:
                             continue
                         if kk in row:
-                            nv = row[kk] - c * vv
+                            nv = row[kk] + nc * vv
                             if nv:
                                 row[kk] = nv
                             else:
                                 del row[kk]
                         else:
-                            row[kk] = -c * vv
+                            row[kk] = nc * vv
             reduced[p] = row
         return [(p, reduced[p]) for p in pivs]
 
 
-def _matrix_to_sparse_rows(m):
-    out = []
-    for i in range(m.rows):
-        row = {}
-        for j, v in enumerate(m.entries[i]):
-            if v:
-                row[j] = v
-        out.append(row)
-    return out
+def _eliminate(field, rows):
+    """A SparseEliminator fed copies of the given sparse rows."""
+    elim = SparseEliminator(field)
+    for row in rows:
+        elim.add(dict(row))
+    return elim
 
 
 def rref(m):
@@ -620,47 +655,31 @@ def rref(m):
     Returns (R, pivots): R has the same shape as m (zero rows at the bottom),
     pivots is the ascending tuple of pivot column indices.
     """
-    elim = SparseEliminator(m.field)
-    for row in _matrix_to_sparse_rows(m):
-        elim.add(row)
-    rows = elim.rref_rows()
-    z = m.field.zero
-    grid = []
-    for _, row in rows:
-        dense = [z] * m.cols
-        for j, v in row.items():
-            dense[j] = v
-        grid.append(dense)
-    while len(grid) < m.rows:
-        grid.append([z] * m.cols)
-    return Matrix(m.field, grid), tuple(p for p, _ in rows)
+    rows = _eliminate(m.field, m.data).rref_rows()
+    out = [row for _, row in rows]
+    out.extend({} for _ in range(m.rows - len(out)))
+    return Matrix.from_rows(m.field, out, m.cols), tuple(p for p, _ in rows)
 
 
 def kernel(m):
     """Exact null space; columns of the result form the canonical basis."""
-    elim = SparseEliminator(m.field)
-    for row in _matrix_to_sparse_rows(m):
-        elim.add(row)
-    return _kernel_from_rref(m.field, m.cols, elim.rref_rows())
+    return _kernel_from_rref(m.field, m.cols, _eliminate(m.field, m.data).rref_rows())
 
 
 def _kernel_from_rref(field, ncols, rref_rows):
-    pivots = [p for p, _ in rref_rows]
-    pivot_set = set(pivots)
+    pivot_set = {p for p, _ in rref_rows}
     free = [j for j in range(ncols) if j not in pivot_set]
-    z, o = field.zero, field.one
-    cols = []
-    for j in free:
-        v = [z] * ncols
-        v[j] = o
-        for p, row in rref_rows:
-            c = row.get(j)
-            if c:
-                v[p] = -c
-        cols.append(v)
-    if not cols:
-        return Matrix(field, [[] for _ in range(ncols)])
-    return Matrix(field, list(zip(*cols)))
+    free_pos = {j: c for c, j in enumerate(free)}
+    one = field.one
+    out = [{} for _ in range(ncols)]
+    for c, j in enumerate(free):
+        out[j][c] = one
+    for p, row in rref_rows:
+        target = out[p]
+        for j, v in row.items():
+            if j != p:
+                target[free_pos[j]] = -v
+    return Matrix.from_rows(field, out, len(free))
 
 
 class QuotientPresentation:
@@ -692,45 +711,35 @@ class QuotientPresentation:
 
 def cokernel_from_rref(field, ambient_dim, rref_rows):
     """Canonical quotient presentation from the reduced relation row basis."""
-    pivots = [p for p, _ in rref_rows]
-    pivot_set = set(pivots)
+    pivot_set = {p for p, _ in rref_rows}
     free = [j for j in range(ambient_dim) if j not in pivot_set]
-    z, o = field.zero, field.one
+    free_pos = {j: jq for jq, j in enumerate(free)}
+    one = field.one
     qdim = len(free)
-    proj = [[z] * ambient_dim for _ in range(qdim)]
-    for jq, j in enumerate(free):
-        proj[jq][j] = o
+    proj = [{j: one} for j in free]
     for p, row in rref_rows:
-        for jq, j in enumerate(free):
-            c = row.get(j)
-            if c:
-                proj[jq][p] = -c
-    sect = [[z] * qdim for _ in range(ambient_dim)]
+        for j, v in row.items():
+            if j != p:
+                proj[free_pos[j]][p] = -v
+    sect = [{} for _ in range(ambient_dim)]
     for jq, j in enumerate(free):
-        sect[j][jq] = o
-    rel = [[z] * len(rref_rows) for _ in range(ambient_dim)]
+        sect[j][jq] = one
+    rel = [{} for _ in range(ambient_dim)]
     for k, (_, row) in enumerate(rref_rows):
         for j, v in row.items():
             rel[j][k] = v
     return QuotientPresentation(
         ambient_dim=ambient_dim,
-        relation_matrix=Matrix(field, rel, cols=len(rref_rows)),
+        relation_matrix=Matrix.from_rows(field, rel, len(rref_rows)),
         quotient_dim=qdim,
-        projection=Matrix(field, proj, cols=ambient_dim),
-        section=Matrix(field, sect, cols=qdim),
+        projection=Matrix.from_rows(field, proj, ambient_dim),
+        section=Matrix.from_rows(field, sect, qdim),
     )
 
 
 def cokernel(m):
     """Quotient of the row-index space of m by the span of m's columns."""
-    elim = SparseEliminator(m.field)
-    for j in range(m.cols):
-        vec = {}
-        for i in range(m.rows):
-            v = m.entries[i][j]
-            if v:
-                vec[i] = v
-        elim.add(vec)
+    elim = _eliminate(m.field, m.transpose().data)
     return cokernel_from_rref(m.field, m.rows, elim.rref_rows())
 
 
@@ -753,39 +762,44 @@ def solve_product_constraints(field, constraint_groups, shape):
         for A, B in terms:
             assert A.cols == r and B.rows == c, "constraint shape mismatch"
             assert C.rows == A.rows and C.cols == B.cols
-        for p in range(C.rows):
+        # within one term every (i, j) gives its own unknown, so entries
+        # can only cancel where two terms meet
+        sparse_terms = [(A.data, B.transpose().data) for A, B in terms]
+        summed = len(terms) > 1
+        for p, crow in enumerate(C.data):
             for q in range(C.cols):
                 row = {}
-                for A, B in terms:
-                    arow = A.entries[p]
-                    for i in range(r):
-                        a = arow[i]
-                        if not a:
-                            continue
+                for arows, bcols in sparse_terms:
+                    bcol = bcols[q]
+                    if not bcol:
+                        continue
+                    for i, a in arows[p].items():
                         base = i * c
-                        for j in range(c):
-                            b = B.entries[j][q]
-                            if b:
-                                k = base + j
-                                cur = row.get(k)
-                                row[k] = (cur + a * b) if cur is not None else a * b
-                rhs = C.entries[p][q]
-                if rhs:
+                        for j, b in bcol.items():
+                            k = base + j
+                            if k in row:
+                                row[k] = row[k] + a * b
+                            else:
+                                row[k] = a * b
+                if summed:
+                    row = {k: v for k, v in row.items() if v}
+                rhs = crow.get(q)
+                if rhs is not None:
                     row[rhs_col] = -rhs
-                row = {k: v for k, v in row.items() if v}
-                elim.add(row)
+                if row:
+                    elim.add(row)
     if rhs_col in elim.rows:
         raise NoSolutionError("constraints are inconsistent")
     if elim.rank < n_unknowns:
         raise NonUniqueError("constraints leave %d free parameters"
                              % (n_unknowns - elim.rank))
-    values = {}
+    out = [{} for _ in range(r)]
     for p, row in elim.rref_rows():
-        v = row.get(rhs_col, field.zero)
-        values[p] = -v
-    z = field.zero
-    grid = [[values.get(i * c + j, z) for j in range(c)] for i in range(r)]
-    return Matrix(field, grid)
+        v = row.get(rhs_col)
+        if v is not None:
+            i, j = divmod(p, c)
+            out[i][j] = -v
+    return Matrix.from_rows(field, out, c)
 
 
 def solve_unknown_map(field, constraints, shape):

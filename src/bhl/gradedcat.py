@@ -208,11 +208,11 @@ class GradedMorphism:
         assert matrix.rows == target.dim and matrix.cols == source.dim, \
             "matrix shape %dx%d does not match map %d -> %d" % (
                 matrix.rows, matrix.cols, source.dim, target.dim)
-        for i in range(matrix.rows):
-            for j in range(matrix.cols):
-                if matrix.entries[i][j]:
-                    assert target.degree(i) == source.degree(j), \
-                        "entry (%d,%d) violates degree preservation" % (i, j)
+        source_degrees = [d for _, d in source.basis]
+        for i, ((_, d), row) in enumerate(zip(target.basis, matrix.data)):
+            for j in row:
+                assert source_degrees[j] == d, \
+                    "entry (%d,%d) violates degree preservation" % (i, j)
         self.source = source
         self.target = target
         self.matrix = matrix

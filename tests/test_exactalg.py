@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from bhl.exactalg import (
     CycloField, Matrix, NoSolutionError, NonUniqueError, QuotientPresentation,
-    cokernel, cyclotomic_polynomial, format_scalar, kernel, parse_scalar,
-    rref, solve_product_constraints, solve_unknown_map,
+    Scalar, cokernel, cyclotomic_polynomial, format_scalar, kernel,
+    parse_scalar, rref, solve_product_constraints, solve_unknown_map,
 )
 
 
@@ -259,3 +259,130 @@ def test_matrix_inverse():
     assert A * Ai == Matrix.identity(F, 2)
     with pytest.raises(NoSolutionError):
         Matrix.from_rational(F, [[1, 1], [2, 2]]).inverse()
+
+
+def test_matrix_equality_and_hash_compare_shape():
+    F = CycloField(1)
+    assert Matrix.zeros(F, 0, 3) != Matrix.zeros(F, 0, 5)
+    assert Matrix.zeros(F, 3, 0) != Matrix.zeros(F, 5, 0)
+    assert hash(Matrix.zeros(F, 0, 3)) != hash(Matrix.zeros(F, 0, 5))
+    assert len({Matrix.zeros(F, 0, 3), Matrix.zeros(F, 0, 5)}) == 2
+    # equal entries stored in a different order are equal, with equal hashes
+    a = Matrix.from_dict(F, 2, 2, {(0, 0): F.one, (0, 1): F.scalar(2)})
+    b = Matrix.from_dict(F, 2, 2, {(0, 1): F.scalar(2), (0, 0): F.one})
+    assert a == b and hash(a) == hash(b)
+
+
+def test_from_dict_rejects_indices_outside_the_shape():
+    F = CycloField(1)
+    for key in [(-1, 0), (0, -1), (2, 0), (0, 2), (5, 5)]:
+        with pytest.raises(ValueError):
+            Matrix.from_dict(F, 2, 2, {key: F.one})
+    m = Matrix.from_dict(F, 2, 2, {(1, 0): F.one, (0, 1): F.zero})
+    assert m == Matrix.from_rational(F, [[0, 0], [1, 0]])
+    assert m.data == ({}, {0: F.one})
+
+
+# -- sparse Matrix against a dense reference --------------------------------
+# The reference works on plain lists of rows of Scalars, with a given shape
+# so that 0 x k and k x 0 matrices keep their column count.
+
+def _ref_mul(F, a, b, inner, cols):
+    return [[sum((row[k] * b[k][j] for k in range(inner)), F.zero)
+             for j in range(cols)] for row in a]
+
+
+def _ref_kron(a, b):
+    return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+
+
+def _ref_transpose(a, cols):
+    return [[row[j] for row in a] for j in range(cols)]
+
+
+def _ref_echelon(F, a, cols):
+    """Gauss-Jordan elimination; returns (reduced rows, rank)."""
+    g = [list(row) for row in a]
+    rank = 0
+    for c in range(cols):
+        piv = next((i for i in range(rank, len(g)) if g[i][c]), None)
+        if piv is None:
+            continue
+        g[rank], g[piv] = g[piv], g[rank]
+        inv = g[rank][c].inverse()
+        g[rank] = [x * inv for x in g[rank]]
+        for i in range(len(g)):
+            if i != rank and g[i][c]:
+                f = g[i][c]
+                g[i] = [x - f * y for x, y in zip(g[i], g[rank])]
+        rank += 1
+    return g, rank
+
+
+def _ref_inverse(F, a, n):
+    eye = [[F.one if i == j else F.zero for j in range(n)] for i in range(n)]
+    g, rank = _ref_echelon(F, [ra + re for ra, re in zip(a, eye)], 2 * n)
+    if any(not g[i][i] for i in range(n)):
+        return None
+    return [row[n:] for row in g]
+
+
+def _scalars(F):
+    nonzero = st.lists(st.integers(-2, 2), min_size=F.degree,
+                       max_size=F.degree).map(lambda cs: Scalar(F, cs))
+    return st.one_of(st.just(F.zero), nonzero)
+
+
+@st.composite
+def _grids(draw, F, rows, cols):
+    grid = draw(st.lists(st.lists(_scalars(F), min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+    # blank one row and one column, so zero rows and columns always occur
+    if rows and draw(st.booleans()):
+        grid[draw(st.integers(0, rows - 1))] = [F.zero] * cols
+    if cols and draw(st.booleans()):
+        j = draw(st.integers(0, cols - 1))
+        for row in grid:
+            row[j] = F.zero
+    return grid
+
+
+def _check_sparse(m, grid, rows, cols):
+    assert (m.rows, m.cols) == (rows, cols)
+    assert m.entries == tuple(tuple(row) for row in grid)
+    for row in m.data:
+        assert all(row.values()) and all(0 <= j < cols for j in row)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_sparse_matrix_ops_match_dense_reference(data):
+    F = data.draw(st.sampled_from([CycloField(1), CycloField(5)]))
+    r, k, c, p, q, n = (data.draw(st.integers(0, 4)) for _ in range(6))
+    a = data.draw(_grids(F, r, k))
+    a2 = data.draw(_grids(F, r, k))
+    b = data.draw(_grids(F, k, c))
+    d = data.draw(_grids(F, p, q))
+    s = data.draw(_grids(F, n, n))
+    A, A2, B, D, S = (Matrix(F, g, cols=w) for g, w in
+                      ((a, k), (a2, k), (b, c), (d, q), (s, n)))
+    _check_sparse(A, a, r, k)
+    _check_sparse(A * B, _ref_mul(F, a, b, k, c), r, c)
+    # [A | A] * [B ; -B] = 0: every sum of products cancels
+    neg_b = [[-x for x in row] for row in b]
+    _check_sparse(A.hstack(A) * Matrix(F, b + neg_b, cols=c),
+                  [[F.zero] * c for _ in range(r)], r, c)
+    _check_sparse(A @ D, _ref_kron(a, d), r * p, k * q)
+    _check_sparse(A + A2, [[x + y for x, y in zip(ra, rb)]
+                           for ra, rb in zip(a, a2)], r, k)
+    _check_sparse(A - A2, [[x - y for x, y in zip(ra, rb)]
+                           for ra, rb in zip(a, a2)], r, k)
+    _check_sparse(A - A, [[F.zero] * k for _ in range(r)], r, k)
+    _check_sparse(A.transpose(), _ref_transpose(a, k), k, r)
+    assert A.rank() == _ref_echelon(F, a, k)[1]
+    ref_inv = _ref_inverse(F, s, n)
+    if ref_inv is None:
+        with pytest.raises(NoSolutionError):
+            S.inverse()
+    else:
+        _check_sparse(S.inverse(), ref_inv, n, n)
