@@ -53,67 +53,21 @@ class CheckReport:
         return "CheckReport(passed)" if not bad else "CheckReport(failed: %s)" % ", ".join(bad)
 
 
-class AlgebraData:
-    """An associative unital algebra on a graded carrier."""
-
-    def __init__(self, carrier, m, u):
-        HH = tensor_obj(carrier, carrier)
-        unit = unit_object(carrier.ctx)
-        assert m.source == HH and m.target == carrier, "bad multiplication type"
-        assert u.source == unit and u.target == carrier, "bad unit type"
-        self.carrier = carrier
-        self.m = m
-        self.u = u
-
-    def _key(self):
-        return (self.carrier, self.m, self.u)
-
-    def __eq__(self, other):
-        return type(other) is type(self) and other._key() == self._key()
-
-    def __hash__(self):
-        return hash((type(self).__name__,) + self._key())
-
-
-class CoalgebraData:
-    """A coassociative counital coalgebra on a graded carrier."""
-
-    def __init__(self, carrier, delta, eps):
-        HH = tensor_obj(carrier, carrier)
-        unit = unit_object(carrier.ctx)
-        assert delta.source == carrier and delta.target == HH, "bad coproduct type"
-        assert eps.source == carrier and eps.target == unit, "bad counit type"
-        self.carrier = carrier
-        self.delta = delta
-        self.eps = eps
-
-    def _key(self):
-        return (self.carrier, self.delta, self.eps)
-
-    def __eq__(self, other):
-        return type(other) is type(self) and other._key() == self._key()
-
-    def __hash__(self):
-        return hash((type(self).__name__,) + self._key())
-
-
 class BialgebraData:
     """Algebra + coalgebra, compatible through the ambient braiding."""
 
     def __init__(self, carrier, m, u, delta, eps):
+        HH = tensor_obj(carrier, carrier)
+        unit = unit_object(carrier.ctx)
+        assert m.source == HH and m.target == carrier, "bad multiplication type"
+        assert u.source == unit and u.target == carrier, "bad unit type"
+        assert delta.source == carrier and delta.target == HH, "bad coproduct type"
+        assert eps.source == carrier and eps.target == unit, "bad counit type"
         self.carrier = carrier
         self.m = m
         self.u = u
         self.delta = delta
         self.eps = eps
-        AlgebraData(carrier, m, u)
-        CoalgebraData(carrier, delta, eps)
-
-    def as_algebra(self):
-        return AlgebraData(self.carrier, self.m, self.u)
-
-    def as_coalgebra(self):
-        return CoalgebraData(self.carrier, self.delta, self.eps)
 
     def _key(self):
         return (self.carrier, self.m, self.u, self.delta, self.eps)
@@ -132,9 +86,6 @@ class HopfAlgebraData(BialgebraData):
         super().__init__(carrier, m, u, delta, eps)
         assert S.source == carrier and S.target == carrier, "bad antipode type"
         self.S = S
-
-    def as_bialgebra(self):
-        return BialgebraData(self.carrier, self.m, self.u, self.delta, self.eps)
 
     def _key(self):
         return super()._key() + (self.S,)
@@ -170,8 +121,8 @@ def check_bialgebra(B):
     counit_compat = B.eps * B.m - (B.eps @ B.eps)
     unit_counit = B.eps * B.u - identity_mor(unit_object(H.ctx))
     return CheckReport(
-        check_algebra(B.as_algebra()).checks
-        + check_coalgebra(B.as_coalgebra()).checks
+        check_algebra(B).checks
+        + check_coalgebra(B).checks
         + [("mult_compat", mult_compat),
            ("unit_compat", unit_compat),
            ("counit_compat", counit_compat),
@@ -310,7 +261,7 @@ def _group_label(g):
     return "g" + "_".join(str(c) for c in g) if g else "e"
 
 
-def bosonize_with_maps(R, group=None):
+def bosonize_with_maps(R):
     """Bosonize a braided Hopf algebra by its grading group.
 
     Returns the ordinary (trivially braided) Hopf algebra on R (x) kG, the
@@ -319,8 +270,7 @@ def bosonize_with_maps(R, group=None):
     with k the fast index.
     """
     ctx = R.carrier.ctx
-    group = group or ctx.group
-    assert group == ctx.group, "bosonization group must be the grading group"
+    group = ctx.group
     field = ctx.field
     triv_group = AbelianGroup([])
     tctx = Context(field, triv_group, Bicharacter.trivial(triv_group))
@@ -395,11 +345,6 @@ def bosonize_with_maps(R, group=None):
     inclusion = GradedMorphism(group_hopf.carrier, carrier,
                                Matrix.from_dict(field, N, nG, i_data))
     return BosonizationResult(hopf, projection, inclusion, group_hopf)
-
-
-def bosonize(R, group=None):
-    """The bosonization Hopf algebra alone (see bosonize_with_maps)."""
-    return bosonize_with_maps(R, group).hopf
 
 
 def _group_algebra_on(tctx, group):

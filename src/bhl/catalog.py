@@ -118,7 +118,8 @@ def nichols_cyclic(p):
     """The rank-one Nichols algebra k[x]/(x^p) in Z/p-graded spaces with the
     braiding given by a primitive p-th root of unity; the coproduct has
     Gaussian binomial coefficients."""
-    assert p >= 2
+    if p < 2:
+        raise ValueError("the order p must be at least 2, got %d" % p)
     # Q(zeta_2) = Q; keep the plain rational representation there
     field = CycloField(1) if p == 2 else CycloField(p)
     group = AbelianGroup([p])

@@ -19,9 +19,11 @@ optional Yetter-Drinfeld modules.
 Reports are canonical JSON: sorted keys, two-space indent, LF endings, and
 no volatile fields (timing appears only in the human summary), so equal
 inputs yield byte-identical report files.  The ``BHL_THREADS`` environment
-variable (a positive integer) caps internal parallelism; it never affects
-results.  Exit status: 0 all checks pass, 1 a check failed or a computation
-error was reported, 2 usage or input errors.
+variable is validated but reserved: when set it must be a positive integer
+(anything else is a usage error), yet it drives no parallelism -- the engine
+runs in one thread -- and never affects results.  Exit status: 0 all checks
+pass, 1 a check failed or a computation error was reported, 2 usage or
+input errors.
 """
 
 import argparse
@@ -39,8 +41,7 @@ from .braidedhopf import (
 from .catalog import build, yd_samples
 from .coend import (check_stability, compute_coend, default_diagram,
                     reconstruction_diagram)
-from .comodcat import (act, comodule_dual, direct_sum_comodule,
-                       regular_comodule, unit_comodule)
+from .comodcat import act, comodule_dual, direct_sum_comodule, unit_comodule
 from .exactalg import (CycloField, EngineError, Matrix, format_scalar,
                        parse_scalar)
 from .gradedcat import (AbelianGroup, Bicharacter, Context, GradedMorphism,
@@ -58,6 +59,11 @@ def _require(cond, msg):
         raise SchemaError(msg)
 
 
+def _is_int(x):
+    """A JSON integer (JSON true/false load as bool, which is not one)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 # ---------------------------------------------------------------------------
 # spec-file (de)serialization
 # ---------------------------------------------------------------------------
@@ -66,17 +72,26 @@ def context_from_spec(doc):
     fspec = doc.get("field")
     _require(isinstance(fspec, dict) and "cyclotomic_order" in fspec,
              "missing field.cyclotomic_order")
-    field = CycloField(int(fspec["cyclotomic_order"]))
+    order = fspec["cyclotomic_order"]
+    _require(_is_int(order) and order >= 1,
+             "field.cyclotomic_order must be a positive integer")
+    field = CycloField(order)
     gspec = doc.get("group") or {"invariant_factors": []}
     _require(isinstance(gspec, dict), "group must be an object")
-    group = AbelianGroup(gspec.get("invariant_factors") or [])
+    factors = gspec.get("invariant_factors") or []
+    _require(isinstance(factors, list)
+             and all(_is_int(n) and n >= 1 for n in factors),
+             "group.invariant_factors must be positive integers")
+    group = AbelianGroup(factors)
     bspec = doc.get("bicharacter")
     if bspec is None:
         return Context(field, group, Bicharacter.trivial(group))
     _require(isinstance(bspec, dict) and "root_order" in bspec
              and "exponent_matrix" in bspec,
              "bicharacter needs root_order and exponent_matrix")
-    r = int(bspec["root_order"])
+    r = bspec["root_order"]
+    _require(_is_int(r) and r >= 1,
+             "bicharacter.root_order must be a positive integer")
     _require(r <= 2 or field.order % r == 0,
              "bicharacter root order %d unavailable in Q(zeta_%d)"
              % (r, field.order))
@@ -107,6 +122,10 @@ def object_from_spec(ctx, name, doc):
         degrees = [[0] * ctx.group.rank] * len(labels)
     _require(isinstance(degrees, list) and len(degrees) == len(labels),
              "object %r: degrees must match labels" % name)
+    _require(all(isinstance(d, list) and len(d) == ctx.group.rank
+                 and all(_is_int(x) for x in d) for d in degrees),
+             "object %r: each degree must be a list of %d integer(s)"
+             % (name, ctx.group.rank))
     try:
         return GradedObject(ctx, [(str(l), tuple(d))
                                   for l, d in zip(labels, degrees)])
@@ -127,6 +146,8 @@ def matrix_from_spec(field, doc, rows, cols, what):
         ents = [[parse_scalar(field, str(e)) for e in row] for row in doc]
     except ValueError as exc:
         raise SchemaError("%s: %s" % (what, exc)) from None
+    except ZeroDivisionError:
+        raise SchemaError("%s: an entry divides by zero" % what) from None
     return Matrix(field, ents, cols=cols)
 
 
@@ -382,11 +403,12 @@ def cmd_stability(datum, args, doc, objects):
     base = default_diagram(H, probes)
     small = compute_coend(base)
     small.check_regular_surjective()
-    reg = regular_comodule(H)
+    reg, one = base.regular, base.index(base.derived(unit_comodule))
     enlargements = [
-        ("action_line_block", act(reg, line_object(ctx, "s", ctx.group.zero))),
-        ("direct_sum_block", direct_sum_comodule(reg, unit_comodule(H))),
-        ("dual_block", comodule_dual(reg)),
+        ("action_line_block",
+         base.derived(act, reg, line_object(ctx, "s", ctx.group.zero))),
+        ("direct_sum_block", base.derived(direct_sum_comodule, reg, one)),
+        ("dual_block", base.derived(comodule_dual, reg)),
     ]
     rows, all_ok = [], True
     for name, block in enlargements:
@@ -439,8 +461,6 @@ def build_parser():
                              "(coordinates colon-separated)")
         sp.add_argument("--out", metavar="PATH",
                         help="write the JSON report here instead of stdout")
-        sp.add_argument("--format", choices=["json"], default="json",
-                        help="report format (json)")
     return p
 
 

@@ -16,12 +16,15 @@ canonical for the relation span, hence so is the whole presentation --
 results do not depend on assembly order or thread count.
 """
 
+import copy
+
 from .exactalg import (EngineError, Matrix, SparseEliminator,
                        cokernel_from_rref)
 from .gradedcat import (GradedMorphism, GradedObject, identity_mor, left_dual,
                         line_object, phi_left, tensor_obj)
-from .comodcat import (Comodule, act, comodule_dual, comodule_tensor,
-                       hom_basis, regular_comodule, unit_comodule, FlagReport)
+from .comodcat import (Comodule, FlagReport, act, comodule_dual,
+                       comodule_tensor, hom_basis, regular_comodule,
+                       unit_comodule)
 
 
 class PiNotSurjectiveError(EngineError):
@@ -32,49 +35,93 @@ class Diagram:
     """A finite family of comodule blocks with balancing gluings.
 
     `comodules` are deduplicated by value; the regular comodule must be
-    among them.  Each balancing entry (W, L) -- W a listed comodule, L a
-    one-dimensional object -- adds the glued block W (|) *L and an exact
-    identification of its classes with W's.
+    among them, and `regular` is its index.  Each action entry (W, X) adds
+    the block W (|) X; each balancing entry (W, L) -- W a listed comodule,
+    L a one-dimensional object -- adds the glued block W (|) *L and an
+    exact identification of its classes with W's.
+
+    The diagram owns block identity: `index` finds a block by value,
+    `derived` builds (and so axiom-checks) a comodule made from blocks once
+    -- `index(derived(...))` is its block, or KeyError if it is none -- and
+    `hom_basis` computes the hom basis between two blocks once.
     """
 
     def __init__(self, hopf, comodules, balance=(), actions=()):
         self.hopf = hopf
         self.blocks = []
+        self.acted = []  # (acted block index, anchor index, inert object)
+        self.balance = []  # (glued block index, anchor index)
+        self.actions_spec = ()
+        self.balance_spec = ()
+        self._index = {}  # (carrier, coaction) -> block index
+        self._derived = {}  # (constructor, operands...) -> comodule
+        self._homs = {}  # (source index, target index) -> hom basis
+        self._extend(comodules, balance, actions)
+        # the regular comodule is (H, Delta) itself, found without a rebuild
+        self.regular = self._index.get((hopf.carrier, hopf.delta))
+        assert self.regular is not None, \
+            "the diagram must contain the regular comodule"
+
+    def _extend(self, comodules, balance, actions):
+        balance, actions = tuple(balance), tuple(actions)
         for B in comodules:
             self._add(B)
-        assert regular_comodule(hopf) in self.blocks, \
-            "the diagram must contain the regular comodule"
-        self.acted = []  # (acted block index, anchor index, inert object)
-        self.actions_spec = tuple(actions)
-        for W, X in self.actions_spec:
+        for W, X in actions:
             assert isinstance(X, GradedObject)
             wi = self._add(W)
-            ci = self._add(act(W, X))
-            self.acted.append((ci, wi, X))
-        self.balance_spec = tuple(balance)
-        self.balance = []
-        for W, L in self.balance_spec:
+            self.acted.append((self._add(self.derived(act, wi, X)), wi, X))
+        for W, L in balance:
             assert isinstance(L, GradedObject) and L.dim == 1, \
                 "balancing probes must be one-dimensional"
             dual_line = left_dual(L).space
             wi = self._add(W)
-            ci = self._add(act(W, dual_line))
+            ci = self._add(self.derived(act, wi, dual_line))
             self.balance.append((ci, wi))
             self.acted.append((ci, wi, dual_line))
+        self.actions_spec += actions
+        self.balance_spec += balance
+
+    def index(self, B):
+        """The index of the block equal to B; KeyError if there is none."""
+        key = (B.carrier, B.coaction)
+        if B.hopf != self.hopf or key not in self._index:
+            raise KeyError("comodule is not a block of the diagram")
+        return self._index[key]
 
     def _add(self, B):
         assert isinstance(B, Comodule)
         assert B.hopf == self.hopf, "block over a different Hopf algebra"
-        for i, known in enumerate(self.blocks):
-            if known == B:
-                return i
-        self.blocks.append(B)
-        return len(self.blocks) - 1
+        if (B.carrier, B.coaction) not in self._index:
+            self._index[(B.carrier, B.coaction)] = len(self.blocks)
+            self.blocks.append(B)
+        return self.index(B)
 
-    def enlarged(self, *extra):
-        """A new diagram with additional comodule blocks (same gluings)."""
-        return Diagram(self.hopf, self.blocks + list(extra),
-                       self.balance_spec, self.actions_spec)
+    def derived(self, construct, *operands):
+        """construct(H) without operands, else construct applied to the
+        operands with block indices replaced by their blocks (act's object
+        passes as is); built once per diagram and its enlargements."""
+        key = (construct,) + operands
+        if key not in self._derived:
+            args = [self.blocks[x] if isinstance(x, int) else x
+                    for x in operands]
+            self._derived[key] = construct(*(args or [self.hopf]))
+        return self._derived[key]
+
+    def hom_basis(self, ai, bi):
+        """The hom basis from block ai to block bi, computed once."""
+        if (ai, bi) not in self._homs:
+            self._homs[(ai, bi)] = hom_basis(self.blocks[ai], self.blocks[bi])
+        return self._homs[(ai, bi)]
+
+    def enlarged(self, *extra, balance=(), actions=()):
+        """A copy with more blocks and gluings appended; it keeps this
+        diagram's blocks, gluings, derived comodules and hom bases."""
+        big = copy.copy(self)
+        for name in ("blocks", "acted", "balance", "_index", "_derived",
+                     "_homs"):
+            setattr(big, name, copy.copy(getattr(self, name)))
+        big._extend(extra, balance, actions)
+        return big
 
 
 def prebalancing(A, B, X):
@@ -97,11 +144,10 @@ def default_diagram(H, probes=()):
     degree of the grading group.  Extra probe degrees add further balancing
     lines against the same anchors."""
     ctx = H.carrier.ctx
-    reg = regular_comodule(H)
-    one = unit_comodule(H)
+    core = Diagram(H, [regular_comodule(H)])
+    reg, one = core.blocks[core.regular], core.derived(unit_comodule)
     nonzero = [d for d in ctx.group.elements() if d != ctx.group.zero]
     act_deg = nonzero[0] if nonzero else ctx.group.zero
-    blocks = [reg, one, comodule_tensor(reg, reg)]
     actions = [(reg, line_object(ctx, "t", act_deg))]
     balance = []
     for k, d in enumerate(nonzero):
@@ -112,14 +158,16 @@ def default_diagram(H, probes=()):
         L = line_object(ctx, "p%d" % k, d)
         balance.append((reg, L))
         balance.append((one, L))
-    return Diagram(H, blocks, balance, actions)
+    return core.enlarged(one, core.derived(comodule_tensor, core.regular,
+                                           core.regular),
+                         balance=balance, actions=actions)
 
 
 def reconstruction_diagram(H, probes=()):
     """The default diagram plus the dual of the regular block (the extra
     block the antipode extraction needs)."""
     base = default_diagram(H, probes)
-    return base.enlarged(comodule_dual(regular_comodule(H)))
+    return base.enlarged(base.derived(comodule_dual, base.regular))
 
 
 def _block_spaces(diagram):
@@ -151,11 +199,10 @@ def _relation_columns(diagram, spaces, offsets):
     deterministic order."""
     blocks = diagram.blocks
     for ai, bi in _hom_pairs(diagram):
-        A, B = blocks[ai], blocks[bi]
-        dA, dB = A.carrier.dim, B.carrier.dim
+        dA, dB = blocks[ai].carrier.dim, blocks[bi].carrier.dim
         offA, offB = offsets[ai], offsets[bi]
         name = "dinaturality[%d->%d]" % (ai, bi)
-        for f in hom_basis(A, B):
+        for f in diagram.hom_basis(ai, bi):
             f_rows = f.matrix.data
             f_cols = f.matrix.transpose().data
             for a in range(dA):
@@ -182,8 +229,8 @@ class CoendResult:
     """The computed quotient with its canonical presentation.
 
     `quotient` is a graded object (basis c0, c1, ... with the degrees of the
-    free ambient coordinates); `pi(B)` is the universal projection from a
-    block's F(B) (x) *F(B) as a morphism of the graded category.
+    free ambient coordinates); `pi(i)` is the universal projection from
+    block i's F(B) (x) *F(B) as a morphism of the graded category.
     """
 
     def __init__(self, diagram, spaces, offsets, presentation, quotient):
@@ -197,15 +244,8 @@ class CoendResult:
     def dim(self):
         return self.presentation.quotient_dim
 
-    def block_index(self, B):
-        for i, known in enumerate(self.diagram.blocks):
-            if known == B:
-                return i
-        raise KeyError("comodule is not a block of the diagram")
-
-    def pi(self, B):
-        """The universal map F(B) (x) *F(B) -> quotient."""
-        i = self.block_index(B)
+    def pi(self, i):
+        """The universal map F(B) (x) *F(B) -> quotient of block i."""
         S, off = self.spaces[i], self.offsets[i]
         end = off + S.dim
         P = self.presentation.projection
@@ -216,7 +256,7 @@ class CoendResult:
 
     def check_regular_surjective(self):
         """The regular block alone must already cover the quotient."""
-        r = self.pi(regular_comodule(self.diagram.hopf)).matrix.rank()
+        r = self.pi(self.diagram.regular).matrix.rank()
         if r < self.dim:
             raise PiNotSurjectiveError(
                 "regular block covers only %d of %d quotient dimensions"
@@ -286,9 +326,9 @@ def check_stability(small, big):
     every shared universal map.
     """
     checks = [("dims_match", small.dim == big.dim)]
+    shared = [big.diagram.index(B) for B in small.diagram.blocks]
     inj = {}
-    for i, B in enumerate(small.diagram.blocks):
-        j = big.block_index(B)
+    for i, j in enumerate(shared):
         for k in range(small.spaces[i].dim):
             inj[small.offsets[i] + k] = big.offsets[j] + k
     Pb = big.presentation.projection
@@ -298,8 +338,8 @@ def check_stability(small, big):
         big.dim).transpose()
     checks.append(("comparison_iso",
                    small.dim == big.dim and kappa.rank() == small.dim))
-    for i, B in enumerate(small.diagram.blocks):
-        lhs = kappa * small.pi(B).matrix
-        rhs = big.pi(B).matrix
+    for i, j in enumerate(shared):
+        lhs = kappa * small.pi(i).matrix
+        rhs = big.pi(j).matrix
         checks.append(("intertwines_pi[%d]" % i, lhs == rhs))
     return FlagReport(checks)

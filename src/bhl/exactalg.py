@@ -613,9 +613,6 @@ class SparseEliminator:
     def rank(self):
         return len(self.rows)
 
-    def pivots(self):
-        return sorted(self.rows)
-
     def rref_rows(self):
         """Canonical reduced rows as a list of (pivot, row-dict), pivot ascending."""
         pivs = sorted(self.rows)
@@ -800,9 +797,3 @@ def solve_product_constraints(field, constraint_groups, shape):
             i, j = divmod(p, c)
             out[i][j] = -v
     return Matrix.from_rows(field, out, c)
-
-
-def solve_unknown_map(field, constraints, shape):
-    """Solve A_i * X * B_i = C_i (all i) for the unknown matrix X."""
-    return solve_product_constraints(
-        field, [([(A, B)], C) for (A, B, C) in constraints], shape)

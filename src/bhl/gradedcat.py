@@ -20,7 +20,8 @@ class AbelianGroup:
 
     def __init__(self, invariant_factors):
         factors = tuple(int(n) for n in invariant_factors)
-        assert all(n >= 1 for n in factors), "invariant factors must be positive"
+        if not all(n >= 1 for n in factors):
+            raise ValueError("invariant factors must be positive")
         self.invariant_factors = factors
         self.rank = len(factors)
         self.zero = (0,) * self.rank

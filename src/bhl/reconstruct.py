@@ -24,9 +24,8 @@ from .braidedhopf import (BialgebraData, HopfAlgebraData, check_hopf,
                           check_hopf_morphism, solve_antipode)
 from .coend import compute_coend, reconstruction_diagram
 from .comodcat import (Comodule, FlagReport, act, comodule_dual,
-                       comodule_tensor, hom_space, regular_comodule,
-                       unit_comodule)
-from .exactalg import EngineError, Matrix, solve_unknown_map
+                       comodule_tensor, hom_space, unit_comodule)
+from .exactalg import EngineError, Matrix, solve_product_constraints
 from .gradedcat import (GradedMorphism, braiding, braiding_inverse,
                         dual_morphism, identity_mor, left_dual, phi_left, psi,
                         tensor_obj, unit_object)
@@ -49,10 +48,10 @@ def extract_counit(res):
     field = _field(res)
     one = Matrix.identity(field, 1)
     constraints = []
-    for B in res.diagram.blocks:
+    for i, B in enumerate(res.diagram.blocks):
         d = left_dual(B.carrier)
-        constraints.append((one, res.pi(B).matrix, d.ev.matrix))
-    X = solve_unknown_map(field, constraints, (1, res.dim))
+        constraints.append(([(one, res.pi(i).matrix)], d.ev.matrix))
+    X = solve_product_constraints(field, constraints, (1, res.dim))
     return GradedMorphism(res.quotient, unit_object(res.quotient.ctx), X)
 
 
@@ -64,23 +63,24 @@ def extract_coproduct(res):
     q = res.dim
     iq2 = Matrix.identity(field, q * q)
     constraints = []
-    for B in res.diagram.blocks:
+    for i, B in enumerate(res.diagram.blocks):
         if B.carrier.dim > H.carrier.dim:
             continue
         V = B.carrier
         d = left_dual(V)
-        pi = res.pi(B)
+        pi = res.pi(i)
         insert = identity_mor(V) @ d.coev @ identity_mor(d.space)
         rhs = (pi @ pi) * insert
-        constraints.append((iq2, pi.matrix, rhs.matrix))
-    X = solve_unknown_map(field, constraints, (q * q, q))
+        constraints.append(([(iq2, pi.matrix)], rhs.matrix))
+    X = solve_product_constraints(field, constraints, (q * q, q))
     QQ = tensor_obj(res.quotient, res.quotient)
     return GradedMorphism(res.quotient, QQ, X)
 
 
 def extract_unit(res):
     """u: 1 -> Q is the unit block's projection."""
-    return res.pi(unit_comodule(res.diagram.hopf))
+    D = res.diagram
+    return res.pi(D.index(D.derived(unit_comodule)))
 
 
 def extract_product(res):
@@ -90,22 +90,22 @@ def extract_product(res):
     m . (pi_A (x) pi_B) = pi_{A(x)B} . (braid the dual legs into place),
     where the two dual legs are merged by the dual-pairing isomorphism.
     """
-    H = res.diagram.hopf
+    D = res.diagram
     field = _field(res)
     q = res.dim
-    reg = regular_comodule(H)
-    one = unit_comodule(H)
+    reg, one = D.regular, D.index(D.derived(unit_comodule))
     iq = Matrix.identity(field, q)
     constraints = []
-    for A, B in ((reg, reg), (reg, one), (one, reg), (one, one)):
-        VA, VB = A.carrier, B.carrier
+    for a, b in ((reg, reg), (reg, one), (one, reg), (one, one)):
+        VA, VB = D.blocks[a].carrier, D.blocks[b].carrier
         dA, dB = left_dual(VA), left_dual(VB)
-        piAB = res.pi(comodule_tensor(A, B))
+        piAB = res.pi(D.index(D.derived(comodule_tensor, a, b)))
         mid = identity_mor(VA) @ braiding(dA.space, tensor_obj(VB, dB.space))
         glue = identity_mor(VA) @ identity_mor(VB) @ phi_left(VA, VB)
         rhs = piAB * glue * mid
-        constraints.append((iq, (res.pi(A) @ res.pi(B)).matrix, rhs.matrix))
-    X = solve_unknown_map(field, constraints, (q, q * q))
+        constraints.append(([(iq, (res.pi(a) @ res.pi(b)).matrix)],
+                            rhs.matrix))
+    X = solve_product_constraints(field, constraints, (q, q * q))
     QQ = tensor_obj(res.quotient, res.quotient)
     return GradedMorphism(QQ, res.quotient, X)
 
@@ -117,22 +117,21 @@ def extract_antipode(res, bialgebra):
     evaluation/coevaluation zig-zag; the cross-check is the convolution
     inverse of the identity.  A mismatch raises CrossCheckMismatchError.
     """
-    H = res.diagram.hopf
+    D = res.diagram
     field = _field(res)
     q = res.dim
-    reg = regular_comodule(H)
-    V = H.carrier
+    V = D.hopf.carrier
     dV = left_dual(V)
     ddV = left_dual(dV.space)
-    pi_dual = res.pi(comodule_dual(reg))
+    pi_dual = res.pi(D.index(D.derived(comodule_dual, D.regular)))
     start = identity_mor(tensor_obj(V, dV.space)) @ ddV.coev
     middle = identity_mor(V) @ pi_dual @ identity_mor(dV.space)
     unbraid = identity_mor(V) @ braiding_inverse(dV.space, res.quotient)
     finish = dV.ev @ identity_mor(res.quotient)
     target = finish * unbraid * middle * start
-    X = solve_unknown_map(
-        field, [(Matrix.identity(field, q), res.pi(reg).matrix, target.matrix)],
-        (q, q))
+    X = solve_product_constraints(
+        field, [([(Matrix.identity(field, q), res.pi(D.regular).matrix)],
+                 target.matrix)], (q, q))
     S = GradedMorphism(res.quotient, res.quotient, X)
     S_conv = solve_antipode(bialgebra)
     if S != S_conv:
@@ -147,8 +146,8 @@ def canonical_comparison(res):
     Must be invertible -- this is the reconstruction isomorphism.
     """
     H = res.diagram.hopf
-    reg = regular_comodule(H)
-    h = res.pi(reg) * (identity_mor(H.carrier) @ dual_morphism(H.eps))
+    h = res.pi(res.diagram.regular) * (identity_mor(H.carrier)
+                                       @ dual_morphism(H.eps))
     if H.carrier.dim != res.dim or h.matrix.rank() < res.dim:
         raise NotIsoError("comparison map from the original Hopf algebra "
                           "is not invertible")
@@ -158,7 +157,7 @@ def canonical_comparison(res):
 def comodule_over_quotient(res, quotient_hopf, B):
     """The image of a block under the equivalence: same carrier, coaction
     curried out of the block projection."""
-    rho = psi(res.pi(B), B.carrier, B.carrier)
+    rho = psi(res.pi(res.diagram.index(B)), B.carrier, B.carrier)
     return Comodule(quotient_hopf, B.carrier, rho)
 
 
@@ -182,13 +181,12 @@ def verify_equivalence_samples(res, quotient_hopf):
     equivalence onto comodules over the quotient: hom-space dimensions agree
     pair by pair, every small block becomes a genuine quotient comodule, and
     the inert right action is carried to the inert right action."""
-    H = res.diagram.hopf
-    reg = regular_comodule(H)
-    one = unit_comodule(H)
+    D = res.diagram
+    reg, one = D.regular, D.index(D.derived(unit_comodule))
     checks = []
     q_of = {}
-    for i, B in enumerate(res.diagram.blocks):
-        if B.carrier.dim > H.carrier.dim:
+    for i, B in enumerate(D.blocks):
+        if B.carrier.dim > D.hopf.carrier.dim:
             continue
         try:
             q_of[i] = comodule_over_quotient(res, quotient_hopf, B)
@@ -196,14 +194,11 @@ def verify_equivalence_samples(res, quotient_hopf):
         except AssertionError:
             ok = False
         checks.append(("block_comodule[%d]" % i, ok))
-    qreg = q_of[res.block_index(reg)]
-    qone = q_of[res.block_index(one)]
-    for i, (A, B) in enumerate(((reg, reg), (one, reg), (one, one))):
-        dim_H = hom_space(A, B).cols
-        qA = qreg if A == reg else qone
-        qB = qreg if B == reg else qone
-        checks.append(("hom_dims[%d]" % i, dim_H == hom_space(qA, qB).cols))
-    for k, (ci, wi, X) in enumerate(res.diagram.acted):
+    for k, (a, b) in enumerate(((reg, reg), (one, reg), (one, one))):
+        dim_H = len(D.hom_basis(a, b))
+        checks.append(("hom_dims[%d]" % k,
+                       dim_H == hom_space(q_of[a], q_of[b]).cols))
+    for k, (ci, wi, X) in enumerate(D.acted):
         if ci not in q_of or wi not in q_of:
             continue
         checks.append(("action_carried[%d]" % k,

@@ -93,7 +93,7 @@ def test_nichols_cyclic_3_frozen_values():
     assert all(not m.entries[r][2 * 3 + 2] for r in range(3))
     assert m.entries[2][1 * 3 + 1] == F.one
     # S(x) = -x, S(x^2) = zeta x^2 (re-derived via the convolution equation)
-    S2 = solve_antipode(H.as_bialgebra())
+    S2 = solve_antipode(H)
     assert S2 == H.S
     assert H.S.matrix.entries[1][1] == -F.one
     assert H.S.matrix.entries[2][2] == z

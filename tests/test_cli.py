@@ -277,6 +277,38 @@ def test_bad_probe_rejected(capsys):
     assert "probe" in capsys.readouterr().err
 
 
+# (spec entry to replace in the exterior_line spec, bad value)
+BAD_SPEC_ENTRIES = {
+    "entry_divides_by_zero": (("hopf", "m", 0, 0), "1/0"),
+    "cyclotomic_order_zero": (("field", "cyclotomic_order"), 0),
+    "cyclotomic_order_fractional": (("field", "cyclotomic_order"), 2.5),
+    "cyclotomic_order_text": (("field", "cyclotomic_order"), "x"),
+    "invariant_factor_zero": (("group", "invariant_factors", 0), 0),
+    "degree_fractional": (("objects", "H", "degrees", 1, 0), 0.5),
+}
+BAD_BUILTINS = ["taft:1", "nichols_cyclic:1", "nichols_cyclic:0",
+                "group_algebra:0"]
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_SPEC_ENTRIES) + BAD_BUILTINS)
+def test_bad_input_exits_2_with_one_error_line(bad, tmp_path, capsys):
+    if bad in BAD_SPEC_ENTRIES:
+        keys, value = BAD_SPEC_ENTRIES[bad]
+        doc = hopf_to_spec(build("exterior_line"))
+        holder = doc
+        for k in keys[:-1]:
+            holder = holder[k]
+        holder[keys[-1]] = value
+        spec = tmp_path / "bad.json"
+        spec.write_text(json.dumps(doc))
+        args = [str(spec)]
+    else:
+        args = ["--builtin", bad]
+    assert main(["check-hopf"] + args) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
 # ---------------------------------------------------------------------------
 # console entry point
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from bhl.exactalg import (
     CycloField, Matrix, NoSolutionError, NonUniqueError, QuotientPresentation,
     Scalar, cokernel, cyclotomic_polynomial, format_scalar, kernel,
-    parse_scalar, rref, solve_product_constraints, solve_unknown_map,
+    parse_scalar, rref, solve_product_constraints,
 )
 
 
@@ -186,7 +186,7 @@ def test_solve_unknown_map_basic():
     I2 = Matrix.identity(F, 2)
     B = Matrix.from_rational(F, [[1, 1], [0, 1]])
     C = Matrix.from_rational(F, [[2, 3], [4, 9]])
-    X = solve_unknown_map(F, [(I2, B, C)], (2, 2))
+    X = solve_product_constraints(F, [([(I2, B)], C)], (2, 2))
     assert X * B == C
     assert X == C * B.inverse()
 
@@ -197,7 +197,7 @@ def test_solve_unknown_map_two_sided():
     B = Matrix(F, [[F.one, F.zeta(2)], [F.zero, F.one]])
     X0 = Matrix(F, [[F.one, F.zeta()], [F.zeta(2), F.scalar(3)]])
     C = A * X0 * B
-    X = solve_unknown_map(F, [(A, B, C)], (2, 2))
+    X = solve_product_constraints(F, [([(A, B)], C)], (2, 2))
     assert X == X0
 
 
@@ -207,7 +207,8 @@ def test_solve_unknown_map_no_solution():
     C1 = Matrix.from_rational(F, [[1, 0], [0, 1]])
     C2 = Matrix.from_rational(F, [[0, 1], [1, 0]])
     with pytest.raises(NoSolutionError):
-        solve_unknown_map(F, [(I2, I2, C1), (I2, I2, C2)], (2, 2))
+        solve_product_constraints(
+            F, [([(I2, I2)], C1), ([(I2, I2)], C2)], (2, 2))
 
 
 def test_solve_unknown_map_underdetermined():
@@ -216,7 +217,7 @@ def test_solve_unknown_map_underdetermined():
     B = Matrix.identity(F, 2)
     C = Matrix.from_rational(F, [[1, 2]])
     with pytest.raises(NonUniqueError):
-        solve_unknown_map(F, [(A, B, C)], (2, 2))
+        solve_product_constraints(F, [([(A, B)], C)], (2, 2))
 
 
 def test_solve_sum_of_products():
