@@ -412,7 +412,7 @@ def cmd_stability(datum, args, doc, objects):
     ]
     rows, all_ok = [], True
     for name, block in enlargements:
-        big = compute_coend(base.enlarged(block))
+        big = small.enlarged(block)
         rep = check_stability(small, big)
         ok = rep.passed and big.dim == H.carrier.dim
         all_ok = all_ok and ok

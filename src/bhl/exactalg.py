@@ -28,6 +28,16 @@ class NonUniqueError(EngineError):
     code = "NonUnique"
 
 
+class InvalidStructureError(EngineError):
+    code = "InvalidStructure"
+
+
+def require(cond, message):
+    """Raise InvalidStructureError(message) unless cond holds."""
+    if not cond:
+        raise InvalidStructureError(message)
+
+
 # ---------------------------------------------------------------------------
 # polynomial helpers (ascending coefficient lists of Fractions)
 # ---------------------------------------------------------------------------
@@ -183,7 +193,8 @@ class Scalar:
 
     def __init__(self, field, coeffs):
         self.field = field
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
+        self.coeffs = tuple(c if type(c) is Fraction else Fraction(c)
+                            for c in coeffs)
         assert len(self.coeffs) == field.degree
         self._hash = None
 
@@ -698,12 +709,18 @@ class QuotientPresentation:
 
     def verify(self):
         q, amb = self.quotient_dim, self.ambient_dim
-        assert self.projection.rows == q and self.projection.cols == amb
-        assert self.section.rows == amb and self.section.cols == q
-        assert (self.projection * self.section) == Matrix.identity(self.projection.field, q)
-        if self.relation_matrix.cols:
-            assert (self.projection * self.relation_matrix).is_zero()
-        assert self.relation_matrix.rank() + q == amb
+        require(self.projection.rows == q and self.projection.cols == amb,
+                "projection is not quotient x ambient")
+        require(self.section.rows == amb and self.section.cols == q,
+                "section is not ambient x quotient")
+        require(self.projection * self.section
+                == Matrix.identity(self.projection.field, q),
+                "projection . section is not the identity")
+        require(not self.relation_matrix.cols
+                or (self.projection * self.relation_matrix).is_zero(),
+                "projection does not kill the relations")
+        require(self.relation_matrix.rank() + q == amb,
+                "relation rank + quotient dimension != ambient dimension")
 
 
 def cokernel_from_rref(field, ambient_dim, rref_rows):

@@ -364,3 +364,13 @@ def test_installed_bhl_script_matches_entry_point():
     assert installed.returncode == declared.returncode == 0, \
         installed.stderr.decode()
     assert installed.stdout == declared.stdout
+
+
+def test_python_m_bhl_runs_the_cli():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(bhl.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "bhl", "check-hopf", "--builtin", "sweedler"],
+        capture_output=True, env=env)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert json.loads(proc.stdout)["status"] == "pass"

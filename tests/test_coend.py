@@ -2,6 +2,7 @@
 
 import pytest
 
+import bhl.coend
 from bhl.catalog import BUILTIN_NAMES, build, exterior_line, group_algebra, sweedler
 from bhl.coend import (
     CoendResult, Diagram, PiNotSurjectiveError, check_stability, compute_coend,
@@ -11,7 +12,7 @@ from bhl.comodcat import (
     act, comodule_dual, comodule_tensor, direct_sum_comodule, regular_comodule,
     unit_comodule,
 )
-from bhl.exactalg import cokernel_from_rref
+from bhl.exactalg import InvalidStructureError, Matrix, cokernel_from_rref
 from bhl.gradedcat import (GradedObject, identity_mor, left_dual,
                            line_object, tensor_obj, unit_object)
 
@@ -47,7 +48,7 @@ def test_diagram_dedup_and_requires_regular():
     reg = regular_comodule(H)
     D = default_diagram(H)
     assert D.enlarged(reg, unit_comodule(H)).blocks == D.blocks
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvalidStructureError):
         Diagram(H, [unit_comodule(H)])
 
 
@@ -65,6 +66,18 @@ def test_residual_report_passes():
         res = compute_coend(default_diagram(H))
         rep = res.residual_report()
         assert rep.passed, rep.failures()
+
+
+def test_residual_report_flags_a_broken_presentation():
+    # the presentation identities are checked without assert, so a broken
+    # section is reported under python -O too
+    res = compute_coend(default_diagram(group_algebra(2)))
+    pres = res.presentation
+    pres.section = Matrix.zeros(pres.section.field, pres.ambient_dim,
+                                pres.quotient_dim)
+    with pytest.raises(InvalidStructureError):
+        pres.verify()
+    assert res.residual_report().failures() == ["presentation"]
 
 
 def test_deterministic_presentation():
@@ -101,6 +114,52 @@ def test_stability_under_enlargements():
             rep = check_stability(small, big)
             assert rep.passed, rep.failures()
             assert big.dim == H.carrier.dim
+
+
+def stability_blocks(base):
+    """The three enlargement blocks that `bhl stability` checks."""
+    ctx = base.hopf.carrier.ctx
+    reg, one = base.regular, base.index(base.derived(unit_comodule))
+    return [base.derived(act, reg, line_object(ctx, "s", ctx.group.zero)),
+            base.derived(direct_sum_comodule, reg, one),
+            base.derived(comodule_dual, reg)]
+
+
+def assert_same_coend(a, b):
+    for attr in ("projection", "section", "relation_matrix"):
+        assert getattr(a.presentation, attr) == getattr(b.presentation, attr)
+    assert a.quotient == b.quotient
+
+
+@pytest.mark.parametrize("name, probes", [(name, ()) for name in BUILTIN_NAMES]
+                         + [("exterior_line", ((1,),))])
+def test_resumed_enlargement_equals_from_scratch(name, probes):
+    H = build(name)
+    base = default_diagram(H, [H.carrier.ctx.group.element(d)
+                               for d in probes])
+    small = compute_coend(base)
+    for block in stability_blocks(base):
+        assert_same_coend(small.enlarged(block),
+                          compute_coend(base.enlarged(block)))
+
+
+def test_resumed_enlargement_by_a_known_block_streams_nothing(monkeypatch):
+    H = exterior_line()
+    base = default_diagram(H)
+    small = compute_coend(base)
+    streamed = []
+    relation_columns = bhl.coend._relation_columns
+
+    def recording(*args):
+        for item in relation_columns(*args):
+            streamed.append(item)
+            yield item
+
+    monkeypatch.setattr(bhl.coend, "_relation_columns", recording)
+    same = small.enlarged(base.blocks[base.regular])
+    assert streamed == []
+    assert same.diagram.blocks == base.blocks
+    assert_same_coend(same, small)
 
 
 def test_pi_not_surjective_guard():

@@ -1,7 +1,10 @@
 """Each derived comodule and each hom space is built once per run: the
 diagram memoizes its blocks and hom bases, and callers find blocks by index
-instead of rebuilding them."""
+instead of rebuilding them.  Each relation of a base diagram is reduced
+once, however many enlargements of it are computed."""
 
+import re
+import sys
 from collections import Counter
 
 import pytest
@@ -11,6 +14,7 @@ import bhl.coend
 import bhl.comodcat
 import bhl.reconstruct
 from bhl.catalog import build
+from bhl.coend import default_diagram
 from bhl.reconstruct import reconstruct
 
 CONSTRUCTORS = ("regular_comodule", "unit_comodule", "comodule_tensor",
@@ -57,3 +61,41 @@ def test_stability_builds_each_block_once(calls, tmp_path):
     assert bhl.cli.main(["stability", "--builtin", "exterior_line",
                          "--out", str(out)]) == 0
     assert_no_repeats(calls)
+
+
+def test_stability_streams_each_base_relation_once(monkeypatch, tmp_path):
+    """During `stability`, no relation column of the base diagram reaches an
+    eliminator twice.  Re-streaming for the residual check is not counted:
+    it feeds no eliminator."""
+    base = default_diagram(build("exterior_line"))
+    n_blocks, n_balance = len(base.blocks), len(base.balance)
+
+    def of_base(name):
+        ids = [int(x) for x in re.findall(r"\d+", name)]
+        return all(i < (n_blocks if name.startswith("dinaturality")
+                        else n_balance) for i in ids)
+
+    fed = Counter()  # (family name, position in family) -> times streamed
+    families = set()
+    relation_columns = bhl.coend._relation_columns
+
+    def counting(*args):
+        if sys._getframe(1).f_code.co_name == "residual_report":
+            return relation_columns(*args)
+        return recorded(relation_columns(*args))
+
+    def recorded(columns):
+        seen = Counter()
+        for name, col in columns:
+            families.add(name)
+            if of_base(name):
+                fed[(name, seen[name])] += 1
+            seen[name] += 1
+            yield name, col
+
+    monkeypatch.setattr(bhl.coend, "_relation_columns", counting)
+    out = tmp_path / "stability.json"
+    assert bhl.cli.main(["stability", "--builtin", "exterior_line",
+                         "--out", str(out)]) == 0
+    assert fed and not all(of_base(name) for name in families)
+    assert max(fed.values()) == 1
