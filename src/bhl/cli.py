@@ -39,15 +39,16 @@ from .braidedhopf import (
     check_yd, solve_antipode, yd_braiding, yd_braiding_inverse,
 )
 from .catalog import build, yd_samples
-from .coend import (check_stability, compute_coend, default_diagram,
-                    reconstruction_diagram)
-from .comodcat import act, comodule_dual, direct_sum_comodule, unit_comodule
-from .exactalg import (CycloField, EngineError, Matrix, format_scalar,
-                       parse_scalar)
+from .exactalg import (CycloField, EngineError, InvalidStructureError,
+                       Matrix, format_scalar, parse_scalar)
 from .gradedcat import (AbelianGroup, Bicharacter, Context, GradedMorphism,
                         GradedObject, identity_mor, line_object, tensor_obj,
                         unit_object)
-from .reconstruct import reconstruct
+
+# The coend and reconstruction modules are imported by the commands that
+# use them: each command is a process of its own, and loading them (a
+# compile, when bytecode is not cached) costs the axiom commands several
+# milliseconds of start-up for nothing.
 
 
 class SchemaError(ValueError):
@@ -97,7 +98,7 @@ def context_from_spec(doc):
              % (r, field.order))
     try:
         chi = Bicharacter(group, r, bspec["exponent_matrix"])
-    except (ValueError, AssertionError) as exc:
+    except (ValueError, InvalidStructureError) as exc:
         raise SchemaError("bad bicharacter: %s" % exc) from None
     return Context(field, group, chi)
 
@@ -129,7 +130,7 @@ def object_from_spec(ctx, name, doc):
     try:
         return GradedObject(ctx, [(str(l), tuple(d))
                                   for l, d in zip(labels, degrees)])
-    except (AssertionError, TypeError) as exc:
+    except (InvalidStructureError, TypeError) as exc:
         raise SchemaError("object %r: %s" % (name, exc)) from None
 
 
@@ -159,7 +160,7 @@ def morphism_from_spec(field, doc, source, target, what):
     mat = matrix_from_spec(field, doc, target.dim, source.dim, what)
     try:
         return GradedMorphism(source, target, mat)
-    except AssertionError:
+    except InvalidStructureError:
         raise SchemaError("%s is not degree-preserving" % what) from None
 
 
@@ -370,6 +371,8 @@ def cmd_bosonize(datum, args, doc, objects):
 
 
 def _run_reconstruction(datum, args, emit_datum):
+    from .coend import reconstruction_diagram
+    from .reconstruct import reconstruct
     H = ensure_hopf(datum)
     probes = _parse_probes(args.probes, H.carrier.ctx.group)
     r = reconstruct(H, diagram=reconstruction_diagram(H, probes))
@@ -397,6 +400,9 @@ def cmd_verify_reconstruction(datum, args, doc, objects):
 
 
 def cmd_stability(datum, args, doc, objects):
+    from .coend import check_stability, compute_coend, default_diagram
+    from .comodcat import (act, comodule_dual, direct_sum_comodule,
+                           unit_comodule)
     H = ensure_hopf(datum)
     ctx = H.carrier.ctx
     probes = _parse_probes(args.probes, ctx.group)

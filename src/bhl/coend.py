@@ -10,22 +10,44 @@ of F(B) (x) *F(B).  Two relation families are divided out, exactly:
   quotient relative to the inert right action of the graded category.
 
 Every relation column is homogeneous, so the quotient inherits a grading
-and the projections are morphisms of the graded category.  Columns are
-streamed through an incremental eliminator; the reduced relation basis is
-canonical for the relation span, hence so is the whole presentation --
-results do not depend on assembly order or thread count.
+and the projections are morphisms of the graded category.  The reduced
+relation basis is canonical for the relation span, hence so is the whole
+presentation -- results do not depend on assembly order or thread count.
 
-The same canonicity lets an enlargement resume: `Diagram.enlarged` only
-appends blocks and gluings, so the base's relation columns are among the
-enlargement's, at the same coordinates.  Seeding the eliminator with the
-base's reduced relation rows and streaming only the new columns therefore
-gives exactly the presentation a full reduction would.
+The quotient map is written down, then proved exact.  By the
+reconstruction theorem the coend is H itself, and pi_B sends
+F(B) (x) *F(B) to B's matrix coefficients: the candidate P is psi_bar of
+each block's coaction, an n x N matrix (n = dim H, N the ambient
+dimension).  The certificate streams the relation columns once and checks
+
+* (a) P kills every column, so span R is inside ker P;
+* (b) the columns' images mod p reach rank N - n, for a prime p = 1 (mod
+  the field order) at which zeta maps to a root of Phi_n and which divides
+  no denominator met.  That map is a ring map, and a ring map never raises
+  rank, so rank R >= N - n.
+
+With rank P = n, (a) and (b) give span R = ker P exactly.  The canonical
+presentation of ker P is read off P: coordinate j is free iff P e_j is
+independent of the columns after j, the projection is P_F^-1 P, and the
+reduced relation row of a pivot p is e_p - sum_k proj[k][p] e_(free k).
+It is what eliminating the relations would give, entry for entry.  If
+rank P < n, if (a) fails, or if (b) fails at a few primes (a non-Hopf
+input, a diagram too small to cut H out), every relation column is
+eliminated exactly instead, so every output, error paths included, is as
+elimination gives it.
+
+An enlargement certifies itself from its own candidate:
+`Diagram.enlarged` only appends blocks and gluings, so the base's reduced
+relation rows lie in the enlargement's relation span and stand in for the
+base's columns in both checks; only the new columns are streamed.
 """
 
 import copy
+from itertools import chain, islice
 
 from .exactalg import (EngineError, InvalidStructureError, Matrix,
-                       SparseEliminator, cokernel_from_rref, require)
+                       SparseEliminator, _ModpEliminator, _modp_primes,
+                       cokernel_from_rref, require)
 from .gradedcat import (GradedMorphism, GradedObject, identity_mor, left_dual,
                         line_object, phi_left, tensor_obj)
 from .comodcat import (Comodule, FlagReport, act, comodule_dual,
@@ -141,7 +163,8 @@ def prebalancing(A, B, X):
     carriers, so the exchange is just the dual-of-a-tensor identification
     on the right leg; it is the map along which a glued block's ambient
     coordinates correspond to its anchor's."""
-    assert A.hopf == B.hopf, "prebalancing needs comodules over the same Hopf algebra"
+    require(A.hopf == B.hopf,
+            "prebalancing needs comodules over the same Hopf algebra")
     return identity_mor(B.carrier) @ phi_left(A.carrier, X).inverse()
 
 
@@ -214,27 +237,31 @@ def _relation_columns(diagram, spaces, offsets, blocks_done=0,
         offA, offB = offsets[ai], offsets[bi]
         name = "dinaturality[%d->%d]" % (ai, bi)
         for f in diagram.hom_basis(ai, bi):
-            f_rows = f.matrix.data
             f_cols = f.matrix.transpose().data
+            neg_rows = [{j: -v for j, v in row.items()}
+                        for row in f.matrix.data]
             for a in range(dA):
                 for b in range(dB):
                     col = {offB + i * dB + b: v for i, v in f_cols[a].items()}
-                    for j, v in f_rows[b].items():
+                    for j, v in neg_rows[b].items():
                         k = offA + a * dA + j
-                        col[k] = col[k] - v if k in col else -v
-                    col = {k: v for k, v in col.items() if v}
+                        col[k] = col[k] + v if k in col else v
+                    if ai == bi:  # only then can the two sums cancel
+                        col = {k: v for k, v in col.items() if v}
                     if col:
                         yield name, col
     one = diagram.hopf.carrier.ctx.field.one
+    neg_one = -one
     for k in range(balance_done, len(diagram.balance)):
         ci, wi = diagram.balance[k]
         n = blocks[wi].carrier.dim
-        assert blocks[ci].carrier.dim == n
+        require(blocks[ci].carrier.dim == n,
+                "a glued block must have its anchor's dimension")
         offC, offW = offsets[ci], offsets[wi]
         name = "balancing[%d]" % k
         for b in range(n):
             for a in range(n):
-                yield name, {offC + b * n + a: one, offW + b * n + a: -one}
+                yield name, {offC + b * n + a: one, offW + b * n + a: neg_one}
 
 
 class CoendResult:
@@ -243,32 +270,39 @@ class CoendResult:
     `quotient` is a graded object (basis c0, c1, ... with the degrees of the
     free ambient coordinates); `pi(i)` is the universal projection from
     block i's F(B) (x) *F(B) as a morphism of the graded category.
-    `enlarged` resumes from the reduced relation basis in `presentation`.
+    `certificate` is the prime of the rank bound when the presentation was
+    certified (see the module docstring), None when it was eliminated.
     """
 
-    def __init__(self, diagram, spaces, offsets, presentation, quotient):
+    def __init__(self, diagram, spaces, offsets, presentation, quotient,
+                 certificate=None, families=None):
         self.diagram = diagram
         self.spaces = spaces
         self.offsets = offsets
         self.presentation = presentation
         self.quotient = quotient
+        self.certificate = certificate
+        # relation families whose every column the certificate projected
+        # to zero; None if no full pass was made
+        self._families = families
 
     @property
     def dim(self):
         return self.presentation.quotient_dim
 
     def enlarged(self, *extra, balance=(), actions=()):
-        """compute_coend(self.diagram.enlarged(...)), reducing only the
-        relations the enlargement adds (see the module docstring).  Each
-        reduced row has a unit at its pivot, its smallest column, as the
-        eliminator's installed rows must."""
-        base = self.diagram
-        elim = SparseEliminator(self.presentation.projection.field)
-        for row in self.presentation.relation_matrix.transpose().data:
-            elim.rows[min(row)] = row
-        return _reduce(base.enlarged(*extra, balance=balance,
-                                     actions=actions),
-                       elim, len(base.blocks), len(base.balance))
+        """compute_coend(self.diagram.enlarged(...)), certified from the
+        enlargement's own candidate.  Only the relations the enlargement
+        adds are streamed: this presentation's reduced relation rows span
+        the base's relations, so they seed the rank bound and stand in for
+        the base columns in the residual check.  Without a certificate the
+        enlargement is eliminated from scratch."""
+        big = self.diagram.enlarged(*extra, balance=balance, actions=actions)
+        layout = _block_spaces(big)
+        seeds = self.presentation.relation_matrix.transpose().data
+        prefix = (len(self.diagram.blocks), len(self.diagram.balance))
+        return (_certified(big, *layout, seeds=seeds, prefix=prefix)
+                or _eliminated(big, *layout))
 
     def pi(self, i):
         """The universal map F(B) (x) *F(B) -> quotient of block i."""
@@ -289,25 +323,22 @@ class CoendResult:
                 % (r, self.dim))
 
     def residual_report(self):
-        """Re-stream every relation column through the projection; all must
-        project to zero, and the presentation identities must hold."""
-        # column k of the projection, as {quotient row: value}
-        P_cols = self.presentation.projection.transpose().data
-        bad = set()
-        names = []
-        for name, col in _relation_columns(self.diagram, self.spaces,
-                                           self.offsets):
-            if name not in names:
-                names.append(name)
-            if name in bad:
-                continue
-            image = {}
-            for k, v in col.items():
-                for q, p in P_cols[k].items():
-                    image[q] = image[q] + p * v if q in image else p * v
-            if any(image.values()):
-                bad.add(name)
-        checks = [(name, name not in bad) for name in names]
+        """Every relation column must project to zero, and the presentation
+        identities must hold.  The certificate's residual pass is reused;
+        otherwise every column is re-streamed through the projection."""
+        if self._families is not None:
+            checks = [(name, True) for name in self._families]
+        else:
+            P_cols = self.presentation.projection.transpose().data
+            bad = set()
+            names = []
+            for name, col in _relation_columns(self.diagram, self.spaces,
+                                               self.offsets):
+                if not names or names[-1] != name:
+                    names.append(name)
+                if name not in bad and not _kills(P_cols, col):
+                    bad.add(name)
+            checks = [(name, name not in bad) for name in names]
         try:
             self.presentation.verify()
             checks.append(("presentation", True))
@@ -322,16 +353,146 @@ def _free_coordinates(pres):
     return [min(col) for col in pres.section.transpose().data]
 
 
-def _reduce(diagram, elim, blocks_done=0, balance_done=0):
-    """Reduce into `elim` the relations that the prefix of `blocks_done`
-    blocks and `balance_done` gluings lacks; return the quotient."""
-    ctx = diagram.hopf.carrier.ctx
-    spaces, offsets, total = _block_spaces(diagram)
-    for _, col in _relation_columns(diagram, spaces, offsets, blocks_done,
-                                    balance_done):
-        elim.add(col)
-    pres = cokernel_from_rref(ctx.field, total, elim.rref_rows())
+def _kills(cols, col):
+    """Whether the map given by its columns `cols` sends col to zero."""
+    image = {}
+    for k, v in col.items():
+        for q, p in cols[k].items():
+            image[q] = image[q] + p * v if q in image else p * v
+    return not any(image.values())
 
+
+def _candidate(diagram, offsets, total):
+    """The columns {h: value} of the matrix-coefficient map P: block B's
+    columns are psi_bar of its coaction, P[h][off + c*dB + k] =
+    coaction[h*dB + k][c], read off the coaction's nonzeros."""
+    cols = [{} for _ in range(total)]
+    for B, off in zip(diagram.blocks, offsets):
+        d = B.carrier.dim
+        for row, entries in enumerate(B.coaction.matrix.data):
+            h, k = divmod(row, d)
+            for c, v in entries.items():
+                cols[off + c * d + k][h] = v
+    return cols
+
+
+def _canonical_projection(field, P, n):
+    """(P_F^-1 P as columns, F) for F the coordinates j whose column P e_j
+    is independent of the later columns -- the free coordinates of the
+    canonical presentation of ker P -- or None if rank P < n."""
+    elim = SparseEliminator(field)
+    free = []
+    for j in range(len(P) - 1, -1, -1):
+        if P[j] and elim.add(dict(P[j])):
+            free.append(j)
+            if len(free) == n:
+                break
+    if len(free) < n:
+        return None
+    free.reverse()
+    rows = [{} for _ in range(n)]
+    for k, j in enumerate(free):
+        for h, v in P[j].items():
+            rows[h][k] = v
+    inv_cols = Matrix.from_rows(field, rows, n).inverse().transpose().data
+    proj = []
+    for col in P:
+        image = {}
+        for h, v in col.items():
+            for q, w in inv_cols[h].items():
+                image[q] = image[q] + w * v if q in image else w * v
+        proj.append({q: s for q, s in image.items() if s})
+    return proj, free
+
+
+_PRIME_TRIES = 3  # primes tried for the rank bound before eliminating
+
+
+def _certify(field, P, target, seeds, columns):
+    """(p, families) if the relations span ker P, else None.
+
+    (a) P, given by its columns, kills every seed row and every column of
+    columns() -- one pass, which also lists the families; (b) their images
+    mod p reach rank `target`.  A prime dividing a denominator, or one at
+    which the rank falls short, is replaced by the next, re-streaming the
+    columns for (b) only."""
+    if not all(_kills(P, row) for row in seeds):
+        return None
+    families, killed = [], [True]
+
+    def checked():
+        for name, col in columns():
+            if not _kills(P, col):
+                killed[0] = False
+                return
+            if not families or families[-1] != name:
+                families.append(name)
+            yield col
+
+    residual = stream = checked()
+    for p, root in islice(_modp_primes(field), _PRIME_TRIES):
+        modp = _ModpEliminator(field, p, root)
+        try:
+            for row in chain(seeds, stream):
+                if modp.rank >= target:
+                    break
+                modp.add(row)
+        except ZeroDivisionError:
+            modp = None
+        for _ in residual:  # the rest of the residual pass, on first use
+            pass
+        if not killed[0]:
+            return None
+        if modp is not None and modp.rank >= target:
+            return p, families
+        stream = (col for _, col in columns())
+    return None
+
+
+def _certified(diagram, spaces, offsets, total, seeds=(), prefix=()):
+    """The coend certified from the candidate, or None.  `seeds` are exact
+    relation rows of the diagram and `prefix` the (blocks, gluings) whose
+    relations they span; only the other relations are streamed."""
+    field = diagram.hopf.carrier.ctx.field
+    n = diagram.hopf.carrier.dim
+    P = _candidate(diagram, offsets, total)
+    found = _canonical_projection(field, P, n)
+    if found is None:
+        return None
+    proj, free = found
+    # P has fewer nonzeros than proj, and the same kernel
+    cert = _certify(field, P, total - n, seeds,
+                    lambda: _relation_columns(diagram, spaces, offsets,
+                                              *prefix))
+    if cert is None:
+        return None
+    free_at = {j: k for k, j in enumerate(free)}
+    one = field.one
+    rows = []
+    for p, col in enumerate(proj):
+        if p not in free_at:
+            row = {p: one}
+            for q, v in col.items():
+                row[free[q]] = -v
+            rows.append((p, row))
+    del P, proj  # not needed by the presentation: lower its peak memory
+    prime, families = cert
+    return _result(diagram, spaces, offsets,
+                   cokernel_from_rref(field, total, rows),
+                   prime, None if prefix else families)
+
+
+def _eliminated(diagram, spaces, offsets, total):
+    """The coend by exact elimination of every relation column."""
+    field = diagram.hopf.carrier.ctx.field
+    elim = SparseEliminator(field)
+    for _, col in _relation_columns(diagram, spaces, offsets):
+        elim.add(col)
+    return _result(diagram, spaces, offsets,
+                   cokernel_from_rref(field, total, elim.rref_rows()))
+
+
+def _result(diagram, spaces, offsets, pres, certificate=None, families=None):
     def coord_degree(p):
         for S, off in zip(reversed(spaces), reversed(offsets)):
             if p >= off:
@@ -339,15 +500,20 @@ def _reduce(diagram, elim, blocks_done=0, balance_done=0):
         raise IndexError(p)
 
     free = _free_coordinates(pres)
-    quotient = GradedObject(ctx, [("c%d" % k, coord_degree(p))
-                                  for k, p in enumerate(free)])
-    return CoendResult(diagram, spaces, offsets, pres, quotient)
+    quotient = GradedObject(diagram.hopf.carrier.ctx,
+                            [("c%d" % k, coord_degree(p))
+                             for k, p in enumerate(free)])
+    return CoendResult(diagram, spaces, offsets, pres, quotient,
+                       certificate, families)
 
 
 def compute_coend(diagram):
-    """Assemble and reduce all relations; return the canonical quotient.
-    For an enlargement of a diagram with a known coend, use its `enlarged`."""
-    return _reduce(diagram, SparseEliminator(diagram.hopf.carrier.ctx.field))
+    """The canonical quotient: certified from the matrix-coefficient
+    candidate when the certificate holds, else by eliminating every
+    relation column (see the module docstring).  For an enlargement of a
+    diagram with a known coend, use its `enlarged`."""
+    layout = _block_spaces(diagram)
+    return _certified(diagram, *layout) or _eliminated(diagram, *layout)
 
 
 def check_stability(small, big):

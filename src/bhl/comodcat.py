@@ -8,7 +8,7 @@ kernels of the colinearity equations.
 
 from collections import defaultdict
 
-from .exactalg import Matrix, SparseEliminator, _kernel_from_rref
+from .exactalg import Matrix, SparseEliminator, _kernel_from_rref, require
 from .gradedcat import (GradedMorphism, GradedObject, braiding,
                         direct_sum_obj, identity_mor, left_dual, tensor_obj,
                         unit_object)
@@ -24,13 +24,15 @@ class Comodule:
 
     def __init__(self, hopf, carrier, coaction):
         H = hopf.carrier
-        assert coaction.source == carrier, "coaction source mismatch"
-        assert coaction.target == tensor_obj(H, carrier), "coaction target mismatch"
+        require(coaction.source == carrier, "coaction source mismatch")
+        require(coaction.target == tensor_obj(H, carrier),
+                "coaction target mismatch")
         iV = identity_mor(carrier)
         iH = identity_mor(H)
-        assert ((hopf.delta @ iV) * coaction == (iH @ coaction) * coaction), \
-            "coaction is not coassociative"
-        assert (hopf.eps @ iV) * coaction == iV, "coaction violates the counit"
+        require((hopf.delta @ iV) * coaction == (iH @ coaction) * coaction,
+                "coaction is not coassociative")
+        require((hopf.eps @ iV) * coaction == iV,
+                "coaction violates the counit")
         self.hopf = hopf
         self.carrier = carrier
         self.coaction = coaction

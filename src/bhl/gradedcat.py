@@ -12,7 +12,7 @@ between *Y (x) *X and *(X (x) Y) is the coefficient-one relabeling.
 from collections import namedtuple
 from itertools import product as _iproduct
 
-from .exactalg import CycloField, Matrix
+from .exactalg import CycloField, InvalidStructureError, Matrix, require
 
 
 class AbelianGroup:
@@ -45,7 +45,8 @@ class AbelianGroup:
 
     def element(self, exponents):
         e = tuple(int(x) % n for x, n in zip(exponents, self.invariant_factors))
-        assert len(exponents) == self.rank, "element has wrong rank"
+        if len(exponents) != self.rank:
+            raise InvalidStructureError("element has wrong rank")
         return e
 
     def elements(self):
@@ -67,10 +68,11 @@ class Bicharacter:
     def __init__(self, group, root_order, exponent_matrix):
         self.group = group
         self.root_order = int(root_order)
-        assert self.root_order >= 1
+        require(self.root_order >= 1, "root order must be positive")
         E = tuple(tuple(int(v) % self.root_order for v in row) for row in exponent_matrix)
-        assert len(E) == group.rank and all(len(row) == group.rank for row in E), \
-            "exponent matrix must be rank x rank"
+        require(len(E) == group.rank
+                and all(len(row) == group.rank for row in E),
+                "exponent matrix must be rank x rank")
         self.exponent_matrix = E
         r = self.root_order
         for i, ni in enumerate(group.invariant_factors):
@@ -138,7 +140,7 @@ class GradedObject:
         self.basis = tuple((str(label), ctx.group.element(degree))
                            for label, degree in basis)
         labels = [l for l, _ in self.basis]
-        assert len(set(labels)) == len(labels), "duplicate basis labels"
+        require(len(set(labels)) == len(labels), "duplicate basis labels")
         self.dim = len(self.basis)
 
     def __eq__(self, other):
@@ -205,15 +207,18 @@ class GradedMorphism:
     """
 
     def __init__(self, source, target, matrix):
-        assert source.ctx == target.ctx, "source/target context mismatch"
-        assert matrix.rows == target.dim and matrix.cols == source.dim, \
-            "matrix shape %dx%d does not match map %d -> %d" % (
-                matrix.rows, matrix.cols, source.dim, target.dim)
+        if source.ctx != target.ctx:
+            raise InvalidStructureError("source/target context mismatch")
+        if matrix.rows != target.dim or matrix.cols != source.dim:
+            raise InvalidStructureError(
+                "matrix shape %dx%d does not match map %d -> %d" % (
+                    matrix.rows, matrix.cols, source.dim, target.dim))
         source_degrees = [d for _, d in source.basis]
         for i, ((_, d), row) in enumerate(zip(target.basis, matrix.data)):
             for j in row:
-                assert source_degrees[j] == d, \
-                    "entry (%d,%d) violates degree preservation" % (i, j)
+                if source_degrees[j] != d:
+                    raise InvalidStructureError(
+                        "entry (%d,%d) violates degree preservation" % (i, j))
         self.source = source
         self.target = target
         self.matrix = matrix

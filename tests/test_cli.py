@@ -167,6 +167,28 @@ def test_broken_coassociativity_reports_witness(tmp_path):
     assert set(w) == {"row", "col", "value"} and w["value"] != "0"
 
 
+def broken_coassociativity_spec(tmp_path):
+    doc = hopf_to_spec(build("sweedler"))
+    doc["hopf"]["delta"][0][0] = "2"
+    spec = tmp_path / "broken.json"
+    spec.write_text(canonical_json(doc))
+    return spec
+
+
+@pytest.mark.parametrize("command", ["verify-reconstruction", "stability"])
+def test_non_coassociative_spec_is_an_invalid_structure(command, tmp_path,
+                                                         capsys):
+    # the regular comodule of the spec fails its own axiom check, with or
+    # without python -O
+    spec = broken_coassociativity_spec(tmp_path)
+    code, payload = run_cli([command, str(spec)], tmp_path, "r.json")
+    assert code == 1
+    assert payload["error"] == {"code": "InvalidStructure",
+                                "message": "coaction is not coassociative"}
+    err = capsys.readouterr().err
+    assert err == "error[InvalidStructure]: coaction is not coassociative\n"
+
+
 def test_yd_modules_from_spec_file(tmp_path):
     # swap action with a group-graded coaction: YD compatibility fails
     doc = hopf_to_spec(build("group_algebra:2"))
@@ -374,3 +396,24 @@ def test_python_m_bhl_runs_the_cli():
         capture_output=True, env=env)
     assert proc.returncode == 0, proc.stderr.decode()
     assert json.loads(proc.stdout)["status"] == "pass"
+
+
+def run_module(flags, args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(bhl.__file__).resolve().parent.parent)
+    return subprocess.run([sys.executable] + flags + ["-m", "bhl"] + args,
+                          capture_output=True, env=env)
+
+
+def test_optimized_interpreter_gives_the_same_reports(tmp_path):
+    """Validation does not rest on assert: python -O writes the same report
+    bytes with the same exit codes, and never a traceback."""
+    spec = str(broken_coassociativity_spec(tmp_path))
+    for args, want in ((["verify-reconstruction", "--builtin", "sweedler"], 0),
+                       (["stability", "--builtin", "exterior_line"], 0),
+                       (["verify-reconstruction", spec], 1)):
+        plain, optimized = run_module([], args), run_module(["-O"], args)
+        assert plain.returncode == optimized.returncode == want, args
+        assert plain.stdout == optimized.stdout, args
+        for proc in (plain, optimized):
+            assert b"Traceback" not in proc.stderr, proc.stderr.decode()

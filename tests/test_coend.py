@@ -1,20 +1,26 @@
 """Coend quotients: dimensions, grading, surjectivity, stability."""
 
+from itertools import islice
+
 import pytest
 
 import bhl.coend
 from bhl.catalog import BUILTIN_NAMES, build, exterior_line, group_algebra, sweedler
+from bhl.braidedhopf import HopfAlgebraData
 from bhl.coend import (
     CoendResult, Diagram, PiNotSurjectiveError, check_stability, compute_coend,
     default_diagram, prebalancing, reconstruction_diagram, _block_spaces,
+    _candidate, _eliminated,
 )
 from bhl.comodcat import (
     act, comodule_dual, comodule_tensor, direct_sum_comodule, regular_comodule,
     unit_comodule,
 )
-from bhl.exactalg import InvalidStructureError, Matrix, cokernel_from_rref
-from bhl.gradedcat import (GradedObject, identity_mor, left_dual,
-                           line_object, tensor_obj, unit_object)
+from bhl.exactalg import (InvalidStructureError, Matrix, _ModpEliminator,
+                          _modp_primes, cokernel_from_rref)
+from bhl.gradedcat import (GradedMorphism, GradedObject, identity_mor,
+                           left_dual, line_object, psi_bar, tensor_obj,
+                           unit_object)
 
 
 def test_coend_dim_equals_hopf_dim_on_all_builtins():
@@ -131,16 +137,26 @@ def assert_same_coend(a, b):
     assert a.quotient == b.quotient
 
 
+def eliminated(diagram):
+    return _eliminated(diagram, *_block_spaces(diagram))
+
+
 @pytest.mark.parametrize("name, probes", [(name, ()) for name in BUILTIN_NAMES]
                          + [("exterior_line", ((1,),))])
 def test_resumed_enlargement_equals_from_scratch(name, probes):
+    # the certified presentations, of the base and of each enlargement
+    # resumed from it, are the ones exact elimination gives
     H = build(name)
     base = default_diagram(H, [H.carrier.ctx.group.element(d)
                                for d in probes])
     small = compute_coend(base)
+    assert small.certificate is not None
+    assert_same_coend(small, eliminated(base))
     for block in stability_blocks(base):
-        assert_same_coend(small.enlarged(block),
-                          compute_coend(base.enlarged(block)))
+        big = small.enlarged(block)
+        assert big.certificate is not None
+        assert_same_coend(big, eliminated(big.diagram))
+        assert_same_coend(big, compute_coend(big.diagram))
 
 
 def test_resumed_enlargement_by_a_known_block_streams_nothing(monkeypatch):
@@ -160,6 +176,135 @@ def test_resumed_enlargement_by_a_known_block_streams_nothing(monkeypatch):
     assert streamed == []
     assert same.diagram.blocks == base.blocks
     assert_same_coend(same, small)
+
+
+def test_candidate_is_psi_bar_of_each_coaction():
+    for name in ("group_algebra:2", "sweedler", "exterior_line",
+                 "nichols_cyclic:3"):
+        H = build(name)
+        D = default_diagram(H)
+        _, offsets, total = _block_spaces(D)
+        P = _candidate(D, offsets, total)
+        for B, off in zip(D.blocks, offsets):
+            want = psi_bar(B.coaction, H.carrier, B.carrier).matrix
+            cols = P[off:off + want.cols]
+            got = Matrix.from_rows(want.field,
+                                   [{j: col[h] for j, col in enumerate(cols)
+                                     if h in col} for h in range(want.rows)],
+                                   want.cols)
+            assert got == want, name
+
+
+def test_wrong_candidate_falls_back_to_elimination(monkeypatch):
+    D = default_diagram(sweedler())
+    candidate = bhl.coend._candidate
+
+    def planted(diagram, offsets, total):
+        P = candidate(diagram, offsets, total)
+        col = P[offsets[diagram.regular] + 1]
+        one = diagram.hopf.carrier.ctx.field.one
+        col[0] = col[0] + one if 0 in col else one
+        return P
+
+    monkeypatch.setattr(bhl.coend, "_candidate", planted)
+    res = compute_coend(D)
+    assert res.certificate is None
+    assert_same_coend(res, eliminated(D))
+    assert res.dim == 4
+
+
+def test_relation_the_candidate_does_not_kill_falls_back(monkeypatch):
+    H = exterior_line()
+    D = default_diagram(H)
+    relation_columns = bhl.coend._relation_columns
+
+    def with_extra(diagram, spaces, offsets, *prefix):
+        yield from relation_columns(diagram, spaces, offsets, *prefix)
+        # the unit of the regular block's pairing: its class is not zero
+        yield "extra", {offsets[diagram.regular]: H.carrier.ctx.field.one}
+
+    monkeypatch.setattr(bhl.coend, "_relation_columns", with_extra)
+    res = compute_coend(D)
+    assert res.certificate is None
+    assert res.dim == H.carrier.dim - 1
+    assert_same_coend(res, eliminated(D))
+    assert "extra" in [name for name, _ in res.residual_report().checks]
+
+
+def test_relations_one_short_of_the_kernel_fall_back(monkeypatch):
+    # without one balancing family the relations span a hyperplane of
+    # ker P: P kills them all, and only the exact rank bound can tell
+    H = exterior_line()
+    D = default_diagram(H)
+    relation_columns = bhl.coend._relation_columns
+
+    def without_balancing_0(*args):
+        return ((name, col) for name, col in relation_columns(*args)
+                if name != "balancing[0]")
+
+    monkeypatch.setattr(bhl.coend, "_relation_columns", without_balancing_0)
+    res = compute_coend(D)
+    assert res.certificate is None
+    assert res.dim == H.carrier.dim + 1
+    assert_same_coend(res, eliminated(D))
+
+
+def rescaled_sweedler():
+    """Sweedler's algebra in the basis whose last vector is 3 times the
+    old one: its relation columns have denominators 3."""
+    H = sweedler()
+    V, n = H.carrier, H.carrier.dim
+    t = GradedMorphism.from_rational(
+        V, V, [[(3 if i == n - 1 else 1) if i == j else 0 for j in range(n)]
+               for i in range(n)])
+    ti = t.inverse()
+    return HopfAlgebraData(V, t * H.m * (ti @ ti), t * H.u,
+                           (t @ t) * H.delta * ti, H.eps * ti, t * H.S * ti)
+
+
+def test_prime_dividing_a_denominator_is_skipped(monkeypatch):
+    H = rescaled_sweedler()
+    field = H.carrier.ctx.field
+    third = field.scalar(1) / field.scalar(3)
+    with pytest.raises(ZeroDivisionError):
+        _ModpEliminator(field, 3, 1).add({0: third})
+    primes = _modp_primes
+
+    def three_first(field):
+        yield 3, 1  # zeta -> 1 is a root of Phi_1 mod 3
+        yield from primes(field)
+
+    monkeypatch.setattr(bhl.coend, "_modp_primes", three_first)
+    D = default_diagram(H)
+    res = compute_coend(D)
+    assert res.certificate == next(primes(field))[0]
+    assert_same_coend(res, eliminated(D))
+
+
+@pytest.mark.parametrize("short_primes", [1, bhl.coend._PRIME_TRIES])
+def test_short_modp_rank_tries_the_next_prime(monkeypatch, short_primes):
+    # a prime at which the image loses rank is planted by capping the rank
+    D = default_diagram(exterior_line())
+    field = D.hopf.carrier.ctx.field
+    short = [p for p, _ in islice(_modp_primes(field), short_primes)]
+    tried = []
+
+    class Capped(_ModpEliminator):
+        def __init__(self, field, p, root):
+            super().__init__(field, p, root)
+            tried.append(p)
+
+        def add(self, vec):
+            return self.p not in short and super().add(vec)
+
+    monkeypatch.setattr(bhl.coend, "_ModpEliminator", Capped)
+    res = compute_coend(D)
+    assert_same_coend(res, eliminated(D))
+    if short_primes < bhl.coend._PRIME_TRIES:
+        assert tried == short + [res.certificate]
+    else:
+        assert res.certificate is None
+        assert tried == short
 
 
 def test_pi_not_surjective_guard():

@@ -8,7 +8,7 @@ from bhl.comodcat import (
     comodule_tensor, direct_sum_comodule, hom_basis, hom_space,
     is_comodule_morphism, regular_comodule, trivial_comodule, unit_comodule,
 )
-from bhl.exactalg import Matrix, kernel
+from bhl.exactalg import InvalidStructureError, Matrix, kernel
 from bhl.gradedcat import (
     GradedMorphism, GradedObject, identity_mor, left_dual, line_object,
     tensor_obj, unit_object,
@@ -56,7 +56,7 @@ def test_bad_coaction_rejected():
     bad = GradedMorphism.from_dict(
         V, tensor_obj(V, V),
         {(3, 0): V.ctx.field.one, (2, 1): V.ctx.field.one})
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvalidStructureError):
         Comodule(H, V, bad)
 
 

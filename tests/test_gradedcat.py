@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from bhl.exactalg import CycloField, Matrix
+from bhl.exactalg import CycloField, InvalidStructureError, Matrix
 from bhl.gradedcat import (
     AbelianGroup, Bicharacter, Context, GradedMorphism, GradedObject,
     braiding, braiding_inverse, direct_sum_obj, dual_morphism, identity_mor,
@@ -74,7 +74,7 @@ def test_tensor_object_strictness():
 def test_morphism_degree_check():
     ctx = super_ctx()
     V = GradedObject(ctx, [("v", (0,)), ("w", (1,))])
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvalidStructureError):
         GradedMorphism.from_rational(V, V, [[0, 1], [1, 0]])
     f = GradedMorphism.from_rational(V, V, [[2, 0], [0, 3]])
     assert not f.is_zero()
