@@ -5,8 +5,6 @@ Catalog entries are deterministic: building the same name twice gives equal
 data.
 """
 
-from fractions import Fraction
-
 from .exactalg import CycloField, Matrix
 from .braidedhopf import (BialgebraData, HopfAlgebraData, YDModuleData,
                           bosonize_with_maps, check_hopf, solve_antipode,

@@ -1,14 +1,20 @@
 """Exact linear algebra over cyclotomic number fields.
 
 Scalars live in Q(zeta_n), represented as residues modulo the n-th
-cyclotomic polynomial with Fraction coefficients.  Everything downstream
-(graded categories, Hopf structure checks, coend quotients) reduces to the
-handful of primitives in this module: rref, kernel, cokernel and exact
-solves for unknown linear maps.  All results are exact; "zero" always means
-identically zero.
+cyclotomic polynomial: integer numerators in the power basis over one
+positive common denominator, with their gcd divided out.  Phi_n is monic
+with integer coefficients, so sums, products and inverses are integer
+arithmetic plus one gcd; `Fraction` appears only where scalars are parsed
+and formatted.  Everything downstream (graded categories, Hopf structure
+checks, coend quotients) reduces to the handful of primitives in this
+module: rref, kernel, cokernel and exact solves for unknown linear maps.
+All results are exact; "zero" always means identically zero.
 """
 
 from fractions import Fraction
+from functools import reduce
+from math import gcd, lcm
+from operator import add as _add, mul as _mul, neg as _neg, sub as _sub
 
 
 class EngineError(Exception):
@@ -39,58 +45,39 @@ def require(cond, message):
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers (ascending coefficient lists of Fractions)
+# cyclotomic fields
 # ---------------------------------------------------------------------------
 
-def _poly_trim(p):
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_mul(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1) if p and q else []
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                if b:
-                    out[i + j] += a * b
-    return _poly_trim(out)
-
-
-def _poly_divmod(p, q):
-    """Exact division with remainder; q need not be monic."""
+def _divide_monic(p, q):
+    """p / q for integer polynomials (ascending), q monic and dividing p."""
     p = list(p)
     dq = len(q) - 1
-    lead = q[-1]
-    quot = [Fraction(0)] * max(len(p) - dq, 0)
-    while len(p) - 1 >= dq and _poly_trim(p):
-        dp = len(p) - 1
-        c = p[-1] / lead
-        quot[dp - dq] = c
-        for i in range(dq + 1):
-            p[dp - dq + i] -= c * q[i]
-        _poly_trim(p)
-    return quot, p
-
-
-def cyclotomic_polynomial(n):
-    """Coefficients (ascending, Fractions) of the n-th cyclotomic polynomial."""
-    if n < 1:
-        raise ValueError("cyclotomic order must be >= 1")
-    # x^n - 1 divided by the product of Phi_d over proper divisors d of n
-    num = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
-    den = [Fraction(1)]
-    for d in range(1, n):
-        if n % d == 0:
-            den = _poly_mul(den, cyclotomic_polynomial(d))
-    quot, rem = _poly_divmod(num, den)
-    assert not rem, "cyclotomic division must be exact"
+    quot = [0] * (len(p) - dq)
+    for k in reversed(range(len(quot))):
+        c = quot[k] = p[k + dq]
+        if c:
+            for i, b in enumerate(q):
+                p[k + i] -= c * b
     return quot
 
 
+def cyclotomic_polynomial(n):
+    """Integer coefficients (ascending) of the n-th cyclotomic polynomial."""
+    if n < 1:
+        raise ValueError("cyclotomic order must be >= 1")
+    # x^n - 1 divided by Phi_d for each proper divisor d of n
+    p = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            p = _divide_monic(p, cyclotomic_polynomial(d))
+    return p
+
+
 class CycloField:
-    """The cyclotomic field Q(zeta_n), elements stored modulo Phi_n."""
+    """The cyclotomic field Q(zeta_n), elements stored modulo Phi_n.
+
+    One instance exists per order, so `is` compares fields.
+    """
 
     _cache = {}
 
@@ -101,25 +88,22 @@ class CycloField:
         cls._cache[order] = self
         self.order = order
         self.modulus = tuple(cyclotomic_polynomial(order))
-        self.degree = len(self.modulus) - 1
-        # reduction table: x^(degree + k) expressed in the power basis,
-        # covering products of residues and all powers zeta^k, k < order
-        m = self.degree
-        n_entries = max(2 * m - 1, order) - m
+        m = self.degree = len(self.modulus) - 1
+        # reduction table: x^(m + k) in the power basis, integral because
+        # Phi_n is monic; it covers products of residues and every power
+        # zeta^j, j < order
         red = []
-        if n_entries > 0:
-            cur = [-c for c in self.modulus[:m]]  # x^m
-            red.append(list(cur))
-            for _ in range(n_entries - 1):
-                nxt = [Fraction(0)] + cur[: m - 1]
-                top = cur[m - 1]
-                if top:
-                    base = red[0]
-                    for i in range(m):
-                        nxt[i] += top * base[i]
-                red.append(nxt)
-                cur = nxt
-        self._reduction = tuple(tuple(r) for r in red)
+        cur = [-c for c in self.modulus[:m]]  # x^m
+        for _ in range(max(2 * m - 1, order) - m):
+            red.append(tuple(cur))
+            top = cur[-1]
+            cur = [0] + cur[:-1]
+            if top:
+                cur = [c + top * r for c, r in zip(cur, red[0])]
+        self._reduction = tuple(red)
+        # the exponents k of the Galois automorphisms zeta -> zeta^k other
+        # than the identity
+        self._conjugates = tuple(k for k in range(2, order) if gcd(k, order) == 1)
         self._zero = None
         self._one = None
         return self
@@ -135,9 +119,10 @@ class CycloField:
 
     def scalar(self, value):
         """Embed a rational number (int or Fraction)."""
-        c = [Fraction(0)] * self.degree
-        c[0] = Fraction(value)
-        return Scalar(self, c)
+        if not isinstance(value, int):
+            value = Fraction(value)
+        return _scalar(self, (value.numerator,) + (0,) * (self.degree - 1),
+                       value.denominator)
 
     @property
     def zero(self):
@@ -154,9 +139,9 @@ class CycloField:
     def zeta(self, power=1):
         """zeta_n^power as a field element."""
         power %= self.order
-        c = [Fraction(0)] * max(self.degree, power + 1)
-        c[power] = Fraction(1)
-        return Scalar(self, self._reduce(c))
+        c = [0] * max(self.degree, power + 1)
+        c[power] = 1
+        return _scalar(self, self._reduce(c), 1)
 
     def root_of_unity(self, root_order, power=0):
         """A primitive root_order-th root of unity raised to `power`.
@@ -174,68 +159,131 @@ class CycloField:
         raise ValueError(
             "field Q(zeta_%d) has no %d-th root of unity" % (self.order, root_order))
 
+    # integer residues: tuples of `degree` ints in the power basis
+
     def _reduce(self, coeffs):
+        """The residue of sum coeffs[k] zeta^k (ints, len >= degree)."""
         m = self.degree
-        out = list(coeffs[:m]) + [Fraction(0)] * (m - min(len(coeffs), m))
-        for k in range(m, len(coeffs)):
-            c = coeffs[k]
+        out = coeffs[:m]
+        for row, c in zip(self._reduction, coeffs[m:]):
             if c:
-                row = self._reduction[k - m]
-                for i in range(m):
-                    out[i] += c * row[i]
-        return out
+                for i, r in enumerate(row):
+                    out[i] += c * r
+        return tuple(out)
+
+    def _product(self, a, b):
+        """The product of two residues."""
+        prod = [0] * (2 * self.degree - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    prod[j] += x * y
+        return self._reduce(prod)
+
+    def _conjugate(self, a, k):
+        """The image of residue a under zeta -> zeta^k, k prime to the order."""
+        n = self.order
+        c = [0] * n
+        for i, x in enumerate(a):
+            c[i * k % n] = x
+        return self._reduce(c)
+
+
+_new_object = object.__new__
+
+
+def _scalar(field, num, den):
+    """A Scalar from a tuple of ints and a positive int with no common factor."""
+    s = _new_object(Scalar)
+    s.field = field
+    s.num = num
+    s.den = den
+    return s
+
+
+def _normalized(field, num, den):
+    """The Scalar num / den (a tuple of ints, den > 0), gcd divided out."""
+    g = 1 if den == 1 else gcd(*num, den)
+    if g == 1:
+        return _scalar(field, num, den)
+    return _scalar(field, tuple([x // g for x in num]), den // g)
+
+
+def _combine(s, t, op):
+    """s + t or s - t (op is operator.add or operator.sub)."""
+    a, da, b, db = s.num, s.den, t.num, t.den
+    if da == db:
+        return _normalized(s.field, tuple(map(op, a, b)), da)
+    return _normalized(s.field, tuple(map(op, [x * db for x in a], [y * da for y in b])),
+                       da * db)
 
 
 class Scalar:
-    """An element of a CycloField: a residue in the power basis."""
+    """An element (num[0] + num[1] z + ... + num[m-1] z^(m-1)) / den of a
+    CycloField of degree m.
 
-    __slots__ = ("field", "coeffs", "_hash")
+    `num` is a tuple of m ints and `den` a positive int, and
+    gcd(*num, den) == 1.  Each element has exactly one such form (zero is
+    (0, ..., 0) / 1), so == and hash compare it directly.
+    """
+
+    __slots__ = ("field", "num", "den")
 
     def __init__(self, field, coeffs):
+        """From the `field.degree` rational coefficients (ints or
+        Fractions) of the power basis."""
+        coeffs = [c if type(c) is int else Fraction(c) for c in coeffs]
+        if len(coeffs) != field.degree:
+            raise InvalidStructureError(
+                "a scalar of Q(zeta_%d) has %d coefficients, not %d"
+                % (field.order, field.degree, len(coeffs)))
+        # the lcm of the reduced denominators leaves no common factor
+        den = lcm(*(c.denominator for c in coeffs))
         self.field = field
-        self.coeffs = tuple(c if type(c) is Fraction else Fraction(c)
-                            for c in coeffs)
-        assert len(self.coeffs) == field.degree
-        self._hash = None
+        self.num = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+        self.den = den
 
     def _coerce(self, other):
-        if isinstance(other, Scalar):
-            assert other.field == self.field, "scalars from different fields"
+        """other as a Scalar of this field, or NotImplemented; every binary
+        operation starts here, so none mixes two fields."""
+        if type(other) is Scalar:
+            if other.field is not self.field:
+                raise InvalidStructureError(
+                    "scalars from different fields: %r and %r"
+                    % (self.field, other.field))
             return other
         if isinstance(other, (int, Fraction)):
             return self.field.scalar(other)
         return NotImplemented
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.num)
 
     def __eq__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.field.order, self.coeffs))
-        return self._hash
+        return hash((self.field.order, self.num, self.den))
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Scalar(self.field, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return _combine(self, other, _add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(self.field, [-a for a in self.coeffs])
+        return _scalar(self.field, tuple(map(_neg, self.num)), self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Scalar(self.field, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return _combine(self, other, _sub)
 
     def __rsub__(self, other):
         return -(self - other)
@@ -244,51 +292,35 @@ class Scalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        m = self.field.degree
-        if m == 1:
-            return Scalar(self.field, (a[0] * b[0],))
-        if not any(a[1:]):  # a rational factor only scales: no reduction
+        a, b = self.num, other.num
+        if len(a) == 1:
+            num = (a[0] * b[0],)
+        elif not any(a[1:]):  # a rational factor only scales: no reduction
             x = a[0]
-            return Scalar(self.field, [x * y if y else y for y in b])
-        if not any(b[1:]):
+            num = tuple([x * y for y in b])
+        elif not any(b[1:]):
             y = b[0]
-            return Scalar(self.field, [x * y if x else x for x in a])
-        prod = [Fraction(0)] * (2 * m - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        prod[i + j] += x * y
-        return Scalar(self.field, self.field._reduce(prod))
+            num = tuple([x * y for x in a])
+        else:
+            num = self.field._product(a, b)
+        return _normalized(self.field, num, self.den * other.den)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        if not self:
+        a = self.num
+        if not any(a):
             raise ZeroDivisionError("inverse of zero field element")
-        c = self.coeffs
-        if not any(c[1:]):  # rational
-            return Scalar(self.field, (1 / c[0],) + c[1:])
-        # extended Euclid in Q[x]: s*self + t*Phi = gcd = const
-        r0, r1 = list(self.field.modulus), _poly_trim(list(self.coeffs))
-        s0, s1 = [], [Fraction(1)]
-        while True:
-            q, r = _poly_divmod(r0, r1)
-            if not r:
-                break
-            s = [a for a in s0]
-            qs1 = _poly_mul(q, s1)
-            s = [Fraction(0)] * max(len(s0), len(qs1))
-            for i, a in enumerate(s0):
-                s[i] += a
-            for i, a in enumerate(qs1):
-                s[i] -= a
-            _poly_trim(s)
-            r0, r1, s0, s1 = r1, r, s1, s
-        assert len(r1) == 1, "modulus not coprime to element"
-        inv = [c / r1[0] for c in s1]
-        return Scalar(self.field, self.field._reduce(inv))
+        field = self.field
+        if not any(a[1:]):  # rational
+            x = a[0]
+            return _scalar(field, (self.den if x > 0 else -self.den,) + a[1:], abs(x))
+        # 1/a is the product of the other Galois conjugates of a over the
+        # norm of a, the product of all of them (a nonzero integer here)
+        rest = reduce(field._product, [field._conjugate(a, k) for k in field._conjugates])
+        norm = field._product(a, rest)[0]
+        d = self.den if norm > 0 else -self.den
+        return _normalized(field, tuple([d * x for x in rest]), abs(norm))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -306,9 +338,10 @@ class Scalar:
 def format_scalar(s):
     """Canonical human/serialization form: rational polynomial in z."""
     terms = []
-    for k, c in enumerate(s.coeffs):
-        if not c:
+    for k, n in enumerate(s.num):
+        if not n:
             continue
+        c = Fraction(n, s.den)
         if k == 0:
             terms.append(str(c))
         else:
@@ -682,13 +715,12 @@ def _modp_primes(field):
     x -> x^((p-1)/n).  zeta -> r is then a ring map from the elements of
     the field whose denominators p does not divide onto Z/p."""
     n = field.order
-    modulus = [int(c) for c in field.modulus]
     p = (2 ** 30 // n + 1) * n + 1
     while True:
         if _is_prime(p):
             for a in range(2, p):
                 r = pow(a, (p - 1) // n, p)
-                if sum(c * pow(r, i, p) for i, c in enumerate(modulus)) % p == 0:
+                if sum(c * pow(r, i, p) for i, c in enumerate(field.modulus)) % p == 0:
                     yield p, r
                     break
         p += n
@@ -717,17 +749,12 @@ class _ModpEliminator:
         return hit[1]
 
     def _map(self, s):
-        acc = 0
-        for c, z in zip(s.coeffs, self.powers):
-            if c:
-                d = c.denominator
-                if d == 1:
-                    acc += c.numerator * z
-                elif d % self.p:
-                    acc += c.numerator * z * pow(d, -1, self.p)
-                else:
-                    raise ZeroDivisionError("p divides a denominator")
-        return acc % self.p
+        # s.den is the lcm of the coefficients' reduced denominators, so p
+        # divides it iff p divides one of them
+        p = self.p
+        if s.den % p == 0:
+            raise ZeroDivisionError("p divides a denominator")
+        return sum(map(_mul, s.num, self.powers)) * pow(s.den, -1, p) % p
 
     def add(self, vec):
         """Reduce the image of vec (not consumed); True if rank grew."""
@@ -824,7 +851,16 @@ class QuotientPresentation:
         require(not self.relation_matrix.cols
                 or (self.projection * self.relation_matrix).is_zero(),
                 "projection does not kill the relations")
-        require(self.relation_matrix.rank() + q == amb,
+        # the relation columns are reduced: column k is 1 at its own pivot
+        # row and 0 at every other column's, so the pivot rows are unit rows
+        # e_k, one for each k, and the rank is the column count
+        rel = self.relation_matrix
+        one = rel.field.one
+        unit_rows = {k for row in rel.data if len(row) == 1
+                     for k, v in row.items() if v == one}
+        require(len(unit_rows) == rel.cols,
+                "relation columns are not in reduced form")
+        require(rel.cols + q == amb,
                 "relation rank + quotient dimension != ambient dimension")
 
 

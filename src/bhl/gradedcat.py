@@ -136,12 +136,24 @@ class GradedObject:
     """A finite-dimensional graded vector space with a labeled basis."""
 
     def __init__(self, ctx, basis):
+        element = ctx.group.element
+        self._set(ctx, tuple((str(label), element(degree))
+                             for label, degree in basis))
+
+    @classmethod
+    def _of_elements(cls, ctx, basis):
+        """From (str label, group element) pairs, taken as they are."""
+        self = cls.__new__(cls)
+        self._set(ctx, tuple(basis))
+        return self
+
+    def _set(self, ctx, basis):
+        # labels of valid objects can still collide through the tensor
+        # product: a (x) a(x)b against b(x)c (x) c
+        require(len({l for l, _ in basis}) == len(basis), "duplicate basis labels")
         self.ctx = ctx
-        self.basis = tuple((str(label), ctx.group.element(degree))
-                           for label, degree in basis)
-        labels = [l for l, _ in self.basis]
-        require(len(set(labels)) == len(labels), "duplicate basis labels")
-        self.dim = len(self.basis)
+        self.basis = basis
+        self.dim = len(basis)
 
     def __eq__(self, other):
         return (isinstance(other, GradedObject) and other.ctx == self.ctx
@@ -181,22 +193,27 @@ def line_object(ctx, label, degree):
 
 def tensor_obj(V, W):
     """Strict tensor product; the unit object is absorbed exactly."""
-    assert V.ctx == W.ctx
+    require(V.ctx == W.ctx, "tensor product of objects of different categories")
     if V.is_unit:
         return W
     if W.is_unit:
         return V
+    # one group addition per pair of distinct degrees
     add = V.ctx.group.add
-    basis = [("%s⊗%s" % (lv, lw), add(dv, dw))
-             for lv, dv in V.basis for lw, dw in W.basis]
-    return GradedObject(V.ctx, basis)
+    w_degrees = {dw for _, dw in W.basis}
+    sums = {dv: {dw: add(dv, dw) for dw in w_degrees}
+            for dv in {dv for _, dv in V.basis}}
+    return GradedObject._of_elements(V.ctx, [
+        ("%s⊗%s" % (lv, lw), sums[dv][dw])
+        for lv, dv in V.basis for lw, dw in W.basis])
 
 
 def direct_sum_obj(V, W):
     """Direct sum; labels are prefixed with the summand index."""
-    assert V.ctx == W.ctx
-    basis = [("0:%s" % l, d) for l, d in V.basis] + [("1:%s" % l, d) for l, d in W.basis]
-    return GradedObject(V.ctx, basis)
+    require(V.ctx == W.ctx, "direct sum of objects of different categories")
+    return GradedObject._of_elements(
+        V.ctx, [("0:%s" % l, d) for l, d in V.basis]
+        + [("1:%s" % l, d) for l, d in W.basis])
 
 
 class GradedMorphism:

@@ -4,6 +4,8 @@ Cyclotomic polynomials are cross-checked against sympy as an independent
 oracle; algebraic identities are asserted exactly.
 """
 
+import math
+import operator
 import random
 from fractions import Fraction
 
@@ -13,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bhl.exactalg import (
-    CycloField, Matrix, NoSolutionError, NonUniqueError, QuotientPresentation,
-    Scalar, cokernel, cyclotomic_polynomial, format_scalar, kernel,
+    CycloField, InvalidStructureError, Matrix, NoSolutionError,
+    NonUniqueError, QuotientPresentation, Scalar, _ModpEliminator,
+    _modp_primes, cokernel, cyclotomic_polynomial, format_scalar, kernel,
     parse_scalar, rref, solve_product_constraints,
 )
 
@@ -94,6 +97,132 @@ def test_scalar_format_roundtrip():
     assert format_scalar(F.zero) == "0"
     assert parse_scalar(F, "1/2*z^2 - z + 3") == \
         F.zeta(2) * Fraction(1, 2) - F.zeta(1) + 3 * F.one
+
+
+def test_scalar_rejects_a_wrong_coefficient_count():
+    F = CycloField(5)
+    for coeffs in ([], [1, 2, 3], [1, 2, 3, 4, 5]):
+        with pytest.raises(InvalidStructureError):
+            Scalar(F, coeffs)
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,
+                                operator.truediv, operator.eq])
+def test_mixed_field_operations_raise(op):
+    pairs = [(CycloField(3).zeta(), CycloField(5).zeta()),
+             (CycloField(1).one, CycloField(3).one)]
+    for a, b in pairs:
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(InvalidStructureError):
+                op(x, y)
+
+
+# -- Scalar against sympy polynomial arithmetic modulo Phi_n ------------------
+
+_X = sympy.Symbol("x")
+ORACLE_FIELDS = [CycloField(n) for n in (1, 3, 5, 8, 12)]
+# a small prime p = 1 (mod n) per field, so that p divides some drawn
+# denominators
+SMALL_PRIMES = {1: 7, 3: 7, 5: 11, 8: 17, 12: 13}
+_RATIONALS = st.fractions(-20, 20, max_denominator=20)
+
+
+def _coeffs(F):
+    """Rational power-basis coefficients; zeros are frequent, so rational
+    elements and zero occur too."""
+    return st.lists(st.one_of(st.just(Fraction(0)), _RATIONALS),
+                    min_size=F.degree, max_size=F.degree)
+
+
+def _poly(coeffs):
+    """Ascending rational coefficients as a sympy polynomial over QQ."""
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in reversed(coeffs)], _X, domain="QQ")
+
+
+def _phi(F):
+    return sympy.Poly(sympy.cyclotomic_poly(F.order, _X), _X, domain="QQ")
+
+
+def _value(s):
+    """s as a sympy polynomial, after checking that its form is normal."""
+    assert len(s.num) == s.field.degree and s.den > 0
+    assert math.gcd(*s.num, s.den) == 1
+    return _poly([Fraction(n, s.den) for n in s.num])
+
+
+def _small_root(F, p):
+    return next(r for r in range(1, p)
+                if sum(c * pow(r, i, p) for i, c in enumerate(F.modulus)) % p == 0)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_scalar_arithmetic_matches_sympy(data):
+    F = data.draw(st.sampled_from(ORACLE_FIELDS))
+    phi = _phi(F)
+    ca, cb = data.draw(_coeffs(F)), data.draw(_coeffs(F))
+    r = data.draw(_RATIONALS)
+    a, b = Scalar(F, ca), Scalar(F, cb)
+    pa, pb = _poly(ca), _poly(cb)
+    assert _value(a) == pa
+    assert _value(a + b) == pa + pb
+    assert _value(a - b) == pa - pb
+    assert _value(-a) == -pa
+    assert _value(a * b) == (pa * pb).rem(phi)
+    assert _value(a * r) == _value(r * a) == pa * _poly([r])
+    assert _value(r - a) == _poly([r]) - pa
+    assert (a == b) == (pa == pb) and bool(a) == (not pa.is_zero)
+    # equal values reached by different routes are equal, with equal hashes
+    for same in ((a + b) - b, b + a - b, a * F.one, a * 1):
+        assert same == a and hash(same) == hash(a)
+    if b:
+        inv = pb.invert(phi)
+        assert _value(b.inverse()) == inv
+        assert _value(a / b) == (pa * inv).rem(phi)
+        assert _value(r / b) == (_poly([r]) * inv).rem(phi)
+        same = a * b / b
+        assert same == a and hash(same) == hash(a)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            b.inverse()
+    assert parse_scalar(F, format_scalar(a)) == a
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_parse_scalar_reduces_every_power_like_sympy(data):
+    F = data.draw(st.sampled_from(ORACLE_FIELDS))
+    terms = data.draw(st.lists(st.tuples(_RATIONALS, st.integers(0, 2 * F.order)),
+                               min_size=1, max_size=4))
+    text = "".join("%s%s*z^%d" % ("-" if c < 0 else "+", abs(c), k) for c, k in terms)
+    ref = sum((_poly([c]) * sympy.Poly(_X ** k, _X, domain="QQ") for c, k in terms),
+              _poly([Fraction(0)]))
+    s = parse_scalar(F, text)
+    assert _value(s) == ref.rem(_phi(F))
+    assert parse_scalar(F, format_scalar(s)) == s
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_modp_image_is_the_coefficientwise_map(data):
+    F = data.draw(st.sampled_from(ORACLE_FIELDS))
+    coeffs = data.draw(_coeffs(F))
+    s = Scalar(F, coeffs)
+    small = SMALL_PRIMES[F.order]
+    for p, root in (next(_modp_primes(F)), (small, _small_root(F, small))):
+        elim = _ModpEliminator(F, p, root)
+        if any(c.denominator % p == 0 for c in coeffs):
+            with pytest.raises(ZeroDivisionError):
+                elim.image(s)
+        else:
+            assert elim.image(s) == sum(
+                c.numerator * pow(c.denominator, -1, p) * pow(root, i, p)
+                for i, c in enumerate(coeffs)) % p
+    # a denominator divisible by p anywhere raises
+    elim = _ModpEliminator(F, small, _small_root(F, small))
+    with pytest.raises(ZeroDivisionError):
+        elim.image(Scalar(F, coeffs[:-1] + [Fraction(1, small)]))
 
 
 def test_rref_worked_example():
@@ -179,6 +308,22 @@ def test_quotient_presentation_invariants_random():
         assert q.relation_matrix.rank() + q.quotient_dim == q.ambient_dim
         if cols:
             assert (q.projection * m).is_zero()
+
+
+def test_quotient_presentation_rejects_relations_without_unit_pivots():
+    F = CycloField(1)
+    proj = Matrix.from_rational(F, [[1, -1]])
+    sect = Matrix.from_rational(F, [[1], [0]])
+    # relations (2, 2)^T: rank 1 and killed by the projection, but not
+    # reduced, so the rank is not proved
+    with pytest.raises(InvalidStructureError):
+        QuotientPresentation(2, Matrix.from_rational(F, [[2], [2]]), 1, proj, sect)
+    # relations (1, 1)^T twice: rank 1 with two columns
+    with pytest.raises(InvalidStructureError):
+        QuotientPresentation(2, Matrix.from_rational(F, [[1, 1], [1, 1]]), 0,
+                             Matrix.zeros(F, 0, 2), Matrix.zeros(F, 2, 0))
+    pres = QuotientPresentation(2, Matrix.from_rational(F, [[1], [1]]), 1, proj, sect)
+    assert pres.relation_matrix.rank() == 1
 
 
 def test_solve_unknown_map_basic():

@@ -69,6 +69,22 @@ def test_tensor_object_strictness():
     T = tensor_obj(V, W)
     assert T.dim == 2
     assert T.degree(0) == (1,) and T.degree(1) == (0,)
+    # the product degrees are the same group elements a fresh object holds
+    assert T == GradedObject(ctx, T.basis)
+
+
+def test_tensor_and_direct_sum_reject_colliding_labels():
+    # valid labels can collide through the tensor product:
+    # a (x) b(x)c and a(x)b (x) c are both "a⊗b⊗c"
+    ctx = super_ctx()
+    V = GradedObject(ctx, [("a", (0,)), ("a⊗b", (1,))])
+    W = GradedObject(ctx, [("b⊗c", (1,)), ("c", (0,))])
+    with pytest.raises(InvalidStructureError):
+        tensor_obj(V, W)
+    with pytest.raises(InvalidStructureError):
+        tensor_obj(V, GradedObject(zmod3_ctx(), [("d", (0,))]))
+    with pytest.raises(InvalidStructureError):
+        direct_sum_obj(V, GradedObject(zmod3_ctx(), [("d", (0,))]))
 
 
 def test_morphism_degree_check():
