@@ -138,14 +138,6 @@ def check_hopf(H):
            ("antipode_right", H.m * (i @ H.S) * H.delta - ue)])
 
 
-def convolution(B, f, g):
-    """Convolution product of endomorphisms of the carrier of B."""
-    H = B.carrier
-    assert f.source == H and f.target == H
-    assert g.source == H and g.target == H
-    return B.m * (f @ g) * B.delta
-
-
 def solve_antipode(B):
     """The convolution inverse of the identity, or NoSolutionError.
 

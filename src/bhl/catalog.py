@@ -5,7 +5,7 @@ Catalog entries are deterministic: building the same name twice gives equal
 data.
 """
 
-from .exactalg import CycloField, Matrix
+from .exactalg import CycloField
 from .braidedhopf import (BialgebraData, HopfAlgebraData, YDModuleData,
                           bosonize_with_maps, check_hopf, solve_antipode,
                           _group_algebra_on)

@@ -48,8 +48,8 @@ from itertools import chain, islice
 from .exactalg import (EngineError, InvalidStructureError, Matrix,
                        SparseEliminator, _ModpEliminator, _modp_primes,
                        cokernel_from_rref, require)
-from .gradedcat import (GradedMorphism, GradedObject, identity_mor, left_dual,
-                        line_object, phi_left, tensor_obj)
+from .gradedcat import (GradedMorphism, GradedObject, left_dual, line_object,
+                        tensor_obj)
 from .comodcat import (Comodule, FlagReport, act, comodule_dual,
                        comodule_tensor, hom_basis, regular_comodule,
                        unit_comodule)
@@ -79,8 +79,6 @@ class Diagram:
         self.blocks = []
         self.acted = []  # (acted block index, anchor index, inert object)
         self.balance = []  # (glued block index, anchor index)
-        self.actions_spec = ()
-        self.balance_spec = ()
         self._index = {}  # (carrier, coaction) -> block index
         self._derived = {}  # (constructor, operands...) -> comodule
         self._homs = {}  # (source index, target index) -> hom basis
@@ -107,8 +105,6 @@ class Diagram:
             ci = self._add(self.derived(act, wi, dual_line))
             self.balance.append((ci, wi))
             self.acted.append((ci, wi, dual_line))
-        self.actions_spec += actions
-        self.balance_spec += balance
 
     def index(self, B):
         """The index of the block equal to B; KeyError if there is none."""
@@ -151,21 +147,6 @@ class Diagram:
             setattr(big, name, copy.copy(getattr(self, name)))
         big._extend(extra, balance, actions)
         return big
-
-
-def prebalancing(A, B, X):
-    """The canonical invertible exchange
-
-        F(B) (x) *F(A (|) X)  ->  F(B (|) *X) (x) *F(A)
-
-    for comodules A, B over the same Hopf algebra and an object X of the
-    ambient graded category.  The forgetful functor is the identity on
-    carriers, so the exchange is just the dual-of-a-tensor identification
-    on the right leg; it is the map along which a glued block's ambient
-    coordinates correspond to its anchor's."""
-    require(A.hopf == B.hopf,
-            "prebalancing needs comodules over the same Hopf algebra")
-    return identity_mor(B.carrier) @ phi_left(A.carrier, X).inverse()
 
 
 def default_diagram(H, probes=()):

@@ -180,12 +180,6 @@ def hom_basis(A, B):
     return out
 
 
-def is_comodule_morphism(f, A, B):
-    """Exact colinearity residual of f: F(A) -> F(B)."""
-    iH = identity_mor(A.hopf.carrier)
-    return (B.coaction * f - (iH @ f) * A.coaction).is_zero()
-
-
 class FlagReport:
     """Named boolean checks (used where residual matrices do not apply)."""
 
@@ -202,59 +196,3 @@ class FlagReport:
     def __repr__(self):
         bad = self.failures()
         return "FlagReport(passed)" if not bad else "FlagReport(failed: %s)" % ", ".join(bad)
-
-
-def _default_l(B, X):
-    carrier = tensor_obj(B.carrier, X)
-    return identity_mor(carrier)
-
-
-def check_monoidal_module(H, comodules, objects, l=None):
-    """The comodule category as a module category over the ambient one.
-
-    Verifies, for the given test comodules B and objects X, Y: the structure
-    map l_{B,X}: F(B (|) X) -> F(B) (x) X is colinear into act(B, X), is the
-    identity when either argument is the unit, and satisfies the strict
-    mixed-associativity coherence.  `l` defaults to the identity (the module
-    structure is strict); a perturbed l makes the report fail.
-    """
-    l = l or _default_l
-    checks = []
-    unit = unit_object(H.carrier.ctx)
-    for bi, B in enumerate(comodules):
-        lBu = l(B, unit)
-        checks.append(("unit_object_law[%d]" % bi,
-                       (lBu - identity_mor(B.carrier)).is_zero()))
-        for xi, X in enumerate(objects):
-            lBX = l(B, X)
-            BX = act(B, X)
-            checks.append(("l_colinear[%d,%d]" % (bi, xi),
-                           lBX.source == BX.carrier
-                           and is_comodule_morphism(lBX, BX, BX)))
-            for yi, Y in enumerate(objects):
-                lhs = (l(B, X) @ identity_mor(Y)) * l(act(B, X), Y)
-                rhs = l(B, tensor_obj(X, Y))
-                checks.append(("mixed_assoc[%d,%d,%d]" % (bi, xi, yi),
-                               (lhs - rhs).is_zero()))
-    return FlagReport(checks)
-
-
-def check_section(H, objects):
-    """The trivial-coaction functor G is a strict monoidal section of the
-    forgetful functor F: F(G(V)) = V on the nose and G(V (x) W) equals
-    G(V) (x) G(W) as comodules."""
-    checks = []
-    unitc = unit_comodule(H)
-    checks.append(("unit_comodule", trivial_comodule(H, unit_object(H.carrier.ctx)) == unitc))
-    for vi, V in enumerate(objects):
-        GV = trivial_comodule(H, V)
-        checks.append(("FG_identity[%d]" % vi, GV.carrier == V))
-        checks.append(("G_unit_absorb[%d]" % vi,
-                       comodule_tensor(unitc, GV) == GV
-                       and comodule_tensor(GV, unitc) == GV))
-        for wi, W in enumerate(objects):
-            GW = trivial_comodule(H, W)
-            lhs = comodule_tensor(GV, GW)
-            rhs = trivial_comodule(H, tensor_obj(V, W))
-            checks.append(("G_monoidal[%d,%d]" % (vi, wi), lhs == rhs))
-    return FlagReport(checks)

@@ -7,7 +7,8 @@ with integer coefficients, so sums, products and inverses are integer
 arithmetic plus one gcd; `Fraction` appears only where scalars are parsed
 and formatted.  Everything downstream (graded categories, Hopf structure
 checks, coend quotients) reduces to the handful of primitives in this
-module: rref, kernel, cokernel and exact solves for unknown linear maps.
+module: sparse elimination to reduced rows, the null space and quotient
+presentation read off them, and exact solves for unknown linear maps.
 All results are exact; "zero" always means identically zero.
 """
 
@@ -399,7 +400,7 @@ def parse_scalar(field, text):
             coef = Fraction(term)
             power = 0
         coef *= sign
-        if power < field.degree:
+        if 0 <= power < field.degree:
             coeffs[power] += coef
         else:
             extra[power] = extra.get(power, Fraction(0)) + coef
@@ -789,24 +790,8 @@ def _eliminate(field, rows):
     return elim
 
 
-def rref(m):
-    """Reduced row echelon form.
-
-    Returns (R, pivots): R has the same shape as m (zero rows at the bottom),
-    pivots is the ascending tuple of pivot column indices.
-    """
-    rows = _eliminate(m.field, m.data).rref_rows()
-    out = [row for _, row in rows]
-    out.extend({} for _ in range(m.rows - len(out)))
-    return Matrix.from_rows(m.field, out, m.cols), tuple(p for p, _ in rows)
-
-
-def kernel(m):
-    """Exact null space; columns of the result form the canonical basis."""
-    return _kernel_from_rref(m.field, m.cols, _eliminate(m.field, m.data).rref_rows())
-
-
 def _kernel_from_rref(field, ncols, rref_rows):
+    """Canonical null-space basis, as columns, from the reduced row basis."""
     pivot_set = {p for p, _ in rref_rows}
     free = [j for j in range(ncols) if j not in pivot_set]
     free_pos = {j: c for c, j in enumerate(free)}
@@ -890,12 +875,6 @@ def cokernel_from_rref(field, ambient_dim, rref_rows):
         projection=Matrix.from_rows(field, proj, ambient_dim),
         section=Matrix.from_rows(field, sect, qdim),
     )
-
-
-def cokernel(m):
-    """Quotient of the row-index space of m by the span of m's columns."""
-    elim = _eliminate(m.field, m.transpose().data)
-    return cokernel_from_rref(m.field, m.rows, elim.rref_rows())
 
 
 # ---------------------------------------------------------------------------

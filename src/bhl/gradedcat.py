@@ -4,7 +4,7 @@ Objects carry bases labeled by strings and graded by a finitely generated
 abelian group; the braiding on homogeneous vectors is multiplication by a
 bicharacter value followed by the flip.  The monoidal structure is strict:
 tensoring is associative on the nose at the level of labeled bases, and the
-unit object is absorbed exactly.  Left/right duals come with evaluation and
+unit object is absorbed exactly.  Left duals come with evaluation and
 coevaluation maps in the all-delta convention, and the pairing isomorphism
 between *Y (x) *X and *(X (x) Y) is the coefficient-one relabeling.
 """
@@ -57,9 +57,6 @@ class AbelianGroup:
 
     def neg(self, a):
         return tuple((-x) % n for x, n in zip(a, self.invariant_factors))
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
 
 
 class Bicharacter:
@@ -171,12 +168,6 @@ class GradedObject:
     def degree(self, i):
         return self.basis[i][1]
 
-    def index(self, label):
-        for i, (l, _) in enumerate(self.basis):
-            if l == label:
-                return i
-        raise KeyError(label)
-
     @property
     def is_unit(self):
         return (self.dim == 1 and self.basis[0][0] == UNIT_LABEL
@@ -281,12 +272,6 @@ class GradedMorphism:
     def __neg__(self):
         return GradedMorphism(self.source, self.target, -self.matrix)
 
-    def scale(self, s):
-        from .exactalg import Scalar
-        if not isinstance(s, Scalar):
-            s = self.source.ctx.field.scalar(s)
-        return GradedMorphism(self.source, self.target, self.matrix.scale(s))
-
     def is_zero(self):
         return self.matrix.is_zero()
 
@@ -296,10 +281,6 @@ class GradedMorphism:
 
 def identity_mor(V):
     return GradedMorphism(V, V, Matrix.identity(V.ctx.field, V.dim))
-
-
-def zero_mor(V, W):
-    return GradedMorphism(V, W, Matrix.zeros(V.ctx.field, W.dim, V.dim))
 
 
 def braiding(V, W):
@@ -336,12 +317,6 @@ def _dual_label_left(label):
     return "*%s" % label
 
 
-def _dual_label_right(label):
-    if label.endswith("*") or "⊗" in label or label.startswith("*"):
-        return "(%s)*" % label
-    return "%s*" % label
-
-
 DualityData = namedtuple("DualityData", ["space", "ev", "coev"])
 
 
@@ -360,24 +335,6 @@ def left_dual(V):
         tensor_obj(V, dual), unit, {(0, i * n + i): one for i in range(n)})
     coev = GradedMorphism.from_dict(
         unit, tensor_obj(dual, V), {(i * n + i, 0): one for i in range(n)})
-    return DualityData(dual, ev, coev)
-
-
-def right_dual(V):
-    """(V*, ev: V* (x) V -> 1, coev: 1 -> V (x) V*), delta-pairing."""
-    ctx = V.ctx
-    if V.is_unit:
-        e = identity_mor(V)
-        return DualityData(V, e, e)
-    neg = ctx.group.neg
-    dual = GradedObject(ctx, [(_dual_label_right(l), neg(d)) for l, d in V.basis])
-    one = ctx.field.one
-    unit = unit_object(ctx)
-    n = V.dim
-    ev = GradedMorphism.from_dict(
-        tensor_obj(dual, V), unit, {(0, i * n + i): one for i in range(n)})
-    coev = GradedMorphism.from_dict(
-        unit, tensor_obj(V, dual), {(i * n + i, 0): one for i in range(n)})
     return DualityData(dual, ev, coev)
 
 

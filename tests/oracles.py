@@ -1,0 +1,89 @@
+"""Oracles for the reconstruction theorem's hypotheses.
+
+The relative coend reconstructs H only when the comodule category is a
+monoidal module category over the ambient graded category and the forgetful
+functor F has a monoidal section.  The engine relies on both without
+checking them; these functions check them exactly on finite samples, and
+build the prebalancing exchange that the balancing relations encode.
+"""
+
+from bhl.comodcat import (FlagReport, act, comodule_tensor, trivial_comodule,
+                          unit_comodule)
+from bhl.exactalg import require
+from bhl.gradedcat import identity_mor, phi_left, tensor_obj, unit_object
+
+
+def is_comodule_morphism(f, A, B):
+    """Exact colinearity residual of f: F(A) -> F(B)."""
+    iH = identity_mor(A.hopf.carrier)
+    return (B.coaction * f - (iH @ f) * A.coaction).is_zero()
+
+
+def _default_l(B, X):
+    return identity_mor(tensor_obj(B.carrier, X))
+
+
+def check_monoidal_module(H, comodules, objects, l=None):
+    """The comodule category as a module category over the ambient one.
+
+    Verifies, for the given test comodules B and objects X, Y: the structure
+    map l_{B,X}: F(B (|) X) -> F(B) (x) X is colinear into act(B, X), is the
+    identity when either argument is the unit, and satisfies the strict
+    mixed-associativity coherence.  `l` defaults to the identity (the module
+    structure is strict); a perturbed l makes the report fail.
+    """
+    l = l or _default_l
+    checks = []
+    unit = unit_object(H.carrier.ctx)
+    for bi, B in enumerate(comodules):
+        lBu = l(B, unit)
+        checks.append(("unit_object_law[%d]" % bi,
+                       (lBu - identity_mor(B.carrier)).is_zero()))
+        for xi, X in enumerate(objects):
+            lBX = l(B, X)
+            BX = act(B, X)
+            checks.append(("l_colinear[%d,%d]" % (bi, xi),
+                           lBX.source == BX.carrier
+                           and is_comodule_morphism(lBX, BX, BX)))
+            for yi, Y in enumerate(objects):
+                lhs = (l(B, X) @ identity_mor(Y)) * l(act(B, X), Y)
+                rhs = l(B, tensor_obj(X, Y))
+                checks.append(("mixed_assoc[%d,%d,%d]" % (bi, xi, yi),
+                               (lhs - rhs).is_zero()))
+    return FlagReport(checks)
+
+
+def check_section(H, objects):
+    """The trivial-coaction functor G is a strict monoidal section of the
+    forgetful functor F: F(G(V)) = V on the nose and G(V (x) W) equals
+    G(V) (x) G(W) as comodules."""
+    checks = []
+    unitc = unit_comodule(H)
+    checks.append(("unit_comodule", trivial_comodule(H, unit_object(H.carrier.ctx)) == unitc))
+    for vi, V in enumerate(objects):
+        GV = trivial_comodule(H, V)
+        checks.append(("FG_identity[%d]" % vi, GV.carrier == V))
+        checks.append(("G_unit_absorb[%d]" % vi,
+                       comodule_tensor(unitc, GV) == GV
+                       and comodule_tensor(GV, unitc) == GV))
+        for wi, W in enumerate(objects):
+            GW = trivial_comodule(H, W)
+            lhs = comodule_tensor(GV, GW)
+            rhs = trivial_comodule(H, tensor_obj(V, W))
+            checks.append(("G_monoidal[%d,%d]" % (vi, wi), lhs == rhs))
+    return FlagReport(checks)
+
+
+def prebalancing(A, B, X):
+    """The canonical invertible exchange
+
+        F(B) (x) *F(A (|) X)  ->  F(B (|) *X) (x) *F(A)
+
+    for comodules A, B over the same Hopf algebra and an object X of the
+    ambient graded category.  The forgetful functor is the identity on
+    carriers, so the exchange is just the dual-of-a-tensor identification
+    on the right leg; it is the map along which a glued block's ambient
+    coordinates correspond to its anchor's."""
+    require(A.hopf == B.hopf,
+            "prebalancing needs comodules over the same Hopf algebra")
+    return identity_mor(B.carrier) @ phi_left(A.carrier, X).inverse()

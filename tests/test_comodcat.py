@@ -4,21 +4,21 @@ import pytest
 
 from bhl.catalog import exterior_line, group_algebra, sweedler
 from bhl.comodcat import (
-    Comodule, act, check_monoidal_module, check_section, comodule_dual,
-    comodule_tensor, direct_sum_comodule, hom_basis, hom_space,
-    is_comodule_morphism, regular_comodule, trivial_comodule, unit_comodule,
+    Comodule, act, comodule_dual, comodule_tensor, direct_sum_comodule,
+    hom_basis, hom_space, regular_comodule, trivial_comodule, unit_comodule,
 )
-from bhl.exactalg import InvalidStructureError, Matrix, kernel
+from bhl.exactalg import InvalidStructureError, Matrix
 from bhl.gradedcat import (
     GradedMorphism, GradedObject, identity_mor, left_dual, line_object,
     tensor_obj, unit_object,
 )
+from oracles import check_monoidal_module, check_section, is_comodule_morphism
 
 
 def dense_hom_dim(A, B):
     """Independent oracle: the colinearity equations assembled densely on all
     of Hom(F(A), F(B)), with degree preservation imposed as extra equations,
-    nullspace dimension via dense kernel."""
+    nullspace dimension as columns minus rank."""
     F = A.carrier.ctx.field
     dA, dB, dH = A.carrier.dim, B.carrier.dim, A.hopf.carrier.dim
     iH = Matrix.identity(F, dH)
@@ -37,7 +37,7 @@ def dense_hom_dim(A, B):
             cols.append(col)
     M = Matrix(F, [[cols[k][r] for k in range(len(cols))]
                    for r in range(len(cols[0]))], cols=dB * dA)
-    return kernel(M).cols
+    return M.cols - M.rank()
 
 
 def test_regular_and_trivial_comodules_construct():
@@ -180,7 +180,7 @@ def test_check_monoidal_module_detects_bad_structure_map():
     def skew(B, X):
         f = identity_mor(tensor_obj(B.carrier, X))
         if X == L:
-            return f.scale(2)
+            return f + f
         return f
 
     report = check_monoidal_module(H, [regular_comodule(H)], [L], l=skew)
