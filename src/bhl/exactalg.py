@@ -461,10 +461,6 @@ class Matrix:
         return cls.from_rows(field, [{i: one} for i in range(n)], n)
 
     @classmethod
-    def from_rational(cls, field, rows):
-        return cls(field, [[field.scalar(v) for v in row] for row in rows])
-
-    @classmethod
     def from_dict(cls, field, rows, cols, data):
         """Build from {(i, j): Scalar}; indices must lie in rows x cols."""
         out = [{} for _ in range(rows)]

@@ -36,13 +36,6 @@ class AbelianGroup:
     def __repr__(self):
         return "AbelianGroup(%r)" % (list(self.invariant_factors),)
 
-    @property
-    def order(self):
-        n = 1
-        for f in self.invariant_factors:
-            n *= f
-        return n
-
     def element(self, exponents):
         e = tuple(int(x) % n for x, n in zip(exponents, self.invariant_factors))
         if len(exponents) != self.rank:
@@ -162,9 +155,6 @@ class GradedObject:
     def __repr__(self):
         return "GradedObject[%s]" % ", ".join(l for l, _ in self.basis)
 
-    def label(self, i):
-        return self.basis[i][0]
-
     def degree(self, i):
         return self.basis[i][1]
 
@@ -235,10 +225,6 @@ class GradedMorphism:
     def from_dict(cls, source, target, data):
         return cls(source, target,
                    Matrix.from_dict(source.ctx.field, target.dim, source.dim, data))
-
-    @classmethod
-    def from_rational(cls, source, target, rows):
-        return cls(source, target, Matrix.from_rational(source.ctx.field, rows))
 
     def __eq__(self, other):
         return (isinstance(other, GradedMorphism) and other.source == self.source

@@ -1,4 +1,4 @@
-"""Oracles for the reconstruction theorem's hypotheses.
+"""Oracles for the reconstruction theorem's hypotheses, and test inputs.
 
 The relative coend reconstructs H only when the comodule category is a
 monoidal module category over the ambient graded category and the forgetful
@@ -9,7 +9,7 @@ build the prebalancing exchange that the balancing relations encode.
 
 from bhl.comodcat import (FlagReport, act, comodule_tensor, trivial_comodule,
                           unit_comodule)
-from bhl.exactalg import require
+from bhl.exactalg import Matrix, require
 from bhl.gradedcat import identity_mor, phi_left, tensor_obj, unit_object
 
 
@@ -87,3 +87,8 @@ def prebalancing(A, B, X):
     require(A.hopf == B.hopf,
             "prebalancing needs comodules over the same Hopf algebra")
     return identity_mor(B.carrier) @ phi_left(A.carrier, X).inverse()
+
+
+def rational_matrix(field, rows):
+    """The matrix over `field` with the given rational entries, row by row."""
+    return Matrix(field, [[field.scalar(v) for v in row] for row in rows])

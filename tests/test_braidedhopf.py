@@ -14,6 +14,7 @@ from bhl.gradedcat import (
     AbelianGroup, Bicharacter, Context, GradedMorphism, GradedObject,
     identity_mor, tensor_obj, unit_object,
 )
+from oracles import rational_matrix
 
 
 def trivially_graded_exterior():
@@ -68,7 +69,7 @@ def test_convolution_square_on_group_algebra():
     i = identity_mor(H.carrier)
     sq = convolution(H, i, i)  # g |-> g^2 = 1
     F = H.carrier.ctx.field
-    assert sq.matrix == Matrix.from_rational(F, [[1, 1], [0, 0]])
+    assert sq.matrix == rational_matrix(F, [[1, 1], [0, 0]])
 
 
 def test_solve_antipode_matches_catalog():

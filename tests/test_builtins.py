@@ -1,13 +1,20 @@
 """Catalog entries: axiom suites, frozen values, determinism, dispatch."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 import sympy
 
-from bhl.braidedhopf import check_hopf, solve_antipode
-from bhl.catalog import (BUILTIN_NAMES, build, gaussian_binomial,
+import bhl
+import bhl.catalog
+from bhl.braidedhopf import CheckReport, check_hopf, solve_antipode
+from bhl.catalog import (BUILTIN_NAMES, build, exterior_line, gaussian_binomial,
                          group_algebra, nichols_cyclic, sweedler, taft)
-from bhl.exactalg import CycloField
-from bhl.gradedcat import AbelianGroup
+from bhl.exactalg import CycloField, InvalidStructureError
+from bhl.gradedcat import AbelianGroup, identity_mor
 
 
 def test_all_builtins_pass_axiom_suite():
@@ -116,6 +123,107 @@ def test_sweedler_antipode_order_four():
     H = sweedler()
     S2 = H.S * H.S
     S4 = S2 * S2
-    from bhl.gradedcat import identity_mor
     assert S4 == identity_mor(H.carrier)
     assert S2 != identity_mor(H.carrier)
+
+
+def _structure(H):
+    """The structure maps of H on basis vectors, by label: products, unit,
+    coproducts, counits and antipodes, each as {label(s): {label(s): int}}
+    with the zero coefficients left out."""
+    F = H.carrier.ctx.field
+    names = [l for l, _ in H.carrier.basis]
+    pairs = [(a, b) for a in names for b in names]
+
+    def table(f, sources, targets):
+        out = {}
+        for j, src in enumerate(sources):
+            col = {}
+            for i, tgt in enumerate(targets):
+                c = f.matrix.entries[i][j]
+                if c:
+                    assert c in (F.one, -F.one), (src, tgt, c)
+                    col[tgt] = 1 if c == F.one else -1
+            out[src] = col
+        return out
+
+    return {"m": table(H.m, pairs, names), "u": table(H.u, ["1"], names),
+            "delta": table(H.delta, names, pairs),
+            "eps": table(H.eps, names, ["1"]), "S": table(H.S, names, names)}
+
+
+def test_sweedler_matches_its_textbook_presentation():
+    """g g = 1, x x = 0, x g = v = -g x; Delta g = g (x) g,
+    Delta x = x (x) 1 + g (x) x; eps(g) = 1, eps(x) = 0; S(g) = g,
+    S(x) = -g x; everything else follows by multiplicativity."""
+    s = _structure(sweedler())
+    m = s["m"]
+    assert m[("g", "g")] == {"1": 1} and m[("x", "x")] == {}
+    assert m[("x", "g")] == {"v": 1} and m[("g", "x")] == {"v": -1}
+    assert m[("g", "v")] == {"x": -1} and m[("v", "g")] == {"x": 1}
+    assert m[("x", "v")] == m[("v", "x")] == m[("v", "v")] == {}
+    for a in ("1", "g", "x", "v"):
+        assert m[("1", a)] == m[(a, "1")] == {a: 1}
+    assert s["u"] == {"1": {"1": 1}}
+    assert s["delta"] == {"1": {("1", "1"): 1}, "g": {("g", "g"): 1},
+                          "x": {("x", "1"): 1, ("g", "x"): 1},
+                          "v": {("v", "g"): 1, ("1", "v"): 1}}
+    assert s["eps"] == {"1": {"1": 1}, "g": {"1": 1}, "x": {}, "v": {}}
+    assert s["S"] == {"1": {"1": 1}, "g": {"g": 1}, "x": {"v": 1},
+                      "v": {"x": -1}}
+
+
+def test_exterior_line_matches_its_textbook_presentation():
+    """An odd x with x x = 0, Delta x = x (x) 1 + 1 (x) x, S(x) = -x."""
+    H = exterior_line()
+    ctx = H.carrier.ctx
+    assert H.carrier.basis == (("1", (0,)), ("x", (1,)))
+    assert ctx.chi.value(ctx.field, (1,), (1,)) == -ctx.field.one
+    s = _structure(H)
+    assert s["m"] == {("1", "1"): {"1": 1}, ("1", "x"): {"x": 1},
+                      ("x", "1"): {"x": 1}, ("x", "x"): {}}
+    assert s["u"] == {"1": {"1": 1}}
+    assert s["delta"] == {"1": {("1", "1"): 1},
+                          "x": {("x", "1"): 1, ("1", "x"): 1}}
+    assert s["eps"] == {"1": {"1": 1}, "x": {}}
+    assert s["S"] == {"1": {"1": 1}, "x": {"x": -1}}
+
+
+def _failing_check_hopf(H):
+    return CheckReport([("associativity", identity_mor(H.carrier))])
+
+
+def test_catalog_entry_failing_its_axioms_raises(monkeypatch):
+    monkeypatch.setattr(bhl.catalog, "check_hopf", _failing_check_hopf)
+    with pytest.raises(InvalidStructureError, match=r"group_algebra\(\(2,\)\) "
+                       "fails axioms: associativity"):
+        build("group_algebra:2")
+    # sweedler is checked as it is built, from nichols_cyclic(2) on up
+    with pytest.raises(InvalidStructureError, match="nichols_cyclic.2. fails axioms"):
+        build("sweedler")
+
+
+FAILING_CATALOG_CLI = """
+import sys
+import bhl.catalog
+from bhl.braidedhopf import CheckReport
+from bhl.gradedcat import identity_mor
+bhl.catalog.check_hopf = lambda H: CheckReport(
+    [("associativity", identity_mor(H.carrier))])
+from bhl.cli import main
+sys.exit(main(["check-hopf", "--builtin", "sweedler"]))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_cli_reports_a_failing_catalog_entry(flags):
+    """Catalog validation does not rest on assert: under python -O too, an
+    entry that fails its axioms ends in one error[InvalidStructure] line."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(bhl.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable] + flags + ["-c", FAILING_CATALOG_CLI],
+                          capture_output=True, env=env)
+    assert proc.returncode == 1, proc.stderr.decode()
+    assert proc.stderr.decode().splitlines() == [
+        "error[InvalidStructure]: catalog entry nichols_cyclic(2) fails axioms: "
+        "associativity"]

@@ -21,7 +21,7 @@ from bhl.exactalg import (InvalidStructureError, Matrix, _ModpEliminator,
 from bhl.gradedcat import (GradedMorphism, GradedObject, identity_mor,
                            left_dual, line_object, psi_bar, tensor_obj,
                            unit_object)
-from oracles import prebalancing
+from oracles import prebalancing, rational_matrix
 
 
 def test_coend_dim_equals_hopf_dim_on_all_builtins():
@@ -255,9 +255,9 @@ def rescaled_sweedler():
     old one: its relation columns have denominators 3."""
     H = sweedler()
     V, n = H.carrier, H.carrier.dim
-    t = GradedMorphism.from_rational(
-        V, V, [[(3 if i == n - 1 else 1) if i == j else 0 for j in range(n)]
-               for i in range(n)])
+    t = GradedMorphism(V, V, rational_matrix(
+        V.ctx.field, [[(3 if i == n - 1 else 1) if i == j else 0 for j in range(n)]
+                      for i in range(n)]))
     ti = t.inverse()
     return HopfAlgebraData(V, t * H.m * (ti @ ti), t * H.u,
                            (t @ t) * H.delta * ti, H.eps * ti, t * H.S * ti)

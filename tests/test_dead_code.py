@@ -1,6 +1,13 @@
 """src/ holds only what the engine runs: every public module-level function
-and class of bhl is referenced from src/ outside its own definition.  Code
-that only tests call belongs under tests/ (see tests/oracles.py)."""
+and class of bhl is referenced from src/ outside its own definition, and so
+is every public method of a src class.  Code that only tests call belongs
+under tests/ (see tests/oracles.py).
+
+Methods are matched by name only: a method counts as used when some
+attribute reference in src/ or perfbench/*.py outside its own body, or a
+string in perfbench/layers.py METHODS, carries its name.  So a name shared
+with another attribute hides an unused method: a dead `AbelianGroup.order`
+would pass because `CycloField.order` is read everywhere."""
 
 import ast
 from pathlib import Path
@@ -8,6 +15,7 @@ from pathlib import Path
 import bhl
 
 SRC = Path(bhl.__file__).resolve().parent
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # name -> why it stays in src/ without an engine caller
 ALLOWED = {
@@ -42,3 +50,39 @@ def test_every_public_definition_is_used_in_src():
     assert not unused, "defined in src/ but never used there: %s" % unused
     assert all(name in defined and name not in used for name in ALLOWED), \
         "an allowlisted name is gone or now used: drop it from ALLOWED"
+
+
+def _attributes(node):
+    return {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
+
+
+def _layer_method_names():
+    """The strings of perfbench/layers.py METHODS: the methods it wraps."""
+    tree = ast.parse((PERFBENCH / "layers.py").read_text(encoding="utf-8"))
+    for stmt in tree.body:
+        if (isinstance(stmt, ast.Assign)
+                and any(getattr(t, "id", None) == "METHODS" for t in stmt.targets)):
+            return {sub.value for sub in ast.walk(stmt.value)
+                    if isinstance(sub, ast.Constant) and isinstance(sub.value, str)}
+    raise AssertionError("perfbench/layers.py defines no METHODS table")
+
+
+def test_every_public_method_is_used():
+    defined, used = [], _layer_method_names()
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(stmt, ast.ClassDef):
+                used |= _attributes(stmt)
+                continue
+            for item in stmt.body:
+                if isinstance(item, ast.FunctionDef):
+                    if not item.name.startswith("_"):
+                        defined.append((path.stem, stmt.name, item.name))
+                    # a method's own body does not count as a use of it
+                    used |= _attributes(item) - {item.name}
+                else:
+                    used |= _attributes(item)
+    for path in sorted(PERFBENCH.glob("*.py")):
+        used |= _attributes(ast.parse(path.read_text(encoding="utf-8")))
+    unused = ["%s.%s.%s" % d for d in defined if d[2] not in used]
+    assert not unused, "methods that nothing in src/ or perfbench/ uses: %s" % unused
