@@ -90,15 +90,17 @@ def context_from_spec(doc):
     _require(isinstance(bspec, dict) and "root_order" in bspec
              and "exponent_matrix" in bspec,
              "bicharacter needs root_order and exponent_matrix")
-    r = bspec["root_order"]
+    r, E = bspec["root_order"], bspec["exponent_matrix"]
     _require(_is_int(r) and r >= 1,
              "bicharacter.root_order must be a positive integer")
+    _require(isinstance(E, list) and all(isinstance(row, list) for row in E),
+             "bicharacter.exponent_matrix must be a list of rows")
     _require(r <= 2 or field.order % r == 0,
              "bicharacter root order %d unavailable in Q(zeta_%d)"
              % (r, field.order))
     try:
-        chi = Bicharacter(group, r, bspec["exponent_matrix"])
-    except (ValueError, InvalidStructureError) as exc:
+        chi = Bicharacter(group, r, E)
+    except (TypeError, ValueError, InvalidStructureError) as exc:
         raise SchemaError("bad bicharacter: %s" % exc) from None
     return Context(field, group, chi)
 
@@ -132,6 +134,14 @@ def object_from_spec(ctx, name, doc):
                                   for l, d in zip(labels, degrees)])
     except (InvalidStructureError, TypeError) as exc:
         raise SchemaError("object %r: %s" % (name, exc)) from None
+
+
+def objects_from_spec(ctx, doc):
+    """The named graded objects of a spec document."""
+    specs = doc.get("objects") or {}
+    _require(isinstance(specs, dict), "objects must map names to objects")
+    return {name: object_from_spec(ctx, name, od)
+            for name, od in specs.items()}
 
 
 def object_to_spec(V):
@@ -175,15 +185,12 @@ def datum_from_spec(doc):
             datum = build(str(block["builtin"]))
         except ValueError as exc:
             raise SchemaError(str(exc)) from None
-        ctx = datum.carrier.ctx
-        objects = {name: object_from_spec(ctx, name, od)
-                   for name, od in (doc.get("objects") or {}).items()}
-        return datum, objects
+        return datum, objects_from_spec(datum.carrier.ctx, doc)
     ctx = context_from_spec(doc)
-    objects = {name: object_from_spec(ctx, name, od)
-               for name, od in (doc.get("objects") or {}).items()}
+    objects = objects_from_spec(ctx, doc)
     cname = block.get("carrier")
-    _require(cname in objects, "hopf.carrier must name one of the objects")
+    _require(isinstance(cname, str) and cname in objects,
+             "hopf.carrier must name one of the objects")
     H = objects[cname]
     unit = unit_object(ctx)
     HH = tensor_obj(H, H)
@@ -219,11 +226,13 @@ def hopf_to_spec(H):
 def yd_from_spec(doc, hopf, objects):
     mods = []
     field = hopf.carrier.ctx.field
-    for k, md in enumerate(doc.get("yd_modules") or []):
+    specs = doc.get("yd_modules") or []
+    _require(isinstance(specs, list), "yd_modules must be a list")
+    for k, md in enumerate(specs):
         _require(isinstance(md, dict), "yd_modules entries must be objects")
         name = str(md.get("name", "yd%d" % k))
         cname = md.get("carrier")
-        _require(cname in objects,
+        _require(isinstance(cname, str) and cname in objects,
                  "yd module %r: carrier must name one of the objects" % name)
         V = objects[cname]
         HV = tensor_obj(hopf.carrier, V)

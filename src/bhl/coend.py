@@ -51,7 +51,7 @@ from .exactalg import (EngineError, InvalidStructureError, Matrix,
 from .gradedcat import (GradedMorphism, GradedObject, left_dual, line_object,
                         tensor_obj)
 from .comodcat import (Comodule, FlagReport, act, comodule_dual,
-                       comodule_tensor, hom_basis, regular_comodule,
+                       comodule_tensor, hom_space, regular_comodule,
                        unit_comodule)
 
 
@@ -135,7 +135,7 @@ class Diagram:
     def hom_basis(self, ai, bi):
         """The hom basis from block ai to block bi, computed once."""
         if (ai, bi) not in self._homs:
-            self._homs[(ai, bi)] = hom_basis(self.blocks[ai], self.blocks[bi])
+            self._homs[(ai, bi)] = hom_space(self.blocks[ai], self.blocks[bi])
         return self._homs[(ai, bi)]
 
     def enlarged(self, *extra, balance=(), actions=()):
@@ -271,14 +271,14 @@ class CoendResult:
     def dim(self):
         return self.presentation.quotient_dim
 
-    def enlarged(self, *extra, balance=(), actions=()):
-        """compute_coend(self.diagram.enlarged(...)), certified from the
+    def enlarged(self, *extra):
+        """compute_coend(self.diagram.enlarged(*extra)), certified from the
         enlargement's own candidate.  Only the relations the enlargement
         adds are streamed: this presentation's reduced relation rows span
         the base's relations, so they seed the rank bound and stand in for
         the base columns in the residual check.  Without a certificate the
         enlargement is eliminated from scratch."""
-        big = self.diagram.enlarged(*extra, balance=balance, actions=actions)
+        big = self.diagram.enlarged(*extra)
         layout = _block_spaces(big)
         seeds = self.presentation.relation_matrix.transpose().data
         prefix = (len(self.diagram.blocks), len(self.diagram.balance))
@@ -328,12 +328,6 @@ class CoendResult:
         return FlagReport(checks)
 
 
-def _free_coordinates(pres):
-    """The ambient coordinate each quotient basis vector sits at: the
-    section has a single unit entry per column, at a free coordinate."""
-    return [min(col) for col in pres.section.transpose().data]
-
-
 def _kills(cols, col):
     """Whether the map given by its columns `cols` sends col to zero."""
     image = {}
@@ -375,15 +369,8 @@ def _canonical_projection(field, P, n):
     for k, j in enumerate(free):
         for h, v in P[j].items():
             rows[h][k] = v
-    inv_cols = Matrix.from_rows(field, rows, n).inverse().transpose().data
-    proj = []
-    for col in P:
-        image = {}
-        for h, v in col.items():
-            for q, w in inv_cols[h].items():
-                image[q] = image[q] + w * v if q in image else w * v
-        proj.append({q: s for q, s in image.items() if s})
-    return proj, free
+    inv = Matrix.from_rows(field, rows, n).inverse()
+    return (Matrix.from_rows(field, P, n) * inv.transpose()).data, free
 
 
 _PRIME_TRIES = 3  # primes tried for the rank bound before eliminating
@@ -480,10 +467,9 @@ def _result(diagram, spaces, offsets, pres, certificate=None, families=None):
                 return S.degree(p - off)
         raise IndexError(p)
 
-    free = _free_coordinates(pres)
     quotient = GradedObject(diagram.hopf.carrier.ctx,
                             [("c%d" % k, coord_degree(p))
-                             for k, p in enumerate(free)])
+                             for k, p in enumerate(pres.free)])
     return CoendResult(diagram, spaces, offsets, pres, quotient,
                        certificate, families)
 
@@ -500,9 +486,9 @@ def compute_coend(diagram):
 def check_stability(small, big):
     """Compare the coends of a diagram and an enlargement of it.
 
-    The comparison is induced by the canonical section of the small quotient
-    followed by the big projection; it must be an isomorphism commuting with
-    every shared universal map.
+    The comparison sends each small quotient basis vector, at its free
+    ambient coordinate, through the big projection; it must be an
+    isomorphism commuting with every shared universal map.
     """
     checks = [("dims_match", small.dim == big.dim)]
     shared = [big.diagram.index(B) for B in small.diagram.blocks]
@@ -513,7 +499,7 @@ def check_stability(small, big):
     Pb = big.presentation.projection
     Pb_cols = Pb.transpose().data
     kappa = Matrix.from_rows(
-        Pb.field, [Pb_cols[inj[p]] for p in _free_coordinates(small.presentation)],
+        Pb.field, [Pb_cols[inj[p]] for p in small.presentation.free],
         big.dim).transpose()
     checks.append(("comparison_iso",
                    small.dim == big.dim and kappa.rank() == small.dim))

@@ -8,7 +8,7 @@ kernels of the colinearity equations.
 
 from collections import defaultdict
 
-from .exactalg import Matrix, SparseEliminator, _kernel_from_rref, require
+from .exactalg import Matrix, SparseEliminator, _null_space, require
 from .gradedcat import (GradedMorphism, GradedObject, braiding,
                         direct_sum_obj, identity_mor, left_dual, tensor_obj,
                         unit_object)
@@ -121,12 +121,8 @@ def direct_sum_comodule(A, B):
 
 
 def hom_space(A, B):
-    """The space of comodule morphisms A -> B.
-
-    Returns a Matrix whose columns are the canonical basis, each column the
-    row-major vectorization of a degree-preserving colinear map
-    F(A) -> F(B).
-    """
+    """The canonical basis of the comodule morphisms A -> B: a list of
+    degree-preserving colinear GradedMorphisms F(A) -> F(B)."""
     assert A.hopf.carrier == B.hopf.carrier, "comodules over different coalgebras"
     assert A.hopf.delta == B.hopf.delta and A.hopf.eps == B.hopf.eps, \
         "comodules over different coalgebras"
@@ -157,26 +153,15 @@ def hom_space(A, B):
     for key in sorted(rows):
         vec = {k: v for k, v in rows[key].items() if v}
         elim.add(vec)
-    small = _kernel_from_rref(field, len(unknowns), elim.rref_rows())
-    # expand back to full row-major (i, j) coordinates
-    full = [{} for _ in range(dB * dA)]
-    for (i, j), k in unknowns.items():
-        full[i * dA + j] = small.data[k]
-    return Matrix.from_rows(field, full, small.cols)
-
-
-def hom_basis(A, B):
-    """hom_space reshaped into a list of GradedMorphisms."""
-    mat = hom_space(A, B)
-    dA, dB = A.carrier.dim, B.carrier.dim
+    _, basis = _null_space(field, len(unknowns), elim.rref_rows())
+    entry = list(unknowns)  # unknown k -> its matrix entry (i, j)
     out = []
-    for col in mat.transpose().data:
-        rows = [{} for _ in range(dB)]
-        for k, v in col.items():
-            i, j = divmod(k, dA)
-            rows[i][j] = v
-        out.append(GradedMorphism(A.carrier, B.carrier,
-                                  Matrix.from_rows(mat.field, rows, dA)))
+    for vec in basis:
+        mat = [{} for _ in range(dB)]
+        for k, v in vec.items():
+            i, j = entry[k]
+            mat[i][j] = v
+        out.append(GradedMorphism(VA, VB, Matrix.from_rows(field, mat, dA)))
     return out
 
 

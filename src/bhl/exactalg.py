@@ -544,9 +544,6 @@ class Matrix:
 
     def __mul__(self, other):
         """Matrix product."""
-        if isinstance(other, (int, Fraction, Scalar)):
-            s = other if isinstance(other, Scalar) else self.field.scalar(other)
-            return self.scale(s)
         assert self.cols == other.rows, \
             "shape mismatch %dx%d * %dx%d" % (self.rows, self.cols, other.rows, other.cols)
         b = other.data
@@ -786,49 +783,55 @@ def _eliminate(field, rows):
     return elim
 
 
-def _kernel_from_rref(field, ncols, rref_rows):
-    """Canonical null-space basis, as columns, from the reduced row basis."""
-    pivot_set = {p for p, _ in rref_rows}
-    free = [j for j in range(ncols) if j not in pivot_set]
-    free_pos = {j: c for c, j in enumerate(free)}
+def _null_space(field, ncols, rref_rows):
+    """(free, basis): the canonical null space of reduced rows on `ncols`
+    coordinates.  `free` lists the coordinates that are no row's pivot, in
+    order; basis[k] is the sparse vector {coordinate: value} that is 1 at
+    free[k] and -row_p[free[k]] at each pivot p."""
+    pivots = {p for p, _ in rref_rows}
+    free = [j for j in range(ncols) if j not in pivots]
+    free_pos = {j: k for k, j in enumerate(free)}
     one = field.one
-    out = [{} for _ in range(ncols)]
-    for c, j in enumerate(free):
-        out[j][c] = one
+    basis = [{j: one} for j in free]
     for p, row in rref_rows:
-        target = out[p]
         for j, v in row.items():
             if j != p:
-                target[free_pos[j]] = -v
-    return Matrix.from_rows(field, out, len(free))
+                basis[free_pos[j]][p] = -v
+    return free, basis
 
 
 class QuotientPresentation:
     """An ambient space modulo the column span of a relation matrix.
 
-    projection . section = identity on the quotient; projection kills the
-    relations; rank(relations) + quotient_dim = ambient_dim.  The section
-    hits the coordinates not used as pivots by the reduced relation basis,
-    so presentations are canonical given the relation span.
+    The quotient has one basis vector per free coordinate, the ambient
+    coordinates not used as pivots by the reduced relation basis; the
+    projection is the identity on them and kills the relations, and
+    rank(relations) + quotient_dim = ambient_dim.  Presentations are
+    canonical given the relation span.
     """
 
-    def __init__(self, ambient_dim, relation_matrix, quotient_dim, projection, section):
+    def __init__(self, ambient_dim, relation_matrix, free, projection):
         self.ambient_dim = ambient_dim
         self.relation_matrix = relation_matrix
-        self.quotient_dim = quotient_dim
+        self.free = free
         self.projection = projection
-        self.section = section
         self.verify()
+
+    @property
+    def quotient_dim(self):
+        return len(self.free)
 
     def verify(self):
         q, amb = self.quotient_dim, self.ambient_dim
         require(self.projection.rows == q and self.projection.cols == amb,
                 "projection is not quotient x ambient")
-        require(self.section.rows == amb and self.section.cols == q,
-                "section is not ambient x quotient")
-        require(self.projection * self.section
-                == Matrix.identity(self.projection.field, q),
-                "projection . section is not the identity")
+        free_pos = {j: k for k, j in enumerate(self.free)}
+        require(len(free_pos) == q and all(0 <= j < amb for j in free_pos),
+                "free coordinates are not distinct ambient coordinates")
+        one = self.projection.field.one
+        require(all({free_pos[j]: v for j, v in row.items() if j in free_pos}
+                    == {k: one} for k, row in enumerate(self.projection.data)),
+                "projection is not the identity on the free coordinates")
         require(not self.relation_matrix.cols
                 or (self.projection * self.relation_matrix).is_zero(),
                 "projection does not kill the relations")
@@ -836,7 +839,6 @@ class QuotientPresentation:
         # row and 0 at every other column's, so the pivot rows are unit rows
         # e_k, one for each k, and the rank is the column count
         rel = self.relation_matrix
-        one = rel.field.one
         unit_rows = {k for row in rel.data if len(row) == 1
                      for k, v in row.items() if v == one}
         require(len(unit_rows) == rel.cols,
@@ -846,20 +848,9 @@ class QuotientPresentation:
 
 
 def cokernel_from_rref(field, ambient_dim, rref_rows):
-    """Canonical quotient presentation from the reduced relation row basis."""
-    pivot_set = {p for p, _ in rref_rows}
-    free = [j for j in range(ambient_dim) if j not in pivot_set]
-    free_pos = {j: jq for jq, j in enumerate(free)}
-    one = field.one
-    qdim = len(free)
-    proj = [{j: one} for j in free]
-    for p, row in rref_rows:
-        for j, v in row.items():
-            if j != p:
-                proj[free_pos[j]][p] = -v
-    sect = [{} for _ in range(ambient_dim)]
-    for jq, j in enumerate(free):
-        sect[j][jq] = one
+    """Canonical quotient presentation from the reduced relation row basis:
+    projection row k is null-space vector k of the reduced rows."""
+    free, proj = _null_space(field, ambient_dim, rref_rows)
     rel = [{} for _ in range(ambient_dim)]
     for k, (_, row) in enumerate(rref_rows):
         for j, v in row.items():
@@ -867,9 +858,8 @@ def cokernel_from_rref(field, ambient_dim, rref_rows):
     return QuotientPresentation(
         ambient_dim=ambient_dim,
         relation_matrix=Matrix.from_rows(field, rel, len(rref_rows)),
-        quotient_dim=qdim,
+        free=free,
         projection=Matrix.from_rows(field, proj, ambient_dim),
-        section=Matrix.from_rows(field, sect, qdim),
     )
 
 

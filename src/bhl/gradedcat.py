@@ -356,10 +356,3 @@ def psi(f, X, Y):
     dual = left_dual(Y)
     assert f.source == tensor_obj(X, dual.space), "psi: source must be X (x) *Y"
     return (f @ identity_mor(Y)) * (identity_mor(X) @ dual.coev)
-
-
-def psi_bar(g, Z, Y):
-    """Turn g: X -> Z (x) Y back into X (x) *Y -> Z (inverse of psi)."""
-    dual = left_dual(Y)
-    assert g.target == tensor_obj(Z, Y), "psi_bar: target must be Z (x) Y"
-    return (identity_mor(Z) @ dual.ev) * (g @ identity_mor(dual.space))

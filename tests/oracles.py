@@ -4,13 +4,15 @@ The relative coend reconstructs H only when the comodule category is a
 monoidal module category over the ambient graded category and the forgetful
 functor F has a monoidal section.  The engine relies on both without
 checking them; these functions check them exactly on finite samples, and
-build the prebalancing exchange that the balancing relations encode.
+build the prebalancing exchange that the balancing relations encode and
+psi_bar, the map the certified coend's candidate is built from entrywise.
 """
 
 from bhl.comodcat import (FlagReport, act, comodule_tensor, trivial_comodule,
                           unit_comodule)
 from bhl.exactalg import Matrix, require
-from bhl.gradedcat import identity_mor, phi_left, tensor_obj, unit_object
+from bhl.gradedcat import (identity_mor, left_dual, phi_left, tensor_obj,
+                           unit_object)
 
 
 def is_comodule_morphism(f, A, B):
@@ -87,6 +89,13 @@ def prebalancing(A, B, X):
     require(A.hopf == B.hopf,
             "prebalancing needs comodules over the same Hopf algebra")
     return identity_mor(B.carrier) @ phi_left(A.carrier, X).inverse()
+
+
+def psi_bar(g, Z, Y):
+    """Turn g: X -> Z (x) Y back into X (x) *Y -> Z (inverse of psi)."""
+    dual = left_dual(Y)
+    require(g.target == tensor_obj(Z, Y), "psi_bar: target must be Z (x) Y")
+    return (identity_mor(Z) @ dual.ev) * (g @ identity_mor(dual.space))
 
 
 def rational_matrix(field, rows):

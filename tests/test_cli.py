@@ -331,6 +331,61 @@ def test_bad_input_exits_2_with_one_error_line(bad, tmp_path, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
 
 
+# (command, spec entry to replace in the exterior_line spec, bad value):
+# each has the wrong JSON shape, not just a wrong value
+BAD_SPEC_SHAPES = {
+    "exponent_matrix_number": ("check-hopf",
+                               ("bicharacter", "exponent_matrix"), 5),
+    "exponent_matrix_flat": ("check-hopf",
+                             ("bicharacter", "exponent_matrix"), [1]),
+    "objects_list": ("check-hopf", ("objects",), [1, 2]),
+    "objects_text": ("check-hopf", ("objects",), "abc"),
+    "yd_modules_number": ("yd-check", ("yd_modules",), 5),
+    "carrier_list": ("check-hopf", ("hopf", "carrier"), ["H"]),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_SPEC_SHAPES))
+def test_malformed_spec_shape_exits_2_without_traceback(bad, tmp_path):
+    command, keys, value = BAD_SPEC_SHAPES[bad]
+    doc = hopf_to_spec(build("exterior_line"))
+    holder = doc
+    for k in keys[:-1]:
+        holder = holder[k]
+    holder[keys[-1]] = value
+    spec = tmp_path / "bad.json"
+    spec.write_text(json.dumps(doc))
+    proc = run_module([], [command, str(spec)])
+    err = proc.stderr.decode()
+    assert proc.returncode == 2, err
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    assert "Traceback" not in err
+
+
+def test_builtin_reference_spec_feeds_yd_check(tmp_path):
+    # the sign representation of Z/2 in degree zero is a YD module over kZ/2
+    doc = {"hopf": {"builtin": "group_algebra:2"},
+           "objects": {"V": {"labels": ["v"]}},
+           "yd_modules": [{"name": "sign", "carrier": "V",
+                           "action": [["1", "-1"]],
+                           "coaction": [["1"], ["0"]]}]}
+    spec = tmp_path / "ref.json"
+    spec.write_text(canonical_json(doc))
+    code, payload = run_cli(["yd-check", str(spec)], tmp_path, "r.json")
+    assert code == 0
+    (mod,) = payload["modules"]
+    assert mod["name"] == "sign" and mod["status"] == "pass"
+    assert payload["dimensions"] == {"hopf": 2}
+
+
+def test_builtin_reference_to_unknown_name_is_usage_error(tmp_path, capsys):
+    spec = tmp_path / "ref.json"
+    spec.write_text(canonical_json({"hopf": {"builtin": "nope"}}))
+    assert main(["check-hopf", str(spec)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "unknown builtin" in err, err
+
+
 # ---------------------------------------------------------------------------
 # console entry point
 # ---------------------------------------------------------------------------

@@ -19,9 +19,8 @@ from bhl.comodcat import (
 from bhl.exactalg import (InvalidStructureError, Matrix, _ModpEliminator,
                           _modp_primes, cokernel_from_rref)
 from bhl.gradedcat import (GradedMorphism, GradedObject, identity_mor,
-                           left_dual, line_object, psi_bar, tensor_obj,
-                           unit_object)
-from oracles import prebalancing, rational_matrix
+                           left_dual, line_object, tensor_obj, unit_object)
+from oracles import prebalancing, psi_bar, rational_matrix
 
 
 def test_coend_dim_equals_hopf_dim_on_all_builtins():
@@ -76,12 +75,11 @@ def test_residual_report_passes():
 
 
 def test_residual_report_flags_a_broken_presentation():
-    # the presentation identities are checked without assert, so a broken
-    # section is reported under python -O too
+    # the presentation identities are checked without assert, so broken
+    # free coordinates are reported under python -O too
     res = compute_coend(default_diagram(group_algebra(2)))
     pres = res.presentation
-    pres.section = Matrix.zeros(pres.section.field, pres.ambient_dim,
-                                pres.quotient_dim)
+    pres.free = pres.free[::-1]
     with pytest.raises(InvalidStructureError):
         pres.verify()
     assert res.residual_report().failures() == ["presentation"]
@@ -92,7 +90,7 @@ def test_deterministic_presentation():
     a = compute_coend(default_diagram(H))
     b = compute_coend(default_diagram(H))
     assert a.presentation.projection == b.presentation.projection
-    assert a.presentation.section == b.presentation.section
+    assert a.presentation.free == b.presentation.free
     assert a.quotient == b.quotient
 
 
@@ -133,7 +131,7 @@ def stability_blocks(base):
 
 
 def assert_same_coend(a, b):
-    for attr in ("projection", "section", "relation_matrix"):
+    for attr in ("projection", "free", "relation_matrix"):
         assert getattr(a.presentation, attr) == getattr(b.presentation, attr)
     assert a.quotient == b.quotient
 

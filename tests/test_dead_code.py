@@ -18,10 +18,7 @@ SRC = Path(bhl.__file__).resolve().parent
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # name -> why it stays in src/ without an engine caller
-ALLOWED = {
-    "psi_bar": "the certified coend builds psi_bar of each coaction "
-               "entrywise; psi_bar is the test oracle for that candidate",
-}
+ALLOWED = {}
 
 
 def _referenced(node):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from bhl.exactalg import (
     CycloField, InvalidStructureError, Matrix, NoSolutionError,
     NonUniqueError, QuotientPresentation, Scalar, _eliminate,
-    _kernel_from_rref, _ModpEliminator, _modp_primes, cokernel_from_rref,
+    _null_space, _ModpEliminator, _modp_primes, cokernel_from_rref,
     cyclotomic_polynomial, format_scalar, parse_scalar,
     solve_product_constraints,
 )
@@ -235,8 +235,10 @@ def rref_rows(m):
 
 
 def kernel(m):
-    """m's null space through the path `hom_space` takes."""
-    return _kernel_from_rref(m.field, m.cols, rref_rows(m))
+    """m's null space through the path `hom_space` takes, its basis
+    vectors as columns."""
+    _, basis = _null_space(m.field, m.cols, rref_rows(m))
+    return Matrix.from_rows(m.field, basis, m.cols).transpose()
 
 
 def cokernel(m):
@@ -328,16 +330,18 @@ def test_quotient_presentation_invariants_random():
 def test_quotient_presentation_rejects_relations_without_unit_pivots():
     F = CycloField(1)
     proj = rational_matrix(F, [[1, -1]])
-    sect = rational_matrix(F, [[1], [0]])
     # relations (2, 2)^T: rank 1 and killed by the projection, but not
     # reduced, so the rank is not proved
     with pytest.raises(InvalidStructureError):
-        QuotientPresentation(2, rational_matrix(F, [[2], [2]]), 1, proj, sect)
+        QuotientPresentation(2, rational_matrix(F, [[2], [2]]), [0], proj)
     # relations (1, 1)^T twice: rank 1 with two columns
     with pytest.raises(InvalidStructureError):
-        QuotientPresentation(2, rational_matrix(F, [[1, 1], [1, 1]]), 0,
-                             Matrix.zeros(F, 0, 2), Matrix.zeros(F, 2, 0))
-    pres = QuotientPresentation(2, rational_matrix(F, [[1], [1]]), 1, proj, sect)
+        QuotientPresentation(2, rational_matrix(F, [[1, 1], [1, 1]]), [],
+                             Matrix.zeros(F, 0, 2))
+    # a free coordinate outside the ambient space
+    with pytest.raises(InvalidStructureError):
+        QuotientPresentation(2, rational_matrix(F, [[1], [1]]), [2], proj)
+    pres = QuotientPresentation(2, rational_matrix(F, [[1], [1]]), [0], proj)
     assert pres.relation_matrix.rank() == 1
 
 

@@ -10,9 +10,9 @@ from bhl.exactalg import CycloField, InvalidStructureError, Matrix
 from bhl.gradedcat import (
     AbelianGroup, Bicharacter, Context, GradedMorphism, GradedObject,
     braiding, braiding_inverse, direct_sum_obj, dual_morphism, identity_mor,
-    left_dual, line_object, phi_left, psi, psi_bar, tensor_obj, unit_object,
+    left_dual, line_object, phi_left, psi, tensor_obj, unit_object,
 )
-from oracles import rational_matrix
+from oracles import psi_bar, rational_matrix
 
 
 def super_ctx():
