@@ -522,6 +522,7 @@ def _emit(payload, out_path):
             fh.write(text)
     else:
         sys.stdout.write(text)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
 
 
 def _summary(payload, elapsed, out_path):
@@ -535,34 +536,50 @@ def _summary(payload, elapsed, out_path):
     for e in payload.get("enlargements", []):
         print("  enlargement %-32s dim %d %s"
               % (e["name"], e["dimension"], e["status"]), file=stream)
+    stream.flush()
+
+
+def _silence_stdout():
+    """Point stdout at os.devnull, so that the interpreter's final flush
+    of what a closed pipe refused stays quiet."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     started = time.monotonic()
     try:
-        _threads_from_env()
-        datum, doc, objects, desc, digest = _load_input(args)
-        body, passed = HANDLERS[args.command](datum, args, doc, objects)
+        try:
+            _threads_from_env()
+            datum, doc, objects, desc, digest = _load_input(args)
+            body, passed = HANDLERS[args.command](datum, args, doc, objects)
+        except EngineError as exc:
+            payload = {"command": args.command,
+                       "error": {"code": exc.code, "message": str(exc)},
+                       "status": "error"}
+            _emit(payload, args.out)
+            print("error[%s]: %s" % (exc.code, exc), file=sys.stderr)
+            return 1
+        payload = {"command": args.command, "inputs": desc, "digest": digest,
+                   "status": "pass" if passed else "fail"}
+        payload.update(body)
+        _emit(payload, args.out)
+        _summary(payload, time.monotonic() - started, args.out)
+        return 0 if passed else 1
     except SchemaError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except OSError as exc:
+        if isinstance(exc, BrokenPipeError):
+            _silence_stdout()
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except EngineError as exc:
-        payload = {"command": args.command,
-                   "error": {"code": exc.code, "message": str(exc)},
-                   "status": "error"}
-        _emit(payload, args.out)
-        print("error[%s]: %s" % (exc.code, exc), file=sys.stderr)
-        return 1
-    payload = {"command": args.command, "inputs": desc, "digest": digest,
-               "status": "pass" if passed else "fail"}
-    payload.update(body)
-    _emit(payload, args.out)
-    _summary(payload, time.monotonic() - started, args.out)
-    return 0 if passed else 1
 
 
 if __name__ == "__main__":

@@ -18,41 +18,53 @@ The quotient map is written down, then proved exact.  By the
 reconstruction theorem the coend is H itself, and pi_B sends
 F(B) (x) *F(B) to B's matrix coefficients: the candidate P is psi_bar of
 each block's coaction, an n x N matrix (n = dim H, N the ambient
-dimension).  The certificate streams the relation columns once and checks
+dimension).  The certificate checks
 
-* (a) P kills every column, so span R is inside ker P;
+* (a) span R is inside ker P, by a lemma instead of a pass over the
+  columns.  P kills the dinaturality columns of f: A -> B exactly when
+  rho_B f = (id (x) f) rho_A, which every comodule map satisfies; it
+  kills a balancing family exactly when the glued block's columns of P
+  equal its anchor's, that is when their coaction matrices agree.  So (a)
+  holds once P is checked against psi_bar of each coaction and each glued
+  block's coaction against its anchor's.
 * (b) the columns' images mod p reach rank N - n, for a prime p = 1 (mod
   the field order) at which zeta maps to a root of Phi_n and which divides
   no denominator met.  That map is a ring map, and a ring map never raises
-  rank, so rank R >= N - n.
+  rank, so rank R >= N - n.  The columns are streamed balancing first,
+  then along maps into cofree blocks (whose hom bases are written down,
+  not eliminated; see `comodcat`), then the rest, and the stream stops
+  as soon as the rank reaches N - n.  Each hom-basis map the stream uses
+  is checked to be colinear, so every streamed column is a relation.
 
 With rank P = n, (a) and (b) give span R = ker P exactly.  The canonical
 presentation of ker P is read off P: coordinate j is free iff P e_j is
 independent of the columns after j, the projection is P_F^-1 P, and the
 reduced relation row of a pivot p is e_p - sum_k proj[k][p] e_(free k).
 It is what eliminating the relations would give, entry for entry.  If
-rank P < n, if (a) fails, or if (b) fails at a few primes (a non-Hopf
-input, a diagram too small to cut H out), every relation column is
-eliminated exactly instead, so every output, error paths included, is as
+rank P < n, if a premise of (a) fails, if a streamed map is not colinear,
+or if (b) fails at a few primes (a non-Hopf input, a diagram too small to
+cut H out), every relation column is eliminated exactly instead, in the
+same stream order, so every output, error paths included, is as
 elimination gives it.
 
 An enlargement certifies itself from its own candidate:
 `Diagram.enlarged` only appends blocks and gluings, so the base's reduced
-relation rows lie in the enlargement's relation span and stand in for the
-base's columns in both checks; only the new columns are streamed.
+relation rows lie in the enlargement's relation span and seed the rank
+bound; only the new columns are streamed.
 """
 
 import copy
 from itertools import chain, islice
 
 from .exactalg import (EngineError, InvalidStructureError, Matrix,
-                       SparseEliminator, _ModpEliminator, _modp_primes,
-                       cokernel_from_rref, require)
+                       QuotientPresentation, SparseEliminator,
+                       _ModpEliminator, _modp_primes, cokernel_from_rref,
+                       require)
 from .gradedcat import (GradedMorphism, GradedObject, left_dual, line_object,
                         tensor_obj)
-from .comodcat import (Comodule, FlagReport, act, comodule_dual,
-                       comodule_tensor, hom_space, regular_comodule,
-                       unit_comodule)
+from .comodcat import (Comodule, FlagReport, act, cofree_degree,
+                       comodule_dual, comodule_tensor, hom_space,
+                       is_colinear, regular_comodule, unit_comodule)
 
 
 class PiNotSurjectiveError(EngineError):
@@ -194,30 +206,48 @@ def _block_spaces(diagram):
 def _hom_pairs(diagram):
     """Ordered block pairs whose dinaturality relations are imposed: every
     source, targets no larger than the Hopf algebra itself (maps out of big
-    blocks are what absorb them; maps into them add nothing new)."""
+    blocks are what absorb them; maps into them add nothing new).  Pairs
+    with a cofree target, whose hom bases need no elimination, come first."""
     n = diagram.hopf.carrier.dim
-    pairs = []
-    for bi, B in enumerate(diagram.blocks):
-        if B.carrier.dim > n:
-            continue
-        for ai in range(len(diagram.blocks)):
-            pairs.append((ai, bi))
-    return pairs
+    targets = [bi for bi, B in enumerate(diagram.blocks) if B.carrier.dim <= n]
+    targets.sort(key=lambda bi: cofree_degree(diagram.blocks[bi]) is None)
+    return [(ai, bi) for bi in targets for ai in range(len(diagram.blocks))]
+
+
+class _NotColinear(Exception):
+    """A hom-basis element that the certificate was to use is not colinear."""
 
 
 def _relation_columns(diagram, spaces, offsets, blocks_done=0,
-                      balance_done=0):
+                      balance_done=0, colinear=False):
     """Yield ("family-name", column-dict) for every relation that the
     prefix of `blocks_done` blocks and `balance_done` gluings lacks, in a
-    fixed deterministic order."""
+    fixed deterministic order: balancing, then dinaturality in `_hom_pairs`
+    order.  With `colinear`, each hom-basis map is checked to be colinear
+    before its columns are yielded, and _NotColinear is raised if not."""
     blocks = diagram.blocks
+    one = diagram.hopf.carrier.ctx.field.one
+    neg_one = -one
+    for k in range(balance_done, len(diagram.balance)):
+        ci, wi = diagram.balance[k]
+        n = blocks[wi].carrier.dim
+        require(blocks[ci].carrier.dim == n,
+                "a glued block must have its anchor's dimension")
+        offC, offW = offsets[ci], offsets[wi]
+        name = "balancing[%d]" % k
+        for b in range(n):
+            for a in range(n):
+                yield name, {offC + b * n + a: one, offW + b * n + a: neg_one}
     for ai, bi in _hom_pairs(diagram):
         if ai < blocks_done and bi < blocks_done:
             continue
-        dA, dB = blocks[ai].carrier.dim, blocks[bi].carrier.dim
+        A, B = blocks[ai], blocks[bi]
+        dA, dB = A.carrier.dim, B.carrier.dim
         offA, offB = offsets[ai], offsets[bi]
         name = "dinaturality[%d->%d]" % (ai, bi)
         for f in diagram.hom_basis(ai, bi):
+            if colinear and not is_colinear(f, A, B):
+                raise _NotColinear(name)
             f_cols = f.matrix.transpose().data
             neg_rows = [{j: -v for j, v in row.items()}
                         for row in f.matrix.data]
@@ -231,18 +261,6 @@ def _relation_columns(diagram, spaces, offsets, blocks_done=0,
                         col = {k: v for k, v in col.items() if v}
                     if col:
                         yield name, col
-    one = diagram.hopf.carrier.ctx.field.one
-    neg_one = -one
-    for k in range(balance_done, len(diagram.balance)):
-        ci, wi = diagram.balance[k]
-        n = blocks[wi].carrier.dim
-        require(blocks[ci].carrier.dim == n,
-                "a glued block must have its anchor's dimension")
-        offC, offW = offsets[ci], offsets[wi]
-        name = "balancing[%d]" % k
-        for b in range(n):
-            for a in range(n):
-                yield name, {offC + b * n + a: one, offW + b * n + a: neg_one}
 
 
 class CoendResult:
@@ -256,16 +274,13 @@ class CoendResult:
     """
 
     def __init__(self, diagram, spaces, offsets, presentation, quotient,
-                 certificate=None, families=None):
+                 certificate=None):
         self.diagram = diagram
         self.spaces = spaces
         self.offsets = offsets
         self.presentation = presentation
         self.quotient = quotient
         self.certificate = certificate
-        # relation families whose every column the certificate projected
-        # to zero; None if no full pass was made
-        self._families = families
 
     @property
     def dim(self):
@@ -275,9 +290,8 @@ class CoendResult:
         """compute_coend(self.diagram.enlarged(*extra)), certified from the
         enlargement's own candidate.  Only the relations the enlargement
         adds are streamed: this presentation's reduced relation rows span
-        the base's relations, so they seed the rank bound and stand in for
-        the base columns in the residual check.  Without a certificate the
-        enlargement is eliminated from scratch."""
+        the base's relations, so they seed the rank bound.  Without a
+        certificate the enlargement is eliminated from scratch."""
         big = self.diagram.enlarged(*extra)
         layout = _block_spaces(big)
         seeds = self.presentation.relation_matrix.transpose().data
@@ -305,10 +319,15 @@ class CoendResult:
 
     def residual_report(self):
         """Every relation column must project to zero, and the presentation
-        identities must hold.  The certificate's residual pass is reused;
-        otherwise every column is re-streamed through the projection."""
-        if self._families is not None:
-            checks = [(name, True) for name in self._families]
+        identities must hold.  Under a certificate the lemma proved it for
+        every dinaturality pair and balancing gluing (no hom basis is
+        needed); otherwise every column is re-streamed through the
+        projection."""
+        if self.certificate is not None:
+            checks = [("dinaturality[%d->%d]" % pair, True)
+                      for pair in _hom_pairs(self.diagram)]
+            checks += [("balancing[%d]" % k, True)
+                       for k in range(len(self.diagram.balance))]
         else:
             P_cols = self.presentation.projection.transpose().data
             bad = set()
@@ -373,48 +392,69 @@ def _canonical_projection(field, P, n):
     return (Matrix.from_rows(field, P, n) * inv.transpose()).data, free
 
 
+def _lemma_holds(diagram, offsets, P):
+    """The premises under which P kills every relation: block B's columns
+    of P are psi_bar of B's coaction, and each glued block's coaction
+    matrix is its anchor's."""
+    blocks = diagram.blocks
+    for B, off in zip(blocks, offsets):
+        d = B.carrier.dim
+        nnz = 0
+        for row, entries in enumerate(B.coaction.matrix.data):
+            h, k = divmod(row, d)
+            for c, v in entries.items():
+                x = P[off + c * d + k].get(h)
+                if x is None or x != v:
+                    return False
+            nnz += len(entries)
+        if sum(map(len, P[off:off + d * d])) != nnz:
+            return False
+    return all(blocks[ci].coaction.matrix == blocks[wi].coaction.matrix
+               for ci, wi in diagram.balance)
+
+
 _PRIME_TRIES = 3  # primes tried for the rank bound before eliminating
 
 
-def _certify(field, P, target, seeds, columns):
-    """(p, families) if the relations span ker P, else None.
-
-    (a) P, given by its columns, kills every seed row and every column of
-    columns() -- one pass, which also lists the families; (b) their images
-    mod p reach rank `target`.  A prime dividing a denominator, or one at
-    which the rank falls short, is replaced by the next, re-streaming the
-    columns for (b) only."""
-    if not all(_kills(P, row) for row in seeds):
-        return None
-    families, killed = [], [True]
-
-    def checked():
-        for name, col in columns():
-            if not _kills(P, col):
-                killed[0] = False
-                return
-            if not families or families[-1] != name:
-                families.append(name)
-            yield col
-
-    residual = stream = checked()
+def _rank_bound(field, target, rows):
+    """A prime p at which the images of the rows of rows() reach rank
+    `target`, or None.  The stream stops as soon as the rank does; a
+    prime dividing a denominator, or one at which the rank falls short,
+    is replaced by the next, re-streaming the rows."""
     for p, root in islice(_modp_primes(field), _PRIME_TRIES):
         modp = _ModpEliminator(field, p, root)
-        try:
-            for row in chain(seeds, stream):
-                if modp.rank >= target:
-                    break
-                modp.add(row)
-        except ZeroDivisionError:
-            modp = None
-        for _ in residual:  # the rest of the residual pass, on first use
-            pass
-        if not killed[0]:
-            return None
-        if modp is not None and modp.rank >= target:
-            return p, families
-        stream = (col for _, col in columns())
+        if modp.rank < target:
+            try:
+                for row in rows():
+                    if modp.add(row) and modp.rank >= target:
+                        break
+            except ZeroDivisionError:
+                continue
+        if modp.rank >= target:
+            return p
     return None
+
+
+def _presentation(field, total, proj, free):
+    """The canonical presentation of ker P from (P_F^-1 P as columns, F):
+    the reduced relation row of a pivot p is e_p - sum_k proj[p][k]
+    e_(free k), and the projection is P_F^-1 P itself."""
+    free_at = set(free)
+    one = field.one
+    rel = [{} for _ in range(total)]
+    k = 0
+    for p, col in enumerate(proj):
+        if p not in free_at:
+            rel[p][k] = one
+            for q, v in col.items():
+                rel[free[q]][k] = -v
+            k += 1
+    return QuotientPresentation(
+        ambient_dim=total,
+        relation_matrix=Matrix.from_rows(field, rel, k),
+        free=free,
+        projection=Matrix.from_rows(field, proj, len(free)).transpose(),
+    )
 
 
 def _certified(diagram, spaces, offsets, total, seeds=(), prefix=()):
@@ -424,30 +464,26 @@ def _certified(diagram, spaces, offsets, total, seeds=(), prefix=()):
     field = diagram.hopf.carrier.ctx.field
     n = diagram.hopf.carrier.dim
     P = _candidate(diagram, offsets, total)
+    if not _lemma_holds(diagram, offsets, P):
+        return None
     found = _canonical_projection(field, P, n)
+    del P  # not needed by the presentation: lower its peak memory
     if found is None:
         return None
-    proj, free = found
-    # P has fewer nonzeros than proj, and the same kernel
-    cert = _certify(field, P, total - n, seeds,
-                    lambda: _relation_columns(diagram, spaces, offsets,
-                                              *prefix))
-    if cert is None:
+
+    def rows():
+        columns = _relation_columns(diagram, spaces, offsets, *prefix,
+                                    colinear=True)
+        return chain(seeds, (col for _, col in columns))
+
+    try:
+        prime = _rank_bound(field, total - n, rows)
+    except _NotColinear:
         return None
-    free_at = {j: k for k, j in enumerate(free)}
-    one = field.one
-    rows = []
-    for p, col in enumerate(proj):
-        if p not in free_at:
-            row = {p: one}
-            for q, v in col.items():
-                row[free[q]] = -v
-            rows.append((p, row))
-    del P, proj  # not needed by the presentation: lower its peak memory
-    prime, families = cert
+    if prime is None:
+        return None
     return _result(diagram, spaces, offsets,
-                   cokernel_from_rref(field, total, rows),
-                   prime, None if prefix else families)
+                   _presentation(field, total, *found), prime)
 
 
 def _eliminated(diagram, spaces, offsets, total):
@@ -460,7 +496,7 @@ def _eliminated(diagram, spaces, offsets, total):
                    cokernel_from_rref(field, total, elim.rref_rows()))
 
 
-def _result(diagram, spaces, offsets, pres, certificate=None, families=None):
+def _result(diagram, spaces, offsets, pres, certificate=None):
     def coord_degree(p):
         for S, off in zip(reversed(spaces), reversed(offsets)):
             if p >= off:
@@ -470,8 +506,7 @@ def _result(diagram, spaces, offsets, pres, certificate=None, families=None):
     quotient = GradedObject(diagram.hopf.carrier.ctx,
                             [("c%d" % k, coord_degree(p))
                              for k, p in enumerate(pres.free)])
-    return CoendResult(diagram, spaces, offsets, pres, quotient,
-                       certificate, families)
+    return CoendResult(diagram, spaces, offsets, pres, quotient, certificate)
 
 
 def compute_coend(diagram):

@@ -2,8 +2,15 @@
 
 Comodules form a monoidal category acted on by the ambient graded category:
 `act` tensors a comodule with a plain graded object on the right (the
-object carries the trivial coaction).  Hom spaces are computed exactly as
-kernels of the colinearity equations.
+object carries the trivial coaction).
+
+Hom spaces are exact.  Into a cofree comodule H (x) L -- a comodule whose
+coaction matrix is Delta and whose degrees are H's shifted by one degree d
+(the regular comodule, and it acted on by a line) -- they are written down
+by formula: Hom^H(A, H (x) L) = Hom(F(A), L) through f |-> (id (x) f) rho_A,
+so the maps (id (x) E_a) rho_A, one for each basis vector a of A of degree
+d, are a basis, with no elimination.  Into any other comodule they are the
+kernel of the colinearity equations.
 """
 
 from collections import defaultdict
@@ -67,7 +74,7 @@ def unit_comodule(H):
 def comodule_tensor(A, B):
     """Tensor product comodule; the coactions are merged through m and the
     ambient braiding."""
-    assert A.hopf == B.hopf
+    require(A.hopf == B.hopf, "comodules over different Hopf algebras")
     Hd = A.hopf
     H = Hd.carrier
     iV = identity_mor(A.carrier)
@@ -94,14 +101,14 @@ def comodule_dual(A):
 
 def act(B, X):
     """The right action of the ambient category: B (x) X with X inert."""
-    assert isinstance(X, GradedObject)
+    require(isinstance(X, GradedObject), "an action must be by a graded object")
     return Comodule(B.hopf, tensor_obj(B.carrier, X),
                     B.coaction @ identity_mor(X))
 
 
 def direct_sum_comodule(A, B):
     """Block direct sum of two comodules."""
-    assert A.hopf == B.hopf
+    require(A.hopf == B.hopf, "comodules over different Hopf algebras")
     Hd = A.hopf
     nH = Hd.carrier.dim
     dA, dB = A.carrier.dim, B.carrier.dim
@@ -120,15 +127,41 @@ def direct_sum_comodule(A, B):
     return Comodule(Hd, carrier, rho)
 
 
+def cofree_degree(B):
+    """The degree d if B is the cofree comodule H (x) L_d written in H's
+    basis -- its coaction matrix is Delta's and its degree i is H's degree
+    i plus d -- else None."""
+    H = B.hopf.carrier
+    V = B.carrier
+    if B.coaction.matrix != B.hopf.delta.matrix:
+        return None
+    group = V.ctx.group
+    d = group.add(V.degree(0), group.neg(H.degree(0)))
+    if any(V.degree(i) != group.add(H.degree(i), d) for i in range(V.dim)):
+        return None
+    return d
+
+
 def hom_space(A, B):
-    """The canonical basis of the comodule morphisms A -> B: a list of
-    degree-preserving colinear GradedMorphisms F(A) -> F(B)."""
-    assert A.hopf.carrier == B.hopf.carrier, "comodules over different coalgebras"
-    assert A.hopf.delta == B.hopf.delta and A.hopf.eps == B.hopf.eps, \
-        "comodules over different coalgebras"
+    """A basis of the comodule morphisms A -> B: a list of
+    degree-preserving colinear GradedMorphisms F(A) -> F(B).  Into a
+    cofree B it is (id (x) E_a) rho_A for the basis vectors a of A of B's
+    shift degree, in order; otherwise the canonical null-space basis of
+    the colinearity equations."""
+    require(A.hopf.carrier == B.hopf.carrier,
+            "comodules over different coalgebras")
+    require(A.hopf.delta == B.hopf.delta and A.hopf.eps == B.hopf.eps,
+            "comodules over different coalgebras")
     VA, VB = A.carrier, B.carrier
     dA, dB = VA.dim, VB.dim
     field = VA.ctx.field
+    d = cofree_degree(B)
+    if d is not None:
+        # row h of (id (x) E_a) rho_A is row (h, a) of rho_A
+        rho = A.coaction.matrix.data
+        return [GradedMorphism(VA, VB, Matrix.from_rows(
+                    field, [rho[h * dA + a] for h in range(dB)], dA))
+                for a in range(dA) if VA.degree(a) == d]
     unknowns = {}
     for i in range(dB):
         for j in range(dA):
@@ -163,6 +196,18 @@ def hom_space(A, B):
             mat[i][j] = v
         out.append(GradedMorphism(VA, VB, Matrix.from_rows(field, mat, dA)))
     return out
+
+
+def is_colinear(f, A, B):
+    """Whether f: F(A) -> F(B) is colinear: rho_B f = (id (x) f) rho_A,
+    the right side taken as f times each H-slice of rho_A."""
+    field, dA = f.matrix.field, A.carrier.dim
+    rho = A.coaction.matrix.data
+    rhs = []
+    for h in range(A.hopf.carrier.dim):
+        rhs.extend((f.matrix * Matrix.from_rows(
+            field, rho[h * dA:(h + 1) * dA], dA)).data)
+    return (B.coaction.matrix * f.matrix).data == tuple(rhs)
 
 
 class FlagReport:

@@ -5,20 +5,46 @@ monoidal module category over the ambient graded category and the forgetful
 functor F has a monoidal section.  The engine relies on both without
 checking them; these functions check them exactly on finite samples, and
 build the prebalancing exchange that the balancing relations encode and
-psi_bar, the map the certified coend's candidate is built from entrywise.
+psi_bar, the map the certified coend's candidate is built from entrywise,
+and `hom_basis_by_elimination`, the oracle for the hom bases that
+`hom_space` writes down by formula.
 """
 
 from bhl.comodcat import (FlagReport, act, comodule_tensor, trivial_comodule,
                           unit_comodule)
-from bhl.exactalg import Matrix, require
-from bhl.gradedcat import (identity_mor, left_dual, phi_left, tensor_obj,
-                           unit_object)
+from bhl.exactalg import Matrix, SparseEliminator, _null_space, require
+from bhl.gradedcat import (GradedMorphism, identity_mor, left_dual, phi_left,
+                           tensor_obj, unit_object)
 
 
 def is_comodule_morphism(f, A, B):
     """Exact colinearity residual of f: F(A) -> F(B)."""
     iH = identity_mor(A.hopf.carrier)
     return (B.coaction * f - (iH @ f) * A.coaction).is_zero()
+
+
+def hom_basis_by_elimination(A, B):
+    """A basis of the comodule maps A -> B, by exact elimination: the null
+    space of f |-> rho_B f - (id (x) f) rho_A on the degree-preserving
+    maps F(A) -> F(B), one unknown per matrix unit E_ij."""
+    VA, VB = A.carrier, B.carrier
+    field = VA.ctx.field
+    iH = Matrix.identity(field, A.hopf.carrier.dim)
+    units = [(i, j) for i in range(VB.dim) for j in range(VA.dim)
+             if VB.degree(i) == VA.degree(j)]
+    columns = []
+    for i, j in units:
+        E = Matrix.from_dict(field, VB.dim, VA.dim, {(i, j): field.one})
+        R = B.coaction.matrix * E - (iH @ E) * A.coaction.matrix
+        columns.append({r * R.cols + c: v for r, c, v in R.items()})
+    n_eq = A.hopf.carrier.dim * VB.dim * VA.dim
+    elim = SparseEliminator(field)
+    for row in Matrix.from_rows(field, columns, n_eq).transpose().data:
+        elim.add(dict(row))
+    _, basis = _null_space(field, len(units), elim.rref_rows())
+    return [GradedMorphism(VA, VB, Matrix.from_dict(
+                field, VB.dim, VA.dim, {units[k]: v for k, v in vec.items()}))
+            for vec in basis]
 
 
 def _default_l(B, X):

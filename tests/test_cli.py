@@ -1,6 +1,7 @@
 """Command-line interface: spec-file round-trips, report payloads, exit
 codes, error codes, and byte-identical reports."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -472,3 +473,51 @@ def test_optimized_interpreter_gives_the_same_reports(tmp_path):
         assert plain.stdout == optimized.stdout, args
         for proc in (plain, optimized):
             assert b"Traceback" not in proc.stderr, proc.stderr.decode()
+
+
+def test_optimized_interpreter_reproduces_the_golden_report(tmp_path):
+    """The certified coend's premise checks are not asserts: under python
+    -O the nichols_cyclic:3 reconstruction report still has the sha256
+    stored in perfbench/expected.json (only read here)."""
+    expected = json.loads((PYPROJECT.parent / "perfbench" / "expected.json")
+                          .read_text())["ops"]
+    want = expected["verify-reconstruction nichols_cyclic:3"]
+    out = tmp_path / "report.json"
+    proc = run_module(["-O"], ["verify-reconstruction", "--builtin",
+                               "nichols_cyclic:3", "--out", str(out)])
+    assert proc.returncode == want["exit"], proc.stderr.decode()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == want["sha256"]
+
+
+# ---------------------------------------------------------------------------
+# report emission errors
+# ---------------------------------------------------------------------------
+
+def test_unwritable_out_path_exits_2_with_one_error_line(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json"
+    code = main(["check-hopf", "--builtin", "sweedler", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [["check-hopf", "--builtin", "sweedler"],
+                                  ["check-hopf", "--builtin", "sweedler",
+                                   "--out", "report.json"]])
+def test_closed_stdout_exits_2_with_one_error_line(args, tmp_path):
+    # the report (or, with --out, the summary) goes to a pipe whose read
+    # end is already closed
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(bhl.__file__).resolve().parent.parent)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "bhl"] + args,
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env=env, cwd=tmp_path)
+    finally:
+        os.close(write_end)
+    err = proc.stderr.decode()
+    assert proc.returncode == 2, err
+    assert err.startswith("error: ") and err.count("\n") == 1, err

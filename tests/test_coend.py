@@ -5,6 +5,7 @@ from itertools import islice
 import pytest
 
 import bhl.coend
+import bhl.comodcat
 from bhl.catalog import BUILTIN_NAMES, build, exterior_line, group_algebra, sweedler
 from bhl.braidedhopf import HopfAlgebraData
 from bhl.coend import (
@@ -13,14 +14,15 @@ from bhl.coend import (
     _candidate, _eliminated,
 )
 from bhl.comodcat import (
-    act, comodule_dual, comodule_tensor, direct_sum_comodule, regular_comodule,
-    unit_comodule,
+    act, cofree_degree, comodule_dual, comodule_tensor, direct_sum_comodule,
+    hom_space, regular_comodule, unit_comodule,
 )
 from bhl.exactalg import (InvalidStructureError, Matrix, _ModpEliminator,
                           _modp_primes, cokernel_from_rref)
 from bhl.gradedcat import (GradedMorphism, GradedObject, identity_mor,
                            left_dual, line_object, tensor_obj, unit_object)
-from oracles import prebalancing, psi_bar, rational_matrix
+from oracles import (hom_basis_by_elimination, is_comodule_morphism,
+                     prebalancing, psi_bar, rational_matrix)
 
 
 def test_coend_dim_equals_hopf_dim_on_all_builtins():
@@ -165,8 +167,8 @@ def test_resumed_enlargement_by_a_known_block_streams_nothing(monkeypatch):
     streamed = []
     relation_columns = bhl.coend._relation_columns
 
-    def recording(*args):
-        for item in relation_columns(*args):
+    def recording(*args, **kwargs):
+        for item in relation_columns(*args, **kwargs):
             streamed.append(item)
             yield item
 
@@ -213,21 +215,124 @@ def test_wrong_candidate_falls_back_to_elimination(monkeypatch):
 
 
 def test_relation_the_candidate_does_not_kill_falls_back(monkeypatch):
+    # a planted non-colinear map E_00 (1 -> 1, x -> 0) among the regular
+    # block's endomorphisms: its dinaturality columns are not relations,
+    # and P does not kill them.  The stream reaches that pair first, after
+    # balancing, so the certificate's colinearity check must refuse it.
     H = exterior_line()
     D = default_diagram(H)
-    relation_columns = bhl.coend._relation_columns
+    field = H.carrier.ctx.field
+    reg = D.blocks[D.regular]
+    planted = GradedMorphism(H.carrier, H.carrier,
+                             Matrix.from_dict(field, 2, 2, {(0, 0): field.one}))
+    assert not is_comodule_morphism(planted, reg, reg)
+    hom_space = bhl.coend.hom_space
 
-    def with_extra(diagram, spaces, offsets, *prefix):
-        yield from relation_columns(diagram, spaces, offsets, *prefix)
-        # the unit of the regular block's pairing: its class is not zero
-        yield "extra", {offsets[diagram.regular]: H.carrier.ctx.field.one}
+    def with_planted(A, B):
+        basis = hom_space(A, B)
+        return basis + [planted] if A == B == reg else basis
 
-    monkeypatch.setattr(bhl.coend, "_relation_columns", with_extra)
+    monkeypatch.setattr(bhl.coend, "hom_space", with_planted)
     res = compute_coend(D)
     assert res.certificate is None
     assert res.dim == H.carrier.dim - 1
     assert_same_coend(res, eliminated(D))
-    assert "extra" in [name for name, _ in res.residual_report().checks]
+    planted_family = "dinaturality[%d->%d]" % (D.regular, D.regular)
+    assert planted_family in [name for name, _ in
+                              res.residual_report().checks]
+
+
+STOCK = list(BUILTIN_NAMES) + ["nichols_cyclic:5"]
+
+
+def span_rank(maps):
+    """The rank of a list of maps, each flattened to one row."""
+    field = maps[0].matrix.field
+    cols = maps[0].matrix.cols
+    rows = [{i * cols + j: v for i, j, v in f.matrix.items()} for f in maps]
+    return Matrix.from_rows(field, rows, maps[0].matrix.rows * cols).rank()
+
+
+@pytest.mark.parametrize("name", STOCK)
+def test_cofree_hom_bases_match_the_elimination_oracle(name):
+    D = reconstruction_diagram(build(name))
+    cofree = [bi for bi, B in enumerate(D.blocks)
+              if cofree_degree(B) is not None]
+    # among them the regular block and every block acting on it by a line
+    assert {D.regular} | {ci for ci, wi, _ in D.acted
+                          if wi == D.regular} <= set(cofree)
+    for bi in cofree:
+        B = D.blocks[bi]
+        for A in D.blocks:
+            basis = hom_space(A, B)
+            oracle = hom_basis_by_elimination(A, B)
+            assert len(basis) == len(oracle)
+            for f in basis:
+                assert is_comodule_morphism(f, A, B)
+            if basis:
+                assert span_rank(basis) == span_rank(basis + oracle) \
+                    == len(basis)
+
+
+@pytest.mark.parametrize("name", STOCK)
+def test_certified_coend_eliminates_no_hom_space(name, monkeypatch):
+    # at the rank bound the stream is still inside the cofree families, so
+    # no hom space is eliminated; the presentation is elimination's
+    D = reconstruction_diagram(build(name))
+    eliminators = []
+
+    class Counting(bhl.comodcat.SparseEliminator):
+        def __init__(self, field):
+            eliminators.append(self)
+            super().__init__(field)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(bhl.comodcat, "SparseEliminator", Counting)
+        res = compute_coend(D)
+    assert res.certificate is not None
+    assert eliminators == []
+    assert_same_coend(res, eliminated(D))
+
+
+def test_certificate_streams_balancing_then_cofree_and_stops_at_the_bound(
+        monkeypatch):
+    D = default_diagram(build("nichols_cyclic:3"))
+    spaces, offsets, total = _block_spaces(D)
+    full = list(bhl.coend._relation_columns(D, spaces, offsets))
+    relation_columns = bhl.coend._relation_columns
+    streamed = []
+
+    def recording(*args, **kwargs):
+        for item in relation_columns(*args, **kwargs):
+            streamed.append(item[0])
+            yield item
+
+    monkeypatch.setattr(bhl.coend, "_relation_columns", recording)
+    res = compute_coend(D)
+    assert res.certificate is not None
+    # the stream is the full stream's prefix: balancing, then pairs with a
+    # cofree target; it stops at the rank bound, before the end
+    assert streamed == [name for name, _ in full[:len(streamed)]]
+    assert len(streamed) < len(full)
+    first = next(i for i, x in enumerate(streamed)
+                 if x.startswith("dinaturality"))
+    assert first and all(x.startswith("balancing") for x in streamed[:first])
+    for x in streamed[first:]:
+        target = int(x.split("->")[1].rstrip("]"))
+        assert cofree_degree(D.blocks[target]) is not None, x
+
+
+def test_glued_block_with_another_coaction_falls_back():
+    # gluing the dual block onto the regular one breaks the lemma's premise
+    # that a glued block coacts as its anchor does
+    H = sweedler()
+    D = reconstruction_diagram(H)
+    dual = D.index(D.derived(comodule_dual, D.regular))
+    assert D.blocks[dual].coaction.matrix != D.blocks[D.regular].coaction.matrix
+    D.balance.append((dual, D.regular))
+    res = compute_coend(D)
+    assert res.certificate is None
+    assert_same_coend(res, eliminated(D))
 
 
 def test_relations_one_short_of_the_kernel_fall_back(monkeypatch):
@@ -237,8 +342,8 @@ def test_relations_one_short_of_the_kernel_fall_back(monkeypatch):
     D = default_diagram(H)
     relation_columns = bhl.coend._relation_columns
 
-    def without_balancing_0(*args):
-        return ((name, col) for name, col in relation_columns(*args)
+    def without_balancing_0(*args, **kwargs):
+        return ((name, col) for name, col in relation_columns(*args, **kwargs)
                 if name != "balancing[0]")
 
     monkeypatch.setattr(bhl.coend, "_relation_columns", without_balancing_0)

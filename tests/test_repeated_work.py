@@ -79,10 +79,10 @@ def test_stability_streams_each_base_relation_once(monkeypatch, tmp_path):
     families = set()
     relation_columns = bhl.coend._relation_columns
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         if sys._getframe(1).f_code.co_name == "residual_report":
-            return relation_columns(*args)
-        return recorded(relation_columns(*args))
+            return relation_columns(*args, **kwargs)
+        return recorded(relation_columns(*args, **kwargs))
 
     def recorded(columns):
         seen = Counter()
