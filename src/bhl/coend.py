@@ -34,7 +34,12 @@ dimension).  The certificate checks
   then along maps into cofree blocks (whose hom bases are written down,
   not eliminated; see `comodcat`), then the rest, and the stream stops
   as soon as the rank reaches N - n.  Each hom-basis map the stream uses
-  is checked to be colinear, so every streamed column is a relation.
+  is checked to be colinear, so every streamed column is a relation.  A
+  map into a cofree block is checked by formula: it must be the k-th map
+  (id (x) E_a) rho_A of `hom_space`'s basis, row for row, which is
+  colinear because A's coaction is coassociative (checked when A was
+  built) and the block's coaction is Delta (checked by `cofree_degree`).
+  Any other map is checked by the product, `is_colinear`.
 
 With rank P = n, (a) and (b) give span R = ker P exactly.  The canonical
 presentation of ker P is read off P: coordinate j is free iff P e_j is
@@ -48,9 +53,10 @@ same stream order, so every output, error paths included, is as
 elimination gives it.
 
 An enlargement certifies itself from its own candidate:
-`Diagram.enlarged` only appends blocks and gluings, so the base's reduced
-relation rows lie in the enlargement's relation span and seed the rank
-bound; only the new columns are streamed.
+`Diagram.enlarged` only appends blocks and gluings, so the base's relations
+are relations of the enlargement, and only the new columns are streamed.
+At the base's prime the rank bound resumes from the base's rows mod p; at
+any other prime the base's reduced relation rows are streamed first.
 """
 
 import copy
@@ -218,14 +224,33 @@ class _NotColinear(Exception):
     """A hom-basis element that the certificate was to use is not colinear."""
 
 
+def _is_cofree_formula(f, k, A, B_degree):
+    """Whether f is the k-th map of `hom_space`'s formula basis into a
+    cofree block of degree B_degree: row h of f is row (h, a) of rho_A, a
+    the k-th basis vector of A of that degree.  Such a map f is colinear:
+    rho_B f = (Delta (x) E_a) rho_A = (id (x) f) rho_A is A's
+    coassociativity, checked when A was built."""
+    VA = A.carrier
+    dA = VA.dim
+    shifted = [a for a in range(dA) if VA.degree(a) == B_degree]
+    if k >= len(shifted) or f.matrix.cols != dA:
+        return False
+    rho, a = A.coaction.matrix.data, shifted[k]
+    return list(f.matrix.data) == [rho[h * dA + a]
+                                   for h in range(A.hopf.carrier.dim)]
+
+
 def _relation_columns(diagram, spaces, offsets, blocks_done=0,
                       balance_done=0, colinear=False):
     """Yield ("family-name", column-dict) for every relation that the
     prefix of `blocks_done` blocks and `balance_done` gluings lacks, in a
     fixed deterministic order: balancing, then dinaturality in `_hom_pairs`
     order.  With `colinear`, each hom-basis map is checked to be colinear
-    before its columns are yielded, and _NotColinear is raised if not."""
+    before its columns are yielded, and _NotColinear is raised if not: a
+    map into a cofree block by comparing it with the formula map, any other
+    by `is_colinear`."""
     blocks = diagram.blocks
+    cofree = {}  # target index -> cofree_degree of the target
     one = diagram.hopf.carrier.ctx.field.one
     neg_one = -one
     for k in range(balance_done, len(diagram.balance)):
@@ -245,8 +270,12 @@ def _relation_columns(diagram, spaces, offsets, blocks_done=0,
         dA, dB = A.carrier.dim, B.carrier.dim
         offA, offB = offsets[ai], offsets[bi]
         name = "dinaturality[%d->%d]" % (ai, bi)
-        for f in diagram.hom_basis(ai, bi):
-            if colinear and not is_colinear(f, A, B):
+        if colinear and bi not in cofree:
+            cofree[bi] = cofree_degree(B)
+        for k, f in enumerate(diagram.hom_basis(ai, bi)):
+            if colinear and not ((cofree[bi] is not None
+                                  and _is_cofree_formula(f, k, A, cofree[bi]))
+                                 or is_colinear(f, A, B)):
                 raise _NotColinear(name)
             f_cols = f.matrix.transpose().data
             neg_rows = [{j: -v for j, v in row.items()}
@@ -271,16 +300,20 @@ class CoendResult:
     block i's F(B) (x) *F(B) as a morphism of the graded category.
     `certificate` is the prime of the rank bound when the presentation was
     certified (see the module docstring), None when it was eliminated.
+    `modp_rows` are the rank bound's rows mod that prime, from which
+    `enlarged` resumes; a caller that enlarges nothing may set them to
+    None to free them (then `enlarged` streams the reduced relation rows).
     """
 
     def __init__(self, diagram, spaces, offsets, presentation, quotient,
-                 certificate=None):
+                 certificate=None, modp_rows=None):
         self.diagram = diagram
         self.spaces = spaces
         self.offsets = offsets
         self.presentation = presentation
         self.quotient = quotient
         self.certificate = certificate
+        self.modp_rows = modp_rows
 
     @property
     def dim(self):
@@ -289,15 +322,13 @@ class CoendResult:
     def enlarged(self, *extra):
         """compute_coend(self.diagram.enlarged(*extra)), certified from the
         enlargement's own candidate.  Only the relations the enlargement
-        adds are streamed: this presentation's reduced relation rows span
-        the base's relations, so they seed the rank bound.  Without a
-        certificate the enlargement is eliminated from scratch."""
+        adds are streamed.  The base's relations seed the rank bound: at
+        the base's prime its mod-p rows are resumed as they are, at any
+        other prime its reduced relation rows are streamed first.  Without
+        a certificate the enlargement is eliminated from scratch."""
         big = self.diagram.enlarged(*extra)
         layout = _block_spaces(big)
-        seeds = self.presentation.relation_matrix.transpose().data
-        prefix = (len(self.diagram.blocks), len(self.diagram.balance))
-        return (_certified(big, *layout, seeds=seeds, prefix=prefix)
-                or _eliminated(big, *layout))
+        return _certified(big, *layout, base=self) or _eliminated(big, *layout)
 
     def pi(self, i):
         """The universal map F(B) (x) *F(B) -> quotient of block i."""
@@ -416,22 +447,26 @@ def _lemma_holds(diagram, offsets, P):
 _PRIME_TRIES = 3  # primes tried for the rank bound before eliminating
 
 
-def _rank_bound(field, target, rows):
-    """A prime p at which the images of the rows of rows() reach rank
-    `target`, or None.  The stream stops as soon as the rank does; a
-    prime dividing a denominator, or one at which the rank falls short,
-    is replaced by the next, re-streaming the rows."""
+def _rank_bound(field, target, rows, resume=None):
+    """(p, rows mod p) for a prime p at which the images of the rows of
+    rows(p) reach rank `target`, or None.  `resume` is (p, rows mod p) of
+    an earlier bound, the starting rows at its own prime.  The stream stops
+    as soon as the rank reaches the target; a prime dividing a denominator,
+    or one at which the rank falls short, is replaced by the next,
+    re-streaming the rows."""
     for p, root in islice(_modp_primes(field), _PRIME_TRIES):
         modp = _ModpEliminator(field, p, root)
+        if resume is not None and resume[0] == p:
+            modp.rows = dict(resume[1])
         if modp.rank < target:
             try:
-                for row in rows():
+                for row in rows(p):
                     if modp.add(row) and modp.rank >= target:
                         break
             except ZeroDivisionError:
                 continue
         if modp.rank >= target:
-            return p
+            return p, modp.rows
     return None
 
 
@@ -457,10 +492,10 @@ def _presentation(field, total, proj, free):
     )
 
 
-def _certified(diagram, spaces, offsets, total, seeds=(), prefix=()):
-    """The coend certified from the candidate, or None.  `seeds` are exact
-    relation rows of the diagram and `prefix` the (blocks, gluings) whose
-    relations they span; only the other relations are streamed."""
+def _certified(diagram, spaces, offsets, total, base=None):
+    """The coend certified from the candidate, or None.  `base` is the
+    coend of a diagram that this one enlarges: its relations are not
+    streamed again (see `CoendResult.enlarged`)."""
     field = diagram.hopf.carrier.ctx.field
     n = diagram.hopf.carrier.dim
     P = _candidate(diagram, offsets, total)
@@ -471,19 +506,30 @@ def _certified(diagram, spaces, offsets, total, seeds=(), prefix=()):
     if found is None:
         return None
 
-    def rows():
+    resume, prefix = None, ()
+    if base is not None:
+        prefix = (len(base.diagram.blocks), len(base.diagram.balance))
+        if base.modp_rows is not None:
+            resume = (base.certificate, base.modp_rows)
+
+    def rows(p):
         columns = _relation_columns(diagram, spaces, offsets, *prefix,
                                     colinear=True)
-        return chain(seeds, (col for _, col in columns))
+        columns = (col for _, col in columns)
+        if base is None or (resume is not None and p == resume[0]):
+            return columns
+        # the base's relations, spanned by its reduced relation rows
+        return chain(base.presentation.relation_matrix.transpose().data,
+                     columns)
 
     try:
-        prime = _rank_bound(field, total - n, rows)
+        bound = _rank_bound(field, total - n, rows, resume)
     except _NotColinear:
         return None
-    if prime is None:
+    if bound is None:
         return None
     return _result(diagram, spaces, offsets,
-                   _presentation(field, total, *found), prime)
+                   _presentation(field, total, *found), *bound)
 
 
 def _eliminated(diagram, spaces, offsets, total):
@@ -496,7 +542,8 @@ def _eliminated(diagram, spaces, offsets, total):
                    cokernel_from_rref(field, total, elim.rref_rows()))
 
 
-def _result(diagram, spaces, offsets, pres, certificate=None):
+def _result(diagram, spaces, offsets, pres, certificate=None,
+            modp_rows=None):
     def coord_degree(p):
         for S, off in zip(reversed(spaces), reversed(offsets)):
             if p >= off:
@@ -506,7 +553,8 @@ def _result(diagram, spaces, offsets, pres, certificate=None):
     quotient = GradedObject(diagram.hopf.carrier.ctx,
                             [("c%d" % k, coord_degree(p))
                              for k, p in enumerate(pres.free)])
-    return CoendResult(diagram, spaces, offsets, pres, quotient, certificate)
+    return CoendResult(diagram, spaces, offsets, pres, quotient, certificate,
+                       modp_rows)
 
 
 def compute_coend(diagram):

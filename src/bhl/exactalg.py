@@ -4,15 +4,16 @@ Scalars live in Q(zeta_n), represented as residues modulo the n-th
 cyclotomic polynomial: integer numerators in the power basis over one
 positive common denominator, with their gcd divided out.  Phi_n is monic
 with integer coefficients, so sums, products and inverses are integer
-arithmetic plus one gcd; `Fraction` appears only where scalars are parsed
-and formatted.  Everything downstream (graded categories, Hopf structure
-checks, coend quotients) reduces to the handful of primitives in this
-module: sparse elimination to reduced rows, the null space and quotient
-presentation read off them, and exact solves for unknown linear maps.
+arithmetic plus one gcd.  Scalar literals are parsed and formatted with
+ints too; only a literal in a rare form (an exponent, underscores) is
+handed to `fractions.Fraction`, imported on first use.  Everything
+downstream (graded categories, Hopf structure checks, coend quotients)
+reduces to the handful of primitives in this module: sparse elimination to
+reduced rows, the null space and quotient presentation read off them, and
+exact solves for unknown linear maps.
 All results are exact; "zero" always means identically zero.
 """
 
-from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
 from operator import add as _add, mul as _mul, neg as _neg, sub as _sub
@@ -119,11 +120,10 @@ class CycloField:
         return hash(("CycloField", self.order))
 
     def scalar(self, value):
-        """Embed a rational number (int or Fraction)."""
-        if not isinstance(value, int):
-            value = Fraction(value)
-        return _scalar(self, (value.numerator,) + (0,) * (self.degree - 1),
-                       value.denominator)
+        """Embed a rational number: an int, or anything with an exact
+        `as_integer_ratio` (a Fraction, say)."""
+        num, den = (value, 1) if type(value) is int else value.as_integer_ratio()
+        return _scalar(self, (num,) + (0,) * (self.degree - 1), den)
 
     @property
     def zero(self):
@@ -231,17 +231,19 @@ class Scalar:
     __slots__ = ("field", "num", "den")
 
     def __init__(self, field, coeffs):
-        """From the `field.degree` rational coefficients (ints or
-        Fractions) of the power basis."""
-        coeffs = [c if type(c) is int else Fraction(c) for c in coeffs]
-        if len(coeffs) != field.degree:
+        """From the `field.degree` rational coefficients (ints, or numbers
+        with an exact `as_integer_ratio` such as Fractions) of the power
+        basis."""
+        ratios = [(c, 1) if type(c) is int else c.as_integer_ratio()
+                  for c in coeffs]
+        if len(ratios) != field.degree:
             raise InvalidStructureError(
                 "a scalar of Q(zeta_%d) has %d coefficients, not %d"
-                % (field.order, field.degree, len(coeffs)))
+                % (field.order, field.degree, len(ratios)))
         # the lcm of the reduced denominators leaves no common factor
-        den = lcm(*(c.denominator for c in coeffs))
+        den = lcm(*(d for _, d in ratios))
         self.field = field
-        self.num = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+        self.num = tuple(n * (den // d) for n, d in ratios)
         self.den = den
 
     def _coerce(self, other):
@@ -253,7 +255,8 @@ class Scalar:
                     "scalars from different fields: %r and %r"
                     % (self.field, other.field))
             return other
-        if isinstance(other, (int, Fraction)):
+        # ints and rationals (a Fraction has a denominator, a float none)
+        if isinstance(other, int) or hasattr(other, "denominator"):
             return self.field.scalar(other)
         return NotImplemented
 
@@ -336,23 +339,29 @@ class Scalar:
         return "Scalar(%s)" % (format_scalar(self),)
 
 
+def _format_ratio(n, d):
+    """n / d (d > 0) in lowest terms, as str(Fraction(n, d)) writes it."""
+    g = gcd(n, d)
+    return str(n // g) if d == g else "%d/%d" % (n // g, d // g)
+
+
 def format_scalar(s):
     """Canonical human/serialization form: rational polynomial in z."""
     terms = []
+    den = s.den
     for k, n in enumerate(s.num):
         if not n:
             continue
-        c = Fraction(n, s.den)
         if k == 0:
-            terms.append(str(c))
+            terms.append(_format_ratio(n, den))
         else:
             z = "z" if k == 1 else "z^%d" % k
-            if c == 1:
+            if n == den:
                 terms.append(z)
-            elif c == -1:
+            elif n == -den:
                 terms.append("-" + z)
             else:
-                terms.append("%s*%s" % (c, z))
+                terms.append("%s*%s" % (_format_ratio(n, den), z))
     if not terms:
         return "0"
     out = terms[0]
@@ -361,13 +370,40 @@ def format_scalar(s):
     return out
 
 
+def _digits(text):
+    return text.isascii() and text.isdigit()
+
+
+def _parse_rational(text):
+    """(numerator, denominator > 0) of a rational literal, exactly as
+    `Fraction(text)` reads it: ValueError if it is no literal and
+    ZeroDivisionError for a zero denominator.  Integers, p/q and plain
+    decimals are read here; rarer forms (exponents, underscores, padding)
+    go to Fraction itself."""
+    body = text[1:] if text[:1] in ("+", "-") else text
+    whole, slash, den_text = body.partition("/")
+    if _digits(whole) and (not slash or _digits(den_text)):
+        num, den = int(text.partition("/")[0]), int(den_text or 1)
+        if not den:
+            raise ZeroDivisionError("Fraction(%d, 0)" % num)
+    else:
+        whole, dot, frac = body.partition(".")
+        if not (dot and _digits(whole + frac)):
+            from fractions import Fraction
+            return Fraction(text).as_integer_ratio()
+        num, den = int(whole + frac), 10 ** len(frac)
+        if text[0] == "-":
+            num = -num
+    g = gcd(num, den)
+    return num // g, den // g
+
+
 def parse_scalar(field, text):
     """Inverse of format_scalar; accepts any signed sum of rational z-terms."""
     text = text.replace(" ", "")
     if not text:
         raise ValueError("empty scalar literal")
-    coeffs = [Fraction(0)] * field.degree
-    extra = {}
+    coeffs = {}  # power of z -> (numerator, denominator), summed
     # split into signed terms
     terms, cur, depth = [], "", 0
     for ch in text:
@@ -389,7 +425,7 @@ def parse_scalar(field, text):
             head, _, tail = term.partition("z")
             if head.endswith("*"):
                 head = head[:-1]
-            coef = Fraction(head) if head else Fraction(1)
+            n, d = _parse_rational(head) if head else (1, 1)
             if tail.startswith("^"):
                 power = int(tail[1:])
             elif tail == "":
@@ -397,16 +433,20 @@ def parse_scalar(field, text):
             else:
                 raise ValueError("bad scalar term %r" % term)
         else:
-            coef = Fraction(term)
+            n, d = _parse_rational(term)
             power = 0
-        coef *= sign
-        if 0 <= power < field.degree:
-            coeffs[power] += coef
+        if power in coeffs:
+            n0, d0 = coeffs[power]
+            n, d = n0 * d + sign * n * d0, d0 * d
         else:
-            extra[power] = extra.get(power, Fraction(0)) + coef
-    s = Scalar(field, coeffs)
-    for power, coef in sorted(extra.items()):
-        s = s + field.zeta(power) * coef
+            n *= sign
+        coeffs[power] = n, d
+    m = field.degree
+    ratios = [coeffs.pop(k) if k in coeffs else (0, 1) for k in range(m)]
+    den = lcm(*(d for _, d in ratios))
+    s = _normalized(field, tuple(n * (den // d) for n, d in ratios), den)
+    for power, (n, d) in sorted(coeffs.items()):
+        s = s + field.zeta(power) * _normalized(field, (n,) + (0,) * (m - 1), d)
     return s
 
 
@@ -507,7 +547,9 @@ class Matrix:
         return not any(self.data)
 
     def _merge(self, other, sign):
-        assert self.rows == other.rows and self.cols == other.cols
+        require(self.rows == other.rows and self.cols == other.cols,
+                "shape mismatch %dx%d and %dx%d"
+                % (self.rows, self.cols, other.rows, other.cols))
         out = []
         for r1, r2 in zip(self.data, other.data):
             if not r2 or (not r1 and sign > 0):
@@ -544,8 +586,8 @@ class Matrix:
 
     def __mul__(self, other):
         """Matrix product."""
-        assert self.cols == other.rows, \
-            "shape mismatch %dx%d * %dx%d" % (self.rows, self.cols, other.rows, other.cols)
+        require(self.cols == other.rows, "shape mismatch %dx%d * %dx%d"
+                % (self.rows, self.cols, other.rows, other.cols))
         b = other.data
         out = []
         for arow in self.data:
@@ -567,14 +609,32 @@ class Matrix:
     __rmul__ = scale
 
     def __matmul__(self, other):
-        """Kronecker (tensor) product, row-major on both indices."""
+        """Kronecker (tensor) product, row-major on both indices.  A row
+        of either factor that is a single one (an identity factor's rows,
+        say) copies the other factor's row to shifted columns instead of
+        multiplying by it."""
+        require(other.field is self.field,
+                "Kronecker product of matrices over %r and %r"
+                % (self.field, other.field))
         bc = other.cols
+        one = self.field.one
+        brows = [(brow, _unit_column(brow, one)) for brow in other.data]
         out = []
         for arow in self.data:
             shifted = [(j * bc, v) for j, v in arow.items()]
-            for brow in other.data:
-                out.append({off + l: v * w for off, v in shifted
-                            for l, w in brow.items()})
+            if _unit_column(arow, one) is not None:
+                # the other factor's rows, moved to this block's columns
+                # (and shared as they are in the first block)
+                (off, _), = shifted
+                out.extend([{off + l: w for l, w in brow.items()}
+                            for brow in other.data] if off else other.data)
+                continue
+            for brow, l in brows:
+                if l is not None:
+                    out.append({off + l: v for off, v in shifted})
+                else:
+                    out.append({off + l: v * w for off, v in shifted
+                                for l, w in brow.items()})
         return Matrix.from_rows(self.field, out, self.cols * bc)
 
     def transpose(self):
@@ -585,7 +645,8 @@ class Matrix:
         return Matrix.from_rows(self.field, out, self.rows)
 
     def hstack(self, other):
-        assert self.rows == other.rows
+        require(self.rows == other.rows, "hstack of %d rows and %d rows"
+                % (self.rows, other.rows))
         off = self.cols
         out = []
         for r1, r2 in zip(self.data, other.data):
@@ -599,7 +660,7 @@ class Matrix:
         return _eliminate(self.field, self.data).rank
 
     def inverse(self):
-        assert self.rows == self.cols, "inverse of non-square matrix"
+        require(self.rows == self.cols, "inverse of non-square matrix")
         n = self.rows
         aug = self.hstack(Matrix.identity(self.field, n))
         rows = _eliminate(self.field, aug.data).rref_rows()
@@ -607,6 +668,16 @@ class Matrix:
             raise NoSolutionError("matrix is singular")
         return Matrix.from_rows(self.field, [{j - n: v for j, v in row.items()
                                               if j >= n} for _, row in rows], n)
+
+
+def _unit_column(row, one):
+    """j if the sparse row is the single entry `one` at column j, else None
+    (a Scalar's form is unique, so its coefficients decide)."""
+    if len(row) == 1:
+        (j, v), = row.items()
+        if v.den == 1 and v.num == one.num:
+            return j
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -880,8 +951,9 @@ def solve_product_constraints(field, constraint_groups, shape):
     elim = SparseEliminator(field)
     for terms, C in constraint_groups:
         for A, B in terms:
-            assert A.cols == r and B.rows == c, "constraint shape mismatch"
-            assert C.rows == A.rows and C.cols == B.cols
+            require(A.cols == r and B.rows == c, "constraint shape mismatch")
+            require(C.rows == A.rows and C.cols == B.cols,
+                    "constraint right side shape mismatch")
         # within one term every (i, j) gives its own unknown, so entries
         # can only cancel where two terms meet
         sparse_terms = [(A.data, B.transpose().data) for A, B in terms]
@@ -920,3 +992,49 @@ def solve_product_constraints(field, constraint_groups, shape):
             i, j = divmod(p, c)
             out[i][j] = -v
     return Matrix.from_rows(field, out, c)
+
+
+def read_off(field, constraints, shape):
+    """Solve X * B_t = C_t for X of the given (rows, cols) shape, exactly:
+    the same X, or the same error, as solve_product_constraints on the
+    groups ([(identity, B_t)], C_t).
+
+    The columns of B_1, B_2, ... are streamed into an eliminator until
+    their rank reaches cols; on those columns J the only candidate is
+    X = C_J * B_J^-1, and X * B_t == C_t is then required for every t,
+    which decides consistency.  If the columns fall short of rank cols, X
+    is read off the eliminator's pivot rows (zero on the others): it
+    solves the system iff any X does, and then X is not unique."""
+    r, c = shape
+    for B, C in constraints:
+        require(B.rows == c and C.rows == r and C.cols == B.cols,
+                "constraint shape mismatch")
+    elim = SparseEliminator(field)
+    picked_B, picked_C = [], []  # the columns J of the B_t and C_t
+    for B, C in constraints:
+        if elim.rank == c:
+            break
+        C_cols = None
+        for j, col in enumerate(B.transpose().data):
+            if col and elim.add(dict(col)):
+                if C_cols is None:
+                    C_cols = C.transpose().data
+                picked_B.append(col)
+                picked_C.append(C_cols[j])
+                if elim.rank == c:
+                    break
+    # B_J restricted to the pivot rows is invertible: the eliminator's rows
+    # are triangular combinations of the picked columns with unit pivots
+    pivots = sorted(elim.rows)
+    square = Matrix.from_rows(field, [{k: col[p] for k, col in enumerate(picked_B)
+                                       if p in col} for p in pivots], len(pivots))
+    C_J = Matrix.from_rows(field, picked_C, r).transpose()
+    X_J = C_J * square.inverse()
+    X = Matrix.from_rows(field, [{pivots[k]: v for k, v in row.items()}
+                                 for row in X_J.data], c)
+    if any(X * B != C for B, C in constraints):
+        raise NoSolutionError("constraints are inconsistent")
+    if r and elim.rank < c:
+        raise NonUniqueError("constraints leave %d free parameters"
+                             % (r * (c - elim.rank)))
+    return X

@@ -1,7 +1,7 @@
 """Recovering the full Hopf structure on a computed coend quotient.
 
-Every structure map is obtained as the unique exact solution of the linear
-equations its universal property imposes through the block projections:
+Every structure map X is pinned by the equations X . B_t = C_t that its
+universal property imposes through the block projections:
 
 * counit:      eps . pi_B             = evaluation on F(B);
 * coproduct:   Delta . pi_B           = (pi_B (x) pi_B) after inserting a
@@ -14,6 +14,13 @@ equations its universal property imposes through the block projections:
                cross-checked against the convolution inverse of the
                identity on the reconstructed bialgebra.
 
+The maps are read off, not solved for: the columns of the B_t are streamed
+until they reach full rank (the regular block's projection, which is in
+every group, already does after `check_regular_surjective`), X is C_J B_J^-1
+on those columns J, and X . B_t == C_t is then verified exactly for every
+t, so an inconsistent system still raises NoSolutionError
+(`exactalg.read_off`).
+
 A canonical comparison map from the original Hopf algebra is built from the
 regular block and checked to be an isomorphism of Hopf algebras; each block
 becomes a comodule over the quotient, and sample hom spaces on both sides
@@ -25,8 +32,7 @@ from .braidedhopf import (BialgebraData, HopfAlgebraData, check_hopf,
 from .coend import compute_coend, reconstruction_diagram
 from .comodcat import (Comodule, FlagReport, comodule_dual,
                        comodule_tensor, hom_space, unit_comodule)
-from .exactalg import (EngineError, InvalidStructureError, Matrix,
-                       solve_product_constraints)
+from .exactalg import EngineError, InvalidStructureError, read_off
 from .gradedcat import (GradedMorphism, braiding, braiding_inverse,
                         dual_morphism, identity_mor, left_dual, phi_left, psi,
                         tensor_obj, unit_object)
@@ -46,13 +52,9 @@ def _field(res):
 
 def extract_counit(res):
     """eps: Q -> 1, pinned by eps . pi_B = ev_{F(B)} over every block."""
-    field = _field(res)
-    one = Matrix.identity(field, 1)
-    constraints = []
-    for i, B in enumerate(res.diagram.blocks):
-        d = left_dual(B.carrier)
-        constraints.append(([(one, res.pi(i).matrix)], d.ev.matrix))
-    X = solve_product_constraints(field, constraints, (1, res.dim))
+    constraints = [(res.pi(i).matrix, left_dual(B.carrier).ev.matrix)
+                   for i, B in enumerate(res.diagram.blocks)]
+    X = read_off(_field(res), constraints, (1, res.dim))
     return GradedMorphism(res.quotient, unit_object(res.quotient.ctx), X)
 
 
@@ -60,9 +62,7 @@ def extract_coproduct(res):
     """Delta: Q -> Q (x) Q, from splitting each small block along a
     coevaluation (the regular block alone already pins the solution)."""
     H = res.diagram.hopf
-    field = _field(res)
     q = res.dim
-    iq2 = Matrix.identity(field, q * q)
     constraints = []
     for i, B in enumerate(res.diagram.blocks):
         if B.carrier.dim > H.carrier.dim:
@@ -72,8 +72,8 @@ def extract_coproduct(res):
         pi = res.pi(i)
         insert = identity_mor(V) @ d.coev @ identity_mor(d.space)
         rhs = (pi @ pi) * insert
-        constraints.append(([(iq2, pi.matrix)], rhs.matrix))
-    X = solve_product_constraints(field, constraints, (q * q, q))
+        constraints.append((pi.matrix, rhs.matrix))
+    X = read_off(_field(res), constraints, (q * q, q))
     QQ = tensor_obj(res.quotient, res.quotient)
     return GradedMorphism(res.quotient, QQ, X)
 
@@ -92,10 +92,8 @@ def extract_product(res):
     where the two dual legs are merged by the dual-pairing isomorphism.
     """
     D = res.diagram
-    field = _field(res)
     q = res.dim
     reg, one = D.regular, D.index(D.derived(unit_comodule))
-    iq = Matrix.identity(field, q)
     constraints = []
     for a, b in ((reg, reg), (reg, one), (one, reg), (one, one)):
         VA, VB = D.blocks[a].carrier, D.blocks[b].carrier
@@ -104,9 +102,8 @@ def extract_product(res):
         mid = identity_mor(VA) @ braiding(dA.space, tensor_obj(VB, dB.space))
         glue = identity_mor(VA) @ identity_mor(VB) @ phi_left(VA, VB)
         rhs = piAB * glue * mid
-        constraints.append(([(iq, (res.pi(a) @ res.pi(b)).matrix)],
-                            rhs.matrix))
-    X = solve_product_constraints(field, constraints, (q, q * q))
+        constraints.append(((res.pi(a) @ res.pi(b)).matrix, rhs.matrix))
+    X = read_off(_field(res), constraints, (q, q * q))
     QQ = tensor_obj(res.quotient, res.quotient)
     return GradedMorphism(QQ, res.quotient, X)
 
@@ -119,8 +116,6 @@ def extract_antipode(res, bialgebra):
     inverse of the identity.  A mismatch raises CrossCheckMismatchError.
     """
     D = res.diagram
-    field = _field(res)
-    q = res.dim
     V = D.hopf.carrier
     dV = left_dual(V)
     ddV = left_dual(dV.space)
@@ -130,9 +125,8 @@ def extract_antipode(res, bialgebra):
     unbraid = identity_mor(V) @ braiding_inverse(dV.space, res.quotient)
     finish = dV.ev @ identity_mor(res.quotient)
     target = finish * unbraid * middle * start
-    X = solve_product_constraints(
-        field, [([(Matrix.identity(field, q), res.pi(D.regular).matrix)],
-                 target.matrix)], (q, q))
+    X = read_off(_field(res), [(res.pi(D.regular).matrix, target.matrix)],
+                 (res.dim, res.dim))
     S = GradedMorphism(res.quotient, res.quotient, X)
     S_conv = solve_antipode(bialgebra)
     if S != S_conv:
@@ -214,6 +208,7 @@ def reconstruct(H, diagram=None):
     """Full pipeline: coend, structure maps, comparison, equivalence checks."""
     res = compute_coend(diagram if diagram is not None
                         else reconstruction_diagram(H))
+    res.modp_rows = None  # nothing is enlarged here: free the rank bound's rows
     res.check_regular_surjective()
     eps = extract_counit(res)
     delta = extract_coproduct(res)

@@ -7,14 +7,34 @@ checking them; these functions check them exactly on finite samples, and
 build the prebalancing exchange that the balancing relations encode and
 psi_bar, the map the certified coend's candidate is built from entrywise,
 and `hom_basis_by_elimination`, the oracle for the hom bases that
-`hom_space` writes down by formula.
+`hom_space` writes down by formula.  `parse_scalar_by_fractions` and
+`format_scalar_by_fractions` read and write scalar literals with
+`fractions.Fraction`, the oracle for the int-only `parse_scalar` and
+`format_scalar`.  `perfbench_module` loads a module of the benchmark, whose
+generator builds the seeded spec files.
 """
+
+import importlib.util
+from fractions import Fraction
+from pathlib import Path
 
 from bhl.comodcat import (FlagReport, act, comodule_tensor, trivial_comodule,
                           unit_comodule)
-from bhl.exactalg import Matrix, SparseEliminator, _null_space, require
+from bhl.exactalg import Matrix, Scalar, SparseEliminator, _null_space, require
 from bhl.gradedcat import (GradedMorphism, identity_mor, left_dual, phi_left,
                            tensor_obj, unit_object)
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def perfbench_module(name):
+    """perfbench/<name>.py, imported from its file (perfbench is no package)."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_" + name, PERFBENCH / (name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def is_comodule_morphism(f, A, B):
@@ -127,3 +147,76 @@ def psi_bar(g, Z, Y):
 def rational_matrix(field, rows):
     """The matrix over `field` with the given rational entries, row by row."""
     return Matrix(field, [[field.scalar(v) for v in row] for row in rows])
+
+
+def format_scalar_by_fractions(s):
+    """format_scalar with every coefficient written by str(Fraction)."""
+    terms = []
+    for k, n in enumerate(s.num):
+        if not n:
+            continue
+        c = Fraction(n, s.den)
+        if k == 0:
+            terms.append(str(c))
+        else:
+            z = "z" if k == 1 else "z^%d" % k
+            if c == 1:
+                terms.append(z)
+            elif c == -1:
+                terms.append("-" + z)
+            else:
+                terms.append("%s*%s" % (c, z))
+    if not terms:
+        return "0"
+    out = terms[0]
+    for t in terms[1:]:
+        out += "+" + t if not t.startswith("-") else t
+    return out
+
+
+def parse_scalar_by_fractions(field, text):
+    """parse_scalar with every coefficient read by Fraction(literal)."""
+    text = text.replace(" ", "")
+    if not text:
+        raise ValueError("empty scalar literal")
+    coeffs = [Fraction(0)] * field.degree
+    extra = {}
+    terms, cur = [], ""
+    for ch in text:
+        if ch in "+-" and cur and cur[-1] not in "+-*/^":
+            terms.append(cur)
+            cur = ch
+        else:
+            cur += ch
+    terms.append(cur)
+    for term in terms:
+        if not term or term in "+-":
+            raise ValueError("bad scalar literal %r" % text)
+        sign = 1
+        if term[0] == "+":
+            term = term[1:]
+        elif term[0] == "-":
+            sign, term = -1, term[1:]
+        if "z" in term:
+            head, _, tail = term.partition("z")
+            if head.endswith("*"):
+                head = head[:-1]
+            coef = Fraction(head) if head else Fraction(1)
+            if tail.startswith("^"):
+                power = int(tail[1:])
+            elif tail == "":
+                power = 1
+            else:
+                raise ValueError("bad scalar term %r" % term)
+        else:
+            coef = Fraction(term)
+            power = 0
+        coef *= sign
+        if 0 <= power < field.degree:
+            coeffs[power] += coef
+        else:
+            extra[power] = extra.get(power, Fraction(0)) + coef
+    s = Scalar(field, coeffs)
+    for power, coef in sorted(extra.items()):
+        s = s + field.zeta(power) * coef
+    return s

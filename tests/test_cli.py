@@ -444,6 +444,19 @@ def test_installed_bhl_script_matches_entry_point():
     assert installed.stdout == declared.stdout
 
 
+def test_importing_the_cli_leaves_fractions_out():
+    # scalars are parsed and formatted with ints; fractions (and the
+    # decimal module it imports) would add to every command's start-up
+    code = ("import sys, bhl.cli; "
+            "print(sorted({'fractions', 'decimal'} & set(sys.modules)))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(bhl.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_python_m_bhl_runs_the_cli():
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(bhl.__file__).resolve().parent.parent)

@@ -123,6 +123,9 @@ def test_stability_under_enlargements():
             assert big.dim == H.carrier.dim
 
 
+STOCK = list(BUILTIN_NAMES) + ["nichols_cyclic:5"]
+
+
 def stability_blocks(base):
     """The three enlargement blocks that `bhl stability` checks."""
     ctx = base.hopf.carrier.ctx
@@ -177,6 +180,112 @@ def test_resumed_enlargement_by_a_known_block_streams_nothing(monkeypatch):
     assert streamed == []
     assert same.diagram.blocks == base.blocks
     assert_same_coend(same, small)
+
+
+def count_modp_adds(monkeypatch):
+    """A list that grows by one for every _ModpEliminator.add."""
+    adds = []
+    add = _ModpEliminator.add
+
+    def counting(self, vec):
+        adds.append(self.p)
+        return add(self, vec)
+
+    monkeypatch.setattr(_ModpEliminator, "add", counting)
+    return adds
+
+
+@pytest.mark.parametrize("name", ["exterior_line", "nichols_cyclic:3",
+                                  "taft:2"])
+def test_resumed_enlargement_starts_from_the_base_rows_mod_p(name,
+                                                             monkeypatch):
+    # at the base's prime the enlargement streams its new columns only;
+    # without the base's rows mod p it streams the reduced relation rows
+    # first, one add each, and then the same columns
+    base = default_diagram(build(name))
+    small = compute_coend(base)
+    adds = count_modp_adds(monkeypatch)
+    for block in stability_blocks(base):
+        del adds[:]
+        big = small.enlarged(block)
+        resumed = len(adds)
+        assert big.certificate == small.certificate
+        assert_same_coend(big, compute_coend(big.diagram))
+        rows, small.modp_rows = small.modp_rows, None
+        del adds[:]
+        again = small.enlarged(block)
+        small.modp_rows = rows
+        assert len(adds) == resumed + small.presentation.relation_matrix.cols
+        assert again.certificate == big.certificate
+        assert_same_coend(again, big)
+
+
+def test_resumed_enlargement_at_another_prime_streams_the_seeds(monkeypatch):
+    base = default_diagram(exterior_line())
+    small = compute_coend(base)
+    primes = _modp_primes
+
+    def skip_the_first(field):
+        return islice(primes(field), 1, None)
+
+    monkeypatch.setattr(bhl.coend, "_modp_primes", skip_the_first)
+    adds = count_modp_adds(monkeypatch)
+    for block in stability_blocks(base):
+        del adds[:]
+        big = small.enlarged(block)
+        assert big.certificate not in (None, small.certificate)
+        assert set(adds) == {big.certificate}
+        assert len(adds) >= small.presentation.relation_matrix.cols
+        assert_same_coend(big, eliminated(big.diagram))
+
+
+@pytest.mark.parametrize("name", STOCK)
+def test_certificate_checks_cofree_maps_by_formula(name, monkeypatch):
+    # every map the stream uses goes into a cofree block, so none needs
+    # the product check
+    checked = []
+    is_colinear = bhl.coend.is_colinear
+
+    def counting(f, A, B):
+        checked.append(f)
+        return is_colinear(f, A, B)
+
+    monkeypatch.setattr(bhl.coend, "is_colinear", counting)
+    D = reconstruction_diagram(build(name))
+    res = compute_coend(D)
+    assert res.certificate is not None
+    assert checked == []
+
+
+def test_colinear_map_off_the_formula_is_checked_by_product():
+    # twice each formula map into the regular block is colinear but not
+    # the formula map: is_colinear must accept it
+    H = exterior_line()
+    D = default_diagram(H)
+    reg = D.blocks[D.regular]
+    two = H.carrier.ctx.field.scalar(2)
+    hom_space = bhl.coend.hom_space
+    checked = []
+    is_colinear = bhl.coend.is_colinear
+
+    def doubled(A, B):
+        basis = hom_space(A, B)
+        if B != reg:
+            return basis
+        return [GradedMorphism(f.source, f.target, f.matrix.scale(two))
+                for f in basis]
+
+    def counting(f, A, B):
+        checked.append(f)
+        return is_colinear(f, A, B)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bhl.coend, "hom_space", doubled)
+        patch.setattr(bhl.coend, "is_colinear", counting)
+        res = compute_coend(D)
+    assert checked
+    assert res.certificate is not None
+    assert_same_coend(res, eliminated(D))
 
 
 def test_candidate_is_psi_bar_of_each_coaction():
@@ -240,9 +349,6 @@ def test_relation_the_candidate_does_not_kill_falls_back(monkeypatch):
     planted_family = "dinaturality[%d->%d]" % (D.regular, D.regular)
     assert planted_family in [name for name, _ in
                               res.residual_report().checks]
-
-
-STOCK = list(BUILTIN_NAMES) + ["nichols_cyclic:5"]
 
 
 def span_rank(maps):

@@ -7,6 +7,9 @@ oracle; algebraic identities are asserted exactly.
 import math
 import operator
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -18,10 +21,11 @@ from bhl.exactalg import (
     CycloField, InvalidStructureError, Matrix, NoSolutionError,
     NonUniqueError, QuotientPresentation, Scalar, _eliminate,
     _null_space, _ModpEliminator, _modp_primes, cokernel_from_rref,
-    cyclotomic_polynomial, format_scalar, parse_scalar,
+    cyclotomic_polynomial, format_scalar, parse_scalar, read_off,
     solve_product_constraints,
 )
-from oracles import rational_matrix
+from oracles import (format_scalar_by_fractions, parse_scalar_by_fractions,
+                     rational_matrix)
 
 
 def test_cyclotomic_polynomials_match_sympy():
@@ -551,3 +555,178 @@ def test_sparse_matrix_ops_match_dense_reference(data):
             S.inverse()
     else:
         _check_sparse(S.inverse(), ref_inv, n, n)
+
+
+# -- scalar literals against the Fraction oracle ------------------------------
+
+_DIGITS = st.text("0123456789", min_size=1, max_size=3)
+# integers, p/q, decimals, and forms only Fraction itself reads (an exponent,
+# underscores, padding) or nobody does (a zero denominator, a lone dot)
+_COEFFICIENT = st.one_of(
+    _DIGITS,
+    st.builds("{}/{}".format, _DIGITS, _DIGITS),
+    st.builds("{}.{}".format, _DIGITS, _DIGITS),
+    st.builds("{}.".format, _DIGITS),
+    st.builds(".{}".format, _DIGITS),
+    st.builds("{}e{}".format, _DIGITS, st.sampled_from(["", "-", "+"])
+              .flatmap(lambda s: _DIGITS.map(lambda d: s + d))),
+    st.builds("{}_{}".format, _DIGITS, _DIGITS),
+    st.sampled_from([".", "/", "1/", "/2", "1//2", "1.2.3", "1/2/3", "1.5/2",
+                     "+", "-", "--1", "+-2", "1e", "\t3", "nan", "1/-2"]),
+)
+_TERM = st.tuples(st.sampled_from(["", "+", "-"]), _COEFFICIENT,
+                  st.sampled_from(["", "*z", "z", "*z^2", "*z^-3", "*z^7", "z^"]))
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type of the exception it raises."""
+    try:
+        return fn(*args)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_scalar_literals_read_and_write_as_fractions_do(data):
+    F = data.draw(st.sampled_from([CycloField(1), CycloField(5), CycloField(12)]))
+    terms = data.draw(st.lists(_TERM, min_size=1, max_size=3))
+    text = "".join(sign + coef + z for sign, coef, z in terms)
+    got = _outcome(parse_scalar, F, text)
+    assert got == _outcome(parse_scalar_by_fractions, F, text), text
+    if isinstance(got, Scalar):
+        assert format_scalar(got) == format_scalar_by_fractions(got)
+    coeffs = data.draw(st.lists(_RATIONALS, min_size=F.degree,
+                                max_size=F.degree))
+    s = Scalar(F, coeffs)
+    assert format_scalar(s) == format_scalar_by_fractions(s)
+    assert parse_scalar(F, format_scalar(s)) == s
+
+
+def test_fractions_and_ints_embed_alike():
+    F = CycloField(5)
+    assert F.scalar(Fraction(6, 4)) == Scalar(F, [Fraction(3, 2), 0, 0, 0])
+    assert F.scalar(3) == 3 * F.one == F.one * Fraction(3)
+    assert F.zeta() * Fraction(1, 2) + Fraction(-1, 2) * F.zeta() == F.zero
+    with pytest.raises(TypeError):
+        F.one * 0.5  # a float is no exact rational
+
+
+# -- identity-aware Kronecker products ----------------------------------------
+
+@st.composite
+def _with_unit_rows(draw, F, rows, cols):
+    """A grid whose rows are often a single one (as identity rows are)."""
+    grid = draw(_grids(F, rows, cols))
+    for i in range(rows):
+        if cols and draw(st.booleans()):
+            j = draw(st.integers(0, cols - 1))
+            grid[i] = [F.one if k == j else F.zero for k in range(cols)]
+    return grid
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_kron_with_identity_factors_matches_entrywise_definition(data):
+    F = data.draw(st.sampled_from([CycloField(1), CycloField(5)]))
+    r, k, p, q, n = (data.draw(st.integers(0, 4)) for _ in range(5))
+    a = data.draw(_with_unit_rows(F, r, k))
+    d = data.draw(_grids(F, p, q))
+    A, D = Matrix(F, a, cols=k), Matrix(F, d, cols=q)
+    eye = [[F.one if i == j else F.zero for j in range(n)] for i in range(n)]
+    I = Matrix.identity(F, n)
+    _check_sparse(A @ D, _ref_kron(a, d), r * p, k * q)
+    _check_sparse(D @ A, _ref_kron(d, a), p * r, q * k)
+    _check_sparse(I @ D, _ref_kron(eye, d), n * p, n * q)
+    _check_sparse(D @ I, _ref_kron(d, eye), p * n, q * n)
+    _check_sparse(I @ A @ I, _ref_kron(_ref_kron(eye, a), eye),
+                  n * r * n, n * k * n)
+
+
+def test_kron_of_mixed_fields_still_raises():
+    I3 = Matrix.identity(CycloField(3), 1)
+    I5 = Matrix.identity(CycloField(5), 1)
+    with pytest.raises(InvalidStructureError):
+        I3 @ Matrix(CycloField(5), [[CycloField(5).zeta()]])
+    with pytest.raises(InvalidStructureError):
+        I3 @ I5
+
+
+# -- the read-off against the full solve --------------------------------------
+
+def _solution(fn, *args):
+    """fn(*args), or the type and message of the engine error it raises."""
+    try:
+        return fn(*args)
+    except (NoSolutionError, NonUniqueError) as exc:
+        return type(exc), str(exc)
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_read_off_matches_solve_product_constraints(data):
+    F = data.draw(st.sampled_from([CycloField(1), CycloField(5)]))
+    r, c = data.draw(st.integers(0, 3)), data.draw(st.integers(1, 3))
+    X0 = Matrix(F, data.draw(_grids(F, r, c)), cols=c)
+    constraints = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        k = data.draw(st.integers(0, 4))
+        B = Matrix(F, data.draw(_grids(F, c, k)), cols=k)
+        C = X0 * B
+        if data.draw(st.integers(0, 3)) == 0:  # sometimes inconsistent
+            C = C + Matrix(F, data.draw(_grids(F, r, k)), cols=k)
+        constraints.append((B, C))
+    groups = [([(Matrix.identity(F, r), B)], C) for B, C in constraints]
+    got = _solution(read_off, F, constraints, (r, c))
+    assert got == _solution(solve_product_constraints, F, groups, (r, c))
+    stacked = Matrix.zeros(F, c, 0)
+    for B, _ in constraints:
+        stacked = stacked.hstack(B)
+    if stacked.rank() == c and all(X0 * B == C for B, C in constraints):
+        assert got == X0  # uniquely solvable
+
+
+def test_read_off_worked_examples():
+    F = CycloField(1)
+    B = rational_matrix(F, [[1, 1, 0], [0, 1, 1]])
+    X0 = rational_matrix(F, [[2, 3], [5, 7]])
+    # the first column alone has rank 1: the second constraint adds the
+    # rest, and both are checked
+    first = (Matrix.from_rows(F, [{0: F.one}, {}], 1), X0 * rational_matrix(F, [[1], [0]]))
+    assert read_off(F, [first, (B, X0 * B)], (2, 2)) == X0
+    wrong = X0 * B + rational_matrix(F, [[0, 0, 1], [0, 0, 0]])
+    with pytest.raises(NoSolutionError, match="constraints are inconsistent"):
+        read_off(F, [first, (B, wrong)], (2, 2))
+    with pytest.raises(NonUniqueError, match="leave 2 free parameters"):
+        read_off(F, [first], (2, 2))
+
+
+# -- shape checks hold under python -O ----------------------------------------
+
+SHAPE_CHECKS = textwrap.dedent("""
+    from bhl.exactalg import (CycloField, InvalidStructureError, Matrix,
+                              read_off, solve_product_constraints)
+    F = CycloField(1)
+    A, B, S = Matrix.zeros(F, 2, 3), Matrix.zeros(F, 3, 3), Matrix.zeros(F, 2, 2)
+    I2 = Matrix.identity(F, 2)
+    cases = [lambda: A + S, lambda: A - S, lambda: S * S * A * A,
+             lambda: A.hstack(B), lambda: A.inverse(),
+             lambda: solve_product_constraints(F, [([(I2, A)], A)], (3, 2)),
+             lambda: solve_product_constraints(F, [([(I2, S)], A)], (2, 2)),
+             lambda: read_off(F, [(S, A)], (2, 2))]
+    for case in cases:
+        try:
+            case()
+        except InvalidStructureError:
+            continue
+        raise SystemExit("no InvalidStructureError")
+    print(len(cases))
+""")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_shape_mismatches_raise_without_asserts(flags):
+    out = subprocess.run([sys.executable] + flags + ["-c", SHAPE_CHECKS],
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["8"]

@@ -8,11 +8,12 @@ from bhl.catalog import BUILTIN_NAMES, build, group_algebra, sweedler
 from bhl.coend import (CoendResult, Diagram, _block_spaces, compute_coend,
                        reconstruction_diagram)
 from bhl.comodcat import direct_sum_comodule, regular_comodule, unit_comodule
-from bhl.exactalg import Matrix, cokernel_from_rref
-from bhl.gradedcat import GradedObject, braiding, identity_mor
+from bhl.exactalg import Matrix, NoSolutionError, cokernel_from_rref
+from bhl.gradedcat import GradedMorphism, GradedObject, braiding, identity_mor
 from bhl.reconstruct import (
     CrossCheckMismatchError, NotIsoError, Reconstruction, canonical_comparison,
-    extract_antipode, reconstruct,
+    extract_antipode, extract_coproduct, extract_counit, extract_product,
+    reconstruct,
 )
 
 
@@ -116,3 +117,26 @@ def test_report_names_cover_all_families():
     assert any(n.startswith("hom_dims") for n in names)
     assert any(n.startswith("action_carried") for n in names)
     assert any(n.startswith("block_comodule") for n in names)
+
+
+@pytest.mark.parametrize("extract", [extract_counit, extract_coproduct,
+                                     extract_product])
+def test_a_constraint_the_read_off_map_fails_raises(extract, monkeypatch):
+    # doubling the unit block's projection leaves the regular block, which
+    # already fixes the map, unchanged; the unit block's constraints then
+    # fail, and the verification after the read-off must say so
+    res = compute_coend(reconstruction_diagram(sweedler()))
+    D = res.diagram
+    one = D.index(D.derived(unit_comodule))
+    two = D.hopf.carrier.ctx.field.scalar(2)
+    pi = CoendResult.pi
+
+    def doubled(self, i):
+        p = pi(self, i)
+        if i != one:
+            return p
+        return GradedMorphism(p.source, p.target, p.matrix.scale(two))
+
+    monkeypatch.setattr(CoendResult, "pi", doubled)
+    with pytest.raises(NoSolutionError, match="constraints are inconsistent"):
+        extract(res)

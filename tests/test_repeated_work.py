@@ -1,7 +1,8 @@
 """Each derived comodule and each hom space is built once per run: the
 diagram memoizes its blocks and hom bases, and callers find blocks by index
 instead of rebuilding them.  Each relation of a base diagram is reduced
-once, however many enlargements of it are computed."""
+once, however many enlargements of it are computed, and the enlargements
+resume from the base's rows mod p instead of re-adding them."""
 
 import re
 import sys
@@ -15,7 +16,9 @@ import bhl.comodcat
 import bhl.reconstruct
 from bhl.catalog import build
 from bhl.coend import default_diagram
+from bhl.exactalg import _ModpEliminator
 from bhl.reconstruct import reconstruct
+from oracles import perfbench_module
 
 CONSTRUCTORS = ("regular_comodule", "unit_comodule", "comodule_tensor",
                 "comodule_dual", "act")
@@ -99,3 +102,25 @@ def test_stability_streams_each_base_relation_once(monkeypatch, tmp_path):
                          "--out", str(out)]) == 0
     assert fed and not all(of_base(name) for name in families)
     assert max(fed.values()) == 1
+
+
+def test_stability_resumes_the_base_rows_mod_p(monkeypatch, tmp_path):
+    """On the benchmark's seed-0 nichols_cyclic:5 spec, the base coend makes
+    its mod-p adds once; the three enlargements add only their own new
+    columns.  Re-adding the base's 775 reduced relation rows in each of
+    the three enlargements would make 5,230."""
+    spec = tmp_path / "cyclo5-diag.json"
+    spec.write_bytes(perfbench_module("gen").generate("nichols_cyclic:5", 0,
+                                                      False))
+    adds = []
+    add = _ModpEliminator.add
+
+    def counting(self, vec):
+        adds.append(self.p)
+        return add(self, vec)
+
+    monkeypatch.setattr(_ModpEliminator, "add", counting)
+    out = tmp_path / "stability.json"
+    assert bhl.cli.main(["stability", str(spec), "--out", str(out)]) == 0
+    assert len(adds) == 2905
+    assert len(set(adds)) == 1
