@@ -30,11 +30,19 @@ dimension).  The certificate checks
 * (b) the columns' images mod p reach rank N - n, for a prime p = 1 (mod
   the field order) at which zeta maps to a root of Phi_n and which divides
   no denominator met.  That map is a ring map, and a ring map never raises
-  rank, so rank R >= N - n.  The columns are streamed balancing first,
-  then along maps into cofree blocks (whose hom bases are written down,
-  not eliminated; see `comodcat`), then the rest, and the stream stops
-  as soon as the rank reaches N - n.  Each hom-basis map the stream uses
-  is checked to be colinear, so every streamed column is a relation.  A
+  rank, so rank R >= N - n.  The columns are streamed balancing first;
+  then, along the maps into cofree blocks (whose hom bases are written
+  down, not eliminated; see `comodcat`), only the columns (a, b) with
+  eps(h_b) != 0; then every other column, in `_hom_pairs` order.  The
+  stream stops as soon as the rank reaches N - n.  The counit columns
+  come first because by the counit axiom they are nearly triangular: the
+  k-th formula map f = (id (x) E_a') rho_A has sum_b eps(h_b) f[b, j] =
+  [j = a'], so where eps(h_b0) = 1 and eps vanishes on the other basis
+  vectors, column (a, b0) has a single entry in A's block, at (a, a'),
+  and almost every such column raises the rank.  (A group algebra has
+  eps != 0 on every basis vector, so its order is `_hom_pairs` order.)
+  Each hom-basis map the stream uses is checked to be colinear, once,
+  before its first column, so every streamed column is a relation.  A
   map into a cofree block is checked by formula: it must be the k-th map
   (id (x) E_a) rho_A of `hom_space`'s basis, row for row, which is
   colinear because A's coaction is coassociative (checked when A was
@@ -50,7 +58,8 @@ rank P < n, if a premise of (a) fails, if a streamed map is not colinear,
 or if (b) fails at a few primes (a non-Hopf input, a diagram too small to
 cut H out), every relation column is eliminated exactly instead, in the
 same stream order, so every output, error paths included, is as
-elimination gives it.
+elimination gives it.  The reduced rows are canonical, so the stream
+order changes no output.
 
 An enlargement certifies itself from its own candidate:
 `Diagram.enlarged` only appends blocks and gluings, so the base's relations
@@ -66,8 +75,8 @@ from .exactalg import (EngineError, InvalidStructureError, Matrix,
                        QuotientPresentation, SparseEliminator,
                        _ModpEliminator, _modp_primes, cokernel_from_rref,
                        require)
-from .gradedcat import (GradedMorphism, GradedObject, left_dual, line_object,
-                        tensor_obj)
+from .gradedcat import (GradedMorphism, GradedObject, dual_object,
+                        line_object, tensor_obj)
 from .comodcat import (Comodule, FlagReport, act, cofree_degree,
                        comodule_dual, comodule_tensor, hom_space,
                        is_colinear, regular_comodule, unit_comodule)
@@ -118,7 +127,7 @@ class Diagram:
         for W, L in balance:
             require(isinstance(L, GradedObject) and L.dim == 1,
                     "balancing probes must be one-dimensional")
-            dual_line = left_dual(L).space
+            dual_line = dual_object(L)
             wi = self._add(W)
             ci = self._add(self.derived(act, wi, dual_line))
             self.balance.append((ci, wi))
@@ -202,7 +211,7 @@ def reconstruction_diagram(H, probes=()):
 def _block_spaces(diagram):
     spaces, offsets, total = [], [], 0
     for B in diagram.blocks:
-        S = tensor_obj(B.carrier, left_dual(B.carrier).space)
+        S = tensor_obj(B.carrier, dual_object(B.carrier))
         spaces.append(S)
         offsets.append(total)
         total += S.dim
@@ -244,13 +253,15 @@ def _relation_columns(diagram, spaces, offsets, blocks_done=0,
                       balance_done=0, colinear=False):
     """Yield ("family-name", column-dict) for every relation that the
     prefix of `blocks_done` blocks and `balance_done` gluings lacks, in a
-    fixed deterministic order: balancing, then dinaturality in `_hom_pairs`
-    order.  With `colinear`, each hom-basis map is checked to be colinear
-    before its columns are yielded, and _NotColinear is raised if not: a
-    map into a cofree block by comparing it with the formula map, any other
-    by `is_colinear`."""
+    fixed deterministic order: balancing; then, over the pairs with a
+    cofree target in `_hom_pairs` order, the dinaturality columns (a, b)
+    with eps(h_b) != 0; then every other dinaturality column, in
+    `_hom_pairs` order.  Within a pair the columns run over the hom basis,
+    then a, then b.  With `colinear`, each hom-basis map is checked to be
+    colinear before its first column is yielded, and _NotColinear is
+    raised if not: a map into a cofree block by comparing it with the
+    formula map, any other by `is_colinear`."""
     blocks = diagram.blocks
-    cofree = {}  # target index -> cofree_degree of the target
     one = diagram.hopf.carrier.ctx.field.one
     neg_one = -one
     for k in range(balance_done, len(diagram.balance)):
@@ -263,33 +274,48 @@ def _relation_columns(diagram, spaces, offsets, blocks_done=0,
         for b in range(n):
             for a in range(n):
                 yield name, {offC + b * n + a: one, offW + b * n + a: neg_one}
-    for ai, bi in _hom_pairs(diagram):
-        if ai < blocks_done and bi < blocks_done:
-            continue
+    pairs = [(ai, bi) for ai, bi in _hom_pairs(diagram)
+             if ai >= blocks_done or bi >= blocks_done]
+    cofree = {bi: cofree_degree(blocks[bi]) for _, bi in pairs}
+    counit = sorted(diagram.hopf.eps.matrix.data[0])  # b with eps(h_b) != 0
+
+    def columns(ai, bi, bs, check):
         A, B = blocks[ai], blocks[bi]
         dA, dB = A.carrier.dim, B.carrier.dim
         offA, offB = offsets[ai], offsets[bi]
         name = "dinaturality[%d->%d]" % (ai, bi)
-        if colinear and bi not in cofree:
-            cofree[bi] = cofree_degree(B)
         for k, f in enumerate(diagram.hom_basis(ai, bi)):
-            if colinear and not ((cofree[bi] is not None
-                                  and _is_cofree_formula(f, k, A, cofree[bi]))
-                                 or is_colinear(f, A, B)):
+            if check and not ((cofree[bi] is not None
+                               and _is_cofree_formula(f, k, A, cofree[bi]))
+                              or is_colinear(f, A, B)):
                 raise _NotColinear(name)
             f_cols = f.matrix.transpose().data
             neg_rows = [{j: -v for j, v in row.items()}
                         for row in f.matrix.data]
             for a in range(dA):
-                for b in range(dB):
+                for b in bs:
                     col = {offB + i * dB + b: v for i, v in f_cols[a].items()}
                     for j, v in neg_rows[b].items():
-                        k = offA + a * dA + j
-                        col[k] = col[k] + v if k in col else v
+                        c = offA + a * dA + j
+                        col[c] = col[c] + v if c in col else v
                     if ai == bi:  # only then can the two sums cancel
-                        col = {k: v for k, v in col.items() if v}
+                        col = {c: v for c, v in col.items() if v}
                     if col:
                         yield name, col
+
+    # the counit columns first: nearly triangular by the counit axiom (see
+    # the module docstring), almost every one of them raises the rank.  The
+    # maps into cofree blocks are checked there, before their first column
+    for ai, bi in pairs:
+        if cofree[bi] is not None:
+            yield from columns(ai, bi, counit, colinear)
+    for ai, bi in pairs:
+        dB = blocks[bi].carrier.dim
+        if cofree[bi] is None:
+            yield from columns(ai, bi, range(dB), colinear)
+        else:
+            yield from columns(ai, bi, [b for b in range(dB)
+                                        if b not in counit], False)
 
 
 class CoendResult:
@@ -361,15 +387,19 @@ class CoendResult:
                        for k in range(len(self.diagram.balance))]
         else:
             P_cols = self.presentation.projection.transpose().data
-            bad = set()
-            names = []
+            streamed, bad = set(), set()
             for name, col in _relation_columns(self.diagram, self.spaces,
                                                self.offsets):
-                if not names or names[-1] != name:
-                    names.append(name)
+                streamed.add(name)
                 if name not in bad and not _kills(P_cols, col):
                     bad.add(name)
-            checks = [(name, name not in bad) for name in names]
+            # each family once, balancing first, then in `_hom_pairs` order
+            names = ["balancing[%d]" % k
+                     for k in range(len(self.diagram.balance))]
+            names += ["dinaturality[%d->%d]" % pair
+                      for pair in _hom_pairs(self.diagram)]
+            checks = [(name, name not in bad) for name in names
+                      if name in streamed]
         try:
             self.presentation.verify()
             checks.append(("presentation", True))

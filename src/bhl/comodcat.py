@@ -10,12 +10,23 @@ coaction matrix is Delta and whose degrees are H's shifted by one degree d
 by formula: Hom^H(A, H (x) L) = Hom(F(A), L) through f |-> (id (x) f) rho_A,
 so the maps (id (x) E_a) rho_A, one for each basis vector a of A of degree
 d, are a basis, with no elimination.  Into any other comodule they are the
-kernel of the colinearity equations.
+kernel of the colinearity equations.  By the counit axiom,
+sum_b eps(h_b) rho_A[(b, a), j] = [j = a], so where eps(h_b0) = 1 and eps
+vanishes on the other basis vectors, row b0 of (id (x) E_a) rho_A is the
+unit row e_a: the coend streams the dinaturality columns (., b0) of these
+maps first, since each has a single entry in A's block (see `coend`).
+
+The comodule axioms are checked exactly at construction, without forming
+Kronecker products: (Delta (x) id) rho and (eps (x) id) rho are
+`exactalg.kron_id_mul` products, (id (x) rho) rho is `exactalg.id_kron_mul`,
+and `comodule_tensor` merges the two coactions through m and the braiding
+the same way.
 """
 
 from collections import defaultdict
 
-from .exactalg import Matrix, SparseEliminator, _null_space, require
+from .exactalg import (Matrix, SparseEliminator, _null_space, id_kron_mul,
+                       kron_id_mul, require)
 from .gradedcat import (GradedMorphism, GradedObject, braiding,
                         direct_sum_obj, identity_mor, left_dual, tensor_obj,
                         unit_object)
@@ -34,11 +45,12 @@ class Comodule:
         require(coaction.source == carrier, "coaction source mismatch")
         require(coaction.target == tensor_obj(H, carrier),
                 "coaction target mismatch")
-        iV = identity_mor(carrier)
-        iH = identity_mor(H)
-        require((hopf.delta @ iV) * coaction == (iH @ coaction) * coaction,
+        rho, d = coaction.matrix, carrier.dim
+        require(kron_id_mul(hopf.delta.matrix, d, rho)
+                == id_kron_mul(H.dim, rho, rho),
                 "coaction is not coassociative")
-        require((hopf.eps @ iV) * coaction == iV,
+        require(kron_id_mul(hopf.eps.matrix, d, rho)
+                == Matrix.identity(rho.field, d),
                 "coaction violates the counit")
         self.hopf = hopf
         self.carrier = carrier
@@ -76,14 +88,14 @@ def comodule_tensor(A, B):
     ambient braiding."""
     require(A.hopf == B.hopf, "comodules over different Hopf algebras")
     Hd = A.hopf
-    H = Hd.carrier
-    iV = identity_mor(A.carrier)
-    iW = identity_mor(B.carrier)
-    iH = identity_mor(H)
-    rho = ((Hd.m @ iV @ iW)
-           * (iH @ braiding(A.carrier, H) @ iW)
-           * (A.coaction @ B.coaction))
-    return Comodule(Hd, tensor_obj(A.carrier, B.carrier), rho)
+    H, V, W = Hd.carrier, A.carrier, B.carrier
+    # (m (x) id (x) id) (id (x) c_{V,H} (x) id) (rho_A (x) rho_B), whiskered
+    swap = braiding(V, H).matrix @ Matrix.identity(H.ctx.field, W.dim)
+    rho = kron_id_mul(Hd.m.matrix, V.dim * W.dim, id_kron_mul(
+        H.dim, swap, A.coaction.matrix @ B.coaction.matrix))
+    carrier = tensor_obj(V, W)
+    return Comodule(Hd, carrier,
+                    GradedMorphism(carrier, tensor_obj(H, carrier), rho))
 
 
 def comodule_dual(A):

@@ -8,9 +8,11 @@ arithmetic plus one gcd.  Scalar literals are parsed and formatted with
 ints too; only a literal in a rare form (an exponent, underscores) is
 handed to `fractions.Fraction`, imported on first use.  Everything
 downstream (graded categories, Hopf structure checks, coend quotients)
-reduces to the handful of primitives in this module: sparse elimination to
-reduced rows, the null space and quotient presentation read off them, and
-exact solves for unknown linear maps.
+reduces to the handful of primitives in this module: sparse products, the
+whiskered products (A (x) I) X and (I (x) B) X taken block by block without
+forming the Kronecker product, sparse elimination to reduced rows, the
+null space and quotient presentation read off them, and exact solves for
+unknown linear maps.
 All results are exact; "zero" always means identically zero.
 """
 
@@ -589,22 +591,8 @@ class Matrix:
         require(self.cols == other.rows, "shape mismatch %dx%d * %dx%d"
                 % (self.rows, self.cols, other.rows, other.cols))
         b = other.data
-        out = []
-        for arow in self.data:
-            if len(arow) == 1:
-                # one term per entry: products of nonzeros are nonzero
-                (k, v), = arow.items()
-                out.append({j: v * w for j, w in b[k].items()})
-                continue
-            acc = {}
-            for k, v in arow.items():
-                for j, w in b[k].items():
-                    if j in acc:
-                        acc[j] = acc[j] + v * w
-                    else:
-                        acc[j] = v * w
-            out.append({j: s for j, s in acc.items() if s})
-        return Matrix.from_rows(self.field, out, other.cols)
+        return Matrix.from_rows(self.field, [_row_times(arow, b)
+                                             for arow in self.data], other.cols)
 
     __rmul__ = scale
 
@@ -668,6 +656,50 @@ class Matrix:
             raise NoSolutionError("matrix is singular")
         return Matrix.from_rows(self.field, [{j - n: v for j, v in row.items()
                                               if j >= n} for _, row in rows], n)
+
+
+def _row_times(row, rows):
+    """The sparse row vector `row` times the matrix with sparse rows `rows`."""
+    if len(row) == 1:
+        # one term per entry: products of nonzeros are nonzero
+        (k, v), = row.items()
+        return {j: v * w for j, w in rows[k].items()}
+    acc = {}
+    for k, v in row.items():
+        for j, w in rows[k].items():
+            if j in acc:
+                acc[j] = acc[j] + v * w
+            else:
+                acc[j] = v * w
+    return {j: s for j, s in acc.items() if s}
+
+
+def kron_id_mul(A, d, X):
+    """(A (x) I_d) * X without forming the Kronecker product: block i of
+    the result (its rows i*d .. i*d + d - 1) is sum_k A[i,k] * block k of X.
+    Row r of block i combines the rows k*d + r of X."""
+    require(A.cols * d == X.rows, "shape mismatch (%dx%d (x) I_%d) * %dx%d"
+            % (A.rows, A.cols, d, X.rows, X.cols))
+    require(A.field is X.field, "product of matrices over %r and %r"
+            % (A.field, X.field))
+    strided = [X.data[r::d] for r in range(d)]
+    return Matrix.from_rows(A.field, [_row_times(arow, rows)
+                                      for arow in A.data for rows in strided],
+                            X.cols)
+
+
+def id_kron_mul(n, B, X):
+    """(I_n (x) B) * X without forming the Kronecker product: block h of
+    the result is B * block h of X (its rows h*B.cols .. (h+1)*B.cols - 1)."""
+    require(n * B.cols == X.rows, "shape mismatch (I_%d (x) %dx%d) * %dx%d"
+            % (n, B.rows, B.cols, X.rows, X.cols))
+    require(B.field is X.field, "product of matrices over %r and %r"
+            % (B.field, X.field))
+    q = B.cols
+    blocks = [X.data[h * q:(h + 1) * q] for h in range(n)]
+    return Matrix.from_rows(B.field, [_row_times(brow, block)
+                                      for block in blocks for brow in B.data],
+                            X.cols)
 
 
 def _unit_column(row, one):
@@ -903,19 +935,54 @@ class QuotientPresentation:
         require(all({free_pos[j]: v for j, v in row.items() if j in free_pos}
                     == {k: one} for k, row in enumerate(self.projection.data)),
                 "projection is not the identity on the free coordinates")
-        require(not self.relation_matrix.cols
-                or (self.projection * self.relation_matrix).is_zero(),
+        rel = self.relation_matrix
+        require(not rel.cols or rel.rows == amb, "shape mismatch %dx%d * %dx%d"
+                % (q, amb, rel.rows, rel.cols))
+        require(not rel.cols
+                or _kills_relations(self.projection, rel, self.free, one),
                 "projection does not kill the relations")
         # the relation columns are reduced: column k is 1 at its own pivot
         # row and 0 at every other column's, so the pivot rows are unit rows
         # e_k, one for each k, and the rank is the column count
-        rel = self.relation_matrix
         unit_rows = {k for row in rel.data if len(row) == 1
                      for k, v in row.items() if v == one}
         require(len(unit_rows) == rel.cols,
                 "relation columns are not in reduced form")
         require(rel.cols + q == amb,
                 "relation rank + quotient dimension != ambient dimension")
+
+
+def _kills_relations(P, R, free, one):
+    """Whether P * R == 0, for P the identity on the coordinates `free`.
+
+    Row h of P * R is row free[h] of R plus the sum of P[h, j] times row j
+    of R over the other coordinates j.  On reduced relations row j is the
+    unit e_k of the column k whose pivot is j, so it contributes P[h, j] at
+    k, and P * R == 0 says that each relation column k, on the free
+    coordinates, is minus its pivot's projection column: a comparison of
+    entries, not a product.  Rows of R that are not units are multiplied
+    out, so the answer is exact for any R."""
+    free_at = set(free)
+    rel = R.data
+    for prow, j0 in zip(P.data, free):
+        image = {}
+        for j, w in prow.items():
+            if j in free_at:
+                continue
+            rrow = rel[j]
+            if len(rrow) == 1:
+                (k, v), = rrow.items()
+                terms = ((k, w if v == one else w * v),)
+            else:
+                terms = [(k, w * v) for k, v in rrow.items()]
+            for k, x in terms:
+                image[k] = image[k] + x if k in image else x
+        target = rel[j0]
+        image = {k: x for k, x in image.items() if x}
+        if len(image) != len(target) or any(
+                image.get(k) != -v for k, v in target.items()):
+            return False
+    return True
 
 
 def cokernel_from_rref(field, ambient_dim, rref_rows):

@@ -108,8 +108,9 @@ class Context(namedtuple("Context", ["field", "group", "chi"])):
     """The ambient braided category: a field, a grading group, a bicharacter."""
 
     def __new__(cls, field, group, chi):
-        assert isinstance(field, CycloField)
-        assert chi.group == group, "bicharacter grading group mismatch"
+        require(isinstance(field, CycloField),
+                "a context needs a cyclotomic field")
+        require(chi.group == group, "bicharacter grading group mismatch")
         return super().__new__(cls, field, group, chi)
 
     @classmethod
@@ -238,8 +239,9 @@ class GradedMorphism:
 
     def __mul__(self, other):
         """self after other."""
-        assert isinstance(other, GradedMorphism)
-        assert other.target == self.source, "composition type mismatch"
+        require(isinstance(other, GradedMorphism),
+                "composition with a non-morphism")
+        require(other.target == self.source, "composition type mismatch")
         return GradedMorphism(other.source, self.target, self.matrix * other.matrix)
 
     def __matmul__(self, other):
@@ -248,11 +250,13 @@ class GradedMorphism:
                               self.matrix @ other.matrix)
 
     def __add__(self, other):
-        assert other.source == self.source and other.target == self.target
+        require(other.source == self.source and other.target == self.target,
+                "sum of morphisms of different types")
         return GradedMorphism(self.source, self.target, self.matrix + other.matrix)
 
     def __sub__(self, other):
-        assert other.source == self.source and other.target == self.target
+        require(other.source == self.source and other.target == self.target,
+                "difference of morphisms of different types")
         return GradedMorphism(self.source, self.target, self.matrix - other.matrix)
 
     def __neg__(self):
@@ -271,7 +275,7 @@ def identity_mor(V):
 
 def braiding(V, W):
     """sigma_{V,W}: V (x) W -> W (x) V, flip times the bicharacter value."""
-    assert V.ctx == W.ctx
+    require(V.ctx == W.ctx, "braiding of objects of different categories")
     ctx = V.ctx
     data = {}
     for i in range(V.dim):
@@ -285,7 +289,7 @@ def braiding(V, W):
 
 def braiding_inverse(V, W):
     """The inverse of braiding(V, W), from W (x) V back to V (x) W."""
-    assert V.ctx == W.ctx
+    require(V.ctx == W.ctx, "braiding of objects of different categories")
     ctx = V.ctx
     data = {}
     for i in range(V.dim):
@@ -306,14 +310,22 @@ def _dual_label_left(label):
 DualityData = namedtuple("DualityData", ["space", "ev", "coev"])
 
 
+def dual_object(V):
+    """*V, the object of left_dual(V), without its ev and coev."""
+    if V.is_unit:
+        return V
+    neg = V.ctx.group.neg
+    return GradedObject(V.ctx, [(_dual_label_left(l), neg(d))
+                                for l, d in V.basis])
+
+
 def left_dual(V):
     """(*V, ev: V (x) *V -> 1, coev: 1 -> *V (x) V), delta-pairing."""
     ctx = V.ctx
     if V.is_unit:
         e = identity_mor(V)
         return DualityData(V, e, e)
-    neg = ctx.group.neg
-    dual = GradedObject(ctx, [(_dual_label_left(l), neg(d)) for l, d in V.basis])
+    dual = dual_object(V)
     one = ctx.field.one
     unit = unit_object(ctx)
     n = V.dim
@@ -326,8 +338,8 @@ def left_dual(V):
 
 def dual_morphism(f):
     """*f: *W -> *V for f: V -> W (the transpose in the dual bases)."""
-    sd = left_dual(f.target).space
-    td = left_dual(f.source).space
+    sd = dual_object(f.target)
+    td = dual_object(f.source)
     return GradedMorphism(sd, td, f.matrix.transpose())
 
 
@@ -339,9 +351,9 @@ def phi_left(X, Y):
     tensor product factor through the two evaluations without extra braiding
     coefficients.
     """
-    assert X.ctx == Y.ctx
-    source = tensor_obj(left_dual(Y).space, left_dual(X).space)
-    target = left_dual(tensor_obj(X, Y)).space
+    require(X.ctx == Y.ctx, "pairing of objects of different categories")
+    source = tensor_obj(dual_object(Y), dual_object(X))
+    target = dual_object(tensor_obj(X, Y))
     one = X.ctx.field.one
     data = {}
     for i in range(X.dim):
@@ -354,5 +366,6 @@ def phi_left(X, Y):
 def psi(f, X, Y):
     """Turn f: X (x) *Y -> Z into X -> Z (x) Y (currying the right dual leg)."""
     dual = left_dual(Y)
-    assert f.source == tensor_obj(X, dual.space), "psi: source must be X (x) *Y"
+    require(f.source == tensor_obj(X, dual.space),
+            "psi: source must be X (x) *Y")
     return (f @ identity_mor(Y)) * (identity_mor(X) @ dual.coev)

@@ -19,7 +19,11 @@ until they reach full rank (the regular block's projection, which is in
 every group, already does after `check_regular_surjective`), X is C_J B_J^-1
 on those columns J, and X . B_t == C_t is then verified exactly for every
 t, so an inconsistent system still raises NoSolutionError
-(`exactalg.read_off`).
+(`exactalg.read_off`).  The constraints are stated on matrices: pi_A (x)
+pi_B, pi (x) pi and the maps that insert a coevaluation or braid the dual
+legs are Kronecker products of matrices, so no graded tensor object of a
+four-fold product is built; each map read off is wrapped as a
+GradedMorphism, which checks its degrees.
 
 A canonical comparison map from the original Hopf algebra is built from the
 regular block and checked to be an isomorphism of Hopf algebras; each block
@@ -32,10 +36,10 @@ from .braidedhopf import (BialgebraData, HopfAlgebraData, check_hopf,
 from .coend import compute_coend, reconstruction_diagram
 from .comodcat import (Comodule, FlagReport, comodule_dual,
                        comodule_tensor, hom_space, unit_comodule)
-from .exactalg import EngineError, InvalidStructureError, read_off
+from .exactalg import EngineError, InvalidStructureError, Matrix, read_off
 from .gradedcat import (GradedMorphism, braiding, braiding_inverse,
-                        dual_morphism, identity_mor, left_dual, phi_left, psi,
-                        tensor_obj, unit_object)
+                        dual_morphism, dual_object, identity_mor, left_dual,
+                        phi_left, psi, tensor_obj, unit_object)
 
 
 class NotIsoError(EngineError):
@@ -63,17 +67,18 @@ def extract_coproduct(res):
     coevaluation (the regular block alone already pins the solution)."""
     H = res.diagram.hopf
     q = res.dim
+    field = _field(res)
     constraints = []
     for i, B in enumerate(res.diagram.blocks):
         if B.carrier.dim > H.carrier.dim:
             continue
         V = B.carrier
         d = left_dual(V)
-        pi = res.pi(i)
-        insert = identity_mor(V) @ d.coev @ identity_mor(d.space)
-        rhs = (pi @ pi) * insert
-        constraints.append((pi.matrix, rhs.matrix))
-    X = read_off(_field(res), constraints, (q * q, q))
+        pi = res.pi(i).matrix
+        insert = (Matrix.identity(field, V.dim) @ d.coev.matrix
+                  @ Matrix.identity(field, d.space.dim))
+        constraints.append((pi, (pi @ pi) * insert))
+    X = read_off(field, constraints, (q * q, q))
     QQ = tensor_obj(res.quotient, res.quotient)
     return GradedMorphism(res.quotient, QQ, X)
 
@@ -93,17 +98,19 @@ def extract_product(res):
     """
     D = res.diagram
     q = res.dim
+    field = _field(res)
     reg, one = D.regular, D.index(D.derived(unit_comodule))
     constraints = []
     for a, b in ((reg, reg), (reg, one), (one, reg), (one, one)):
         VA, VB = D.blocks[a].carrier, D.blocks[b].carrier
-        dA, dB = left_dual(VA), left_dual(VB)
         piAB = res.pi(D.index(D.derived(comodule_tensor, a, b)))
-        mid = identity_mor(VA) @ braiding(dA.space, tensor_obj(VB, dB.space))
-        glue = identity_mor(VA) @ identity_mor(VB) @ phi_left(VA, VB)
-        rhs = piAB * glue * mid
-        constraints.append(((res.pi(a) @ res.pi(b)).matrix, rhs.matrix))
-    X = read_off(_field(res), constraints, (q, q * q))
+        mid = Matrix.identity(field, VA.dim) @ braiding(
+            dual_object(VA), tensor_obj(VB, dual_object(VB))).matrix
+        glue = (Matrix.identity(field, VA.dim * VB.dim)
+                @ phi_left(VA, VB).matrix)
+        rhs = piAB.matrix * glue * mid
+        constraints.append((res.pi(a).matrix @ res.pi(b).matrix, rhs))
+    X = read_off(field, constraints, (q, q * q))
     QQ = tensor_obj(res.quotient, res.quotient)
     return GradedMorphism(QQ, res.quotient, X)
 

@@ -7,7 +7,10 @@ checking them; these functions check them exactly on finite samples, and
 build the prebalancing exchange that the balancing relations encode and
 psi_bar, the map the certified coend's candidate is built from entrywise,
 and `hom_basis_by_elimination`, the oracle for the hom bases that
-`hom_space` writes down by formula.  `parse_scalar_by_fractions` and
+`hom_space` writes down by formula.  `verify_presentation_by_product` is
+the oracle for `QuotientPresentation.verify`, which compares each reduced
+relation column with its pivot's projection column instead of forming the
+product.  `parse_scalar_by_fractions` and
 `format_scalar_by_fractions` read and write scalar literals with
 `fractions.Fraction`, the oracle for the int-only `parse_scalar` and
 `format_scalar`.  `perfbench_module` loads a module of the benchmark, whose
@@ -142,6 +145,31 @@ def psi_bar(g, Z, Y):
     dual = left_dual(Y)
     require(g.target == tensor_obj(Z, Y), "psi_bar: target must be Z (x) Y")
     return (identity_mor(Z) @ dual.ev) * (g @ identity_mor(dual.space))
+
+
+def verify_presentation_by_product(pres):
+    """QuotientPresentation.verify with the relations killed checked by
+    forming projection x relation matrix, entry for entry."""
+    q, amb = pres.quotient_dim, pres.ambient_dim
+    require(pres.projection.rows == q and pres.projection.cols == amb,
+            "projection is not quotient x ambient")
+    free_pos = {j: k for k, j in enumerate(pres.free)}
+    require(len(free_pos) == q and all(0 <= j < amb for j in free_pos),
+            "free coordinates are not distinct ambient coordinates")
+    one = pres.projection.field.one
+    require(all({free_pos[j]: v for j, v in row.items() if j in free_pos}
+                == {k: one} for k, row in enumerate(pres.projection.data)),
+            "projection is not the identity on the free coordinates")
+    require(not pres.relation_matrix.cols
+            or (pres.projection * pres.relation_matrix).is_zero(),
+            "projection does not kill the relations")
+    rel = pres.relation_matrix
+    unit_rows = {k for row in rel.data if len(row) == 1
+                 for k, v in row.items() if v == one}
+    require(len(unit_rows) == rel.cols,
+            "relation columns are not in reduced form")
+    require(rel.cols + q == amb,
+            "relation rank + quotient dimension != ambient dimension")
 
 
 def rational_matrix(field, rows):

@@ -190,6 +190,25 @@ def test_non_coassociative_spec_is_an_invalid_structure(command, tmp_path,
     assert err == "error[InvalidStructure]: coaction is not coassociative\n"
 
 
+@pytest.mark.parametrize("command", ["verify-reconstruction", "stability"])
+def test_non_comultiplicative_product_is_an_invalid_structure(command,
+                                                              tmp_path,
+                                                              capsys):
+    # m(1 (x) g) = 2g: Delta is no longer an algebra map, so the tensor
+    # square of the regular comodule, merged through m, is not coassociative
+    doc = hopf_to_spec(build("sweedler"))
+    assert doc["hopf"]["m"][1][1] == "1"
+    doc["hopf"]["m"][1][1] = "2"
+    spec = tmp_path / "broken-m.json"
+    spec.write_text(canonical_json(doc))
+    code, payload = run_cli([command, str(spec)], tmp_path, "r.json")
+    assert code == 1
+    assert payload["error"] == {"code": "InvalidStructure",
+                                "message": "coaction is not coassociative"}
+    err = capsys.readouterr().err
+    assert err == "error[InvalidStructure]: coaction is not coassociative\n"
+
+
 def test_yd_modules_from_spec_file(tmp_path):
     # swap action with a group-graded coaction: YD compatibility fails
     doc = hopf_to_spec(build("group_algebra:2"))

@@ -1,6 +1,6 @@
 """Coend quotients: dimensions, grading, surjectivity, stability."""
 
-from itertools import islice
+from itertools import groupby, islice
 
 import pytest
 
@@ -11,7 +11,7 @@ from bhl.braidedhopf import HopfAlgebraData
 from bhl.coend import (
     CoendResult, Diagram, PiNotSurjectiveError, check_stability, compute_coend,
     default_diagram, reconstruction_diagram, _block_spaces,
-    _candidate, _eliminated,
+    _candidate, _eliminated, _hom_pairs,
 )
 from bhl.comodcat import (
     act, cofree_degree, comodule_dual, comodule_tensor, direct_sum_comodule,
@@ -410,22 +410,39 @@ def test_certificate_streams_balancing_then_cofree_and_stops_at_the_bound(
 
     def recording(*args, **kwargs):
         for item in relation_columns(*args, **kwargs):
-            streamed.append(item[0])
+            streamed.append(item)
             yield item
 
     monkeypatch.setattr(bhl.coend, "_relation_columns", recording)
     res = compute_coend(D)
     assert res.certificate is not None
-    # the stream is the full stream's prefix: balancing, then pairs with a
-    # cofree target; it stops at the rank bound, before the end
-    assert streamed == [name for name, _ in full[:len(streamed)]]
+    # the stream is the fallback stream's prefix, and it stops at the rank
+    # bound, before the end
+    assert streamed == full[:len(streamed)]
     assert len(streamed) < len(full)
-    first = next(i for i, x in enumerate(streamed)
-                 if x.startswith("dinaturality"))
-    assert first and all(x.startswith("balancing") for x in streamed[:first])
-    for x in streamed[first:]:
-        target = int(x.split("->")[1].rstrip("]"))
-        assert cofree_degree(D.blocks[target]) is not None, x
+    # the fallback stream: balancing; the pairs with a cofree target, in
+    # `_hom_pairs` order, for their columns (a, b) with eps(h_b) != 0; then
+    # every pair again for the rest (eps is zero on x and x^2 here)
+    def family(pair):
+        return "dinaturality[%d->%d]" % pair
+
+    present = {name for name, _ in full}
+    pairs = [family(p) for p in _hom_pairs(D) if family(p) in present]
+    cofree = [family(p) for p in _hom_pairs(D) if family(p) in present
+              and cofree_degree(D.blocks[p[1]]) is not None]
+    balancing = ["balancing[%d]" % k for k in range(len(D.balance))]
+    runs = [(name, len(list(run)))
+            for name, run in groupby(name for name, _ in full)]
+    assert [name for name, _ in runs] == balancing + cofree + pairs
+    # the rank bound is reached among the counit columns, and each of them
+    # has a single entry in its source block, at (a, the map's basis vector)
+    first = sum(n for _, n in runs[:len(balancing)])
+    counit_end = first + sum(n for _, n in runs[len(balancing):][:len(cofree)])
+    assert first < len(streamed) <= counit_end
+    for name, col in streamed[first:]:
+        ai, bi = (int(x) for x in name[len("dinaturality["):-1].split("->"))
+        lo, hi = offsets[ai], offsets[ai] + spaces[ai].dim
+        assert ai != bi and sum(lo <= c < hi for c in col) == 1, name
 
 
 def test_glued_block_with_another_coaction_falls_back():

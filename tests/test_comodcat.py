@@ -69,6 +69,41 @@ def test_bad_coaction_rejected():
         Comodule(H, V, bad)
 
 
+def coaction_on(H, V, rows):
+    return GradedMorphism(V, tensor_obj(H.carrier, V), Matrix.from_rows(
+        H.carrier.ctx.field, rows, V.dim))
+
+
+@pytest.mark.parametrize("case, message", [
+    ("sum_of_grouplikes", "coaction is not coassociative"),
+    ("zero_on_a_line", "coaction violates the counit"),
+    ("doubled_x", "coaction is not coassociative"),
+    ("doubled_delta", "coaction is not coassociative"),
+    ("zero_on_sweedler", "coaction violates the counit"),
+])
+def test_comodule_axioms_keep_their_errors(case, message):
+    # the axioms are compared through whiskered products, with the errors
+    # of the Kronecker-product comparison they replace
+    if case in ("sum_of_grouplikes", "zero_on_a_line"):
+        H = group_algebra(2)
+        V = unit_object(H.carrier.ctx)
+        one = H.carrier.ctx.field.one
+        rows = [{0: one}, {0: one}] if case == "sum_of_grouplikes" else [{}, {}]
+    else:
+        H = sweedler()
+        V = H.carrier
+        two = V.ctx.field.scalar(2)
+        delta = H.delta.matrix.data
+        rows = {"doubled_x": [{j: v * two if j == 2 else v
+                               for j, v in row.items()} for row in delta],
+                "doubled_delta": [{j: v * two for j, v in row.items()}
+                                  for row in delta],
+                "zero_on_sweedler": [{} for _ in delta]}[case]
+    with pytest.raises(InvalidStructureError) as err:
+        Comodule(H, V, coaction_on(H, V, rows))
+    assert str(err.value) == message
+
+
 def test_tensor_of_comodules_is_comodule():
     for H in (group_algebra(2), sweedler()):
         R = regular_comodule(H)

@@ -6,26 +6,29 @@ oracle; algebraic identities are asserted exactly.
 
 import math
 import operator
+import os
 import random
 import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bhl
 from bhl.exactalg import (
     CycloField, InvalidStructureError, Matrix, NoSolutionError,
     NonUniqueError, QuotientPresentation, Scalar, _eliminate,
     _null_space, _ModpEliminator, _modp_primes, cokernel_from_rref,
-    cyclotomic_polynomial, format_scalar, parse_scalar, read_off,
-    solve_product_constraints,
+    cyclotomic_polynomial, format_scalar, id_kron_mul, kron_id_mul,
+    parse_scalar, read_off, solve_product_constraints,
 )
 from oracles import (format_scalar_by_fractions, parse_scalar_by_fractions,
-                     rational_matrix)
+                     rational_matrix, verify_presentation_by_product)
 
 
 def test_cyclotomic_polynomials_match_sympy():
@@ -652,6 +655,100 @@ def test_kron_of_mixed_fields_still_raises():
         I3 @ I5
 
 
+# -- whiskered products --------------------------------------------------------
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_whiskered_products_match_kronecker_then_multiply(data):
+    F = data.draw(st.sampled_from([CycloField(1), CycloField(5)]))
+    r, k, d, c = (data.draw(st.integers(0, 3)) for _ in range(4))
+    A = Matrix(F, data.draw(_with_unit_rows(F, r, k)), cols=k)
+    X = Matrix(F, data.draw(_grids(F, k * d, c)), cols=c)
+    left = kron_id_mul(A, d, X)
+    assert left == (A @ Matrix.identity(F, d)) * X
+    assert all(all(row.values()) for row in left.data)
+    B = Matrix(F, data.draw(_with_unit_rows(F, r, k)), cols=k)
+    Y = Matrix(F, data.draw(_grids(F, d * k, c)), cols=c)
+    right = id_kron_mul(d, B, Y)
+    assert right == (Matrix.identity(F, d) @ B) * Y
+    assert all(all(row.values()) for row in right.data)
+
+
+def test_whiskered_products_check_shapes_and_fields():
+    F = CycloField(1)
+    A, X = Matrix.zeros(F, 2, 3), Matrix.zeros(F, 5, 2)
+    with pytest.raises(InvalidStructureError, match="shape mismatch"):
+        kron_id_mul(A, 2, X)
+    with pytest.raises(InvalidStructureError, match="shape mismatch"):
+        id_kron_mul(2, A, X)
+    Z = Matrix.zeros(CycloField(5), 6, 2)
+    with pytest.raises(InvalidStructureError):
+        kron_id_mul(A, 2, Z)
+    with pytest.raises(InvalidStructureError):
+        id_kron_mul(2, A, Z)
+    assert kron_id_mul(A, 2, Matrix.zeros(F, 6, 2)) == Matrix.zeros(F, 4, 2)
+
+
+# -- the presentation check against the product oracle ------------------------
+
+def _verdict(check, pres):
+    """None if the check passes, else the message of its error."""
+    try:
+        check(pres)
+    except InvalidStructureError as exc:
+        return str(exc)
+    return None
+
+
+def _corruptions(pres, rng):
+    """Copies of pres's parts with one projection entry, one relation entry
+    or the free list changed; each yields (projection, relations, free)."""
+    F = pres.projection.field
+    P, R, free = pres.projection, pres.relation_matrix, list(pres.free)
+    values = [F.zero, F.one, -F.one, F.scalar(2), F.zeta()]
+
+    def changed(M, i, j, v):
+        rows = [dict(row) for row in M.data]
+        if v:
+            rows[i][j] = v
+        else:
+            rows[i].pop(j, None)
+        return Matrix.from_rows(F, rows, M.cols)
+
+    for _ in range(40):
+        i, j = rng.randrange(P.rows), rng.randrange(P.cols)
+        yield changed(P, i, j, rng.choice(values)), R, free
+    for _ in range(40):
+        i, j = rng.randrange(R.rows), rng.randrange(R.cols)
+        yield P, changed(R, i, j, rng.choice(values)), free
+    for _ in range(20):
+        bent = list(free)
+        k = rng.randrange(len(bent))
+        bent[k] = rng.choice([rng.randrange(P.cols), bent[k - 1], P.cols])
+        yield P, R, bent
+    yield P, R, free[:-1]
+
+
+@pytest.mark.parametrize("name", ["sweedler", "nichols_cyclic:3"])
+def test_presentation_check_agrees_with_the_product_oracle(name):
+    from bhl.catalog import build
+    from bhl.coend import compute_coend, default_diagram
+    pres = compute_coend(default_diagram(build(name))).presentation
+    rng = random.Random(name)
+    verdicts = []
+    for P, R, free in _corruptions(pres, rng):
+        bent = object.__new__(QuotientPresentation)
+        bent.ambient_dim, bent.relation_matrix = pres.ambient_dim, R
+        bent.free, bent.projection = free, P
+        verdict = _verdict(QuotientPresentation.verify, bent)
+        assert verdict == _verdict(verify_presentation_by_product, bent)
+        verdicts.append(verdict)
+    assert None in verdicts  # a zero written over a zero changes nothing
+    assert "projection does not kill the relations" in verdicts
+    assert "relation columns are not in reduced form" in verdicts
+    assert "projection is not the identity on the free coordinates" in verdicts
+
+
 # -- the read-off against the full solve --------------------------------------
 
 def _solution(fn, *args):
@@ -726,7 +823,9 @@ SHAPE_CHECKS = textwrap.dedent("""
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_shape_mismatches_raise_without_asserts(flags):
+    env = dict(os.environ, PYTHONPATH=str(
+        Path(bhl.__file__).resolve().parent.parent))
     out = subprocess.run([sys.executable] + flags + ["-c", SHAPE_CHECKS],
-                         capture_output=True, text=True, timeout=60)
+                         capture_output=True, text=True, timeout=60, env=env)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["8"]

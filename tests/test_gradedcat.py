@@ -1,11 +1,17 @@
 """Braided graded category tests: tensor, braiding, duals, pairing maps."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import bhl
 from bhl.exactalg import CycloField, InvalidStructureError, Matrix
 from bhl.gradedcat import (
     AbelianGroup, Bicharacter, Context, GradedMorphism, GradedObject,
@@ -318,3 +324,42 @@ def test_zero_morphism():
     z = GradedMorphism(V, V, Matrix.zeros(ctx.field, V.dim, V.dim))
     assert z.is_zero()
     assert z + identity_mor(V) == identity_mor(V)
+
+
+# -- type checks hold under python -O ------------------------------------------
+
+TYPE_CHECKS = textwrap.dedent("""
+    from bhl.exactalg import CycloField, InvalidStructureError
+    from bhl.gradedcat import (AbelianGroup, Bicharacter, Context,
+                               braiding, braiding_inverse, identity_mor,
+                               line_object, phi_left, psi, tensor_obj)
+    Z2, Z3 = AbelianGroup([2]), AbelianGroup([3])
+    ctx = Context(CycloField(1), Z2, Bicharacter(Z2, 2, [[1]]))
+    other = Context(CycloField(3), Z3, Bicharacter(Z3, 3, [[1]]))
+    X, Y = line_object(ctx, "x", (1,)), line_object(ctx, "y", (0,))
+    W = line_object(other, "w", (1,))
+    iX, iY = identity_mor(X), identity_mor(Y)
+    cases = [lambda: iX * iY, lambda: iX * 1, lambda: iX + iY,
+             lambda: iX - iY, lambda: braiding(X, W),
+             lambda: braiding_inverse(X, W), lambda: phi_left(X, W),
+             lambda: psi(identity_mor(tensor_obj(X, Y)), X, Y),
+             lambda: Context(1, Z2, Bicharacter(Z2, 2, [[1]])),
+             lambda: Context(CycloField(1), Z3, Bicharacter(Z2, 2, [[1]]))]
+    for case in cases:
+        try:
+            case()
+        except InvalidStructureError:
+            continue
+        raise SystemExit("no InvalidStructureError")
+    print(len(cases))
+""")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_mistyped_morphisms_raise_without_asserts(flags):
+    env = dict(os.environ, PYTHONPATH=str(
+        Path(bhl.__file__).resolve().parent.parent))
+    out = subprocess.run([sys.executable] + flags + ["-c", TYPE_CHECKS],
+                         capture_output=True, text=True, timeout=60, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["10"]

@@ -104,11 +104,9 @@ def test_stability_streams_each_base_relation_once(monkeypatch, tmp_path):
     assert max(fed.values()) == 1
 
 
-def test_stability_resumes_the_base_rows_mod_p(monkeypatch, tmp_path):
-    """On the benchmark's seed-0 nichols_cyclic:5 spec, the base coend makes
-    its mod-p adds once; the three enlargements add only their own new
-    columns.  Re-adding the base's 775 reduced relation rows in each of
-    the three enlargements would make 5,230."""
+def count_modp_adds(monkeypatch, tmp_path, command):
+    """The primes of the mod-p adds that `command` makes on the benchmark's
+    seed-0 nichols_cyclic:5 spec."""
     spec = tmp_path / "cyclo5-diag.json"
     spec.write_bytes(perfbench_module("gen").generate("nichols_cyclic:5", 0,
                                                       False))
@@ -120,7 +118,28 @@ def test_stability_resumes_the_base_rows_mod_p(monkeypatch, tmp_path):
         return add(self, vec)
 
     monkeypatch.setattr(_ModpEliminator, "add", counting)
-    out = tmp_path / "stability.json"
-    assert bhl.cli.main(["stability", str(spec), "--out", str(out)]) == 0
-    assert len(adds) == 2905
+    out = tmp_path / "report.json"
+    assert bhl.cli.main([command, str(spec), "--out", str(out)]) == 0
+    return adds
+
+
+def test_stability_resumes_the_base_rows_mod_p(monkeypatch, tmp_path):
+    """On the benchmark's seed-0 nichols_cyclic:5 spec, the base coend makes
+    its mod-p adds once; the three enlargements add only their own new
+    columns.  Re-adding the base's 775 reduced relation rows in each of
+    the three enlargements would make 5,230; streaming the columns in
+    `_hom_pairs` order alone, without the counit columns first, 2,905."""
+    adds = count_modp_adds(monkeypatch, tmp_path, "stability")
+    assert len(adds) == 929
+    assert len(set(adds)) == 1
+
+
+def test_reconstruction_streams_the_counit_columns_first(monkeypatch,
+                                                         tmp_path):
+    """The counit columns of the maps into cofree blocks are nearly
+    triangular, so the rank bound on the seed-0 nichols_cyclic:5 spec (800
+    of whose adds raise the rank) takes 884 mod-p adds; in `_hom_pairs`
+    order alone it took 2,882."""
+    adds = count_modp_adds(monkeypatch, tmp_path, "verify-reconstruction")
+    assert len(adds) == 884
     assert len(set(adds)) == 1
