@@ -10,7 +10,7 @@ abelian group.
 
 from collections import namedtuple
 
-from .exactalg import (Matrix, NoSolutionError, EngineError,
+from .exactalg import (Matrix, NoSolutionError, EngineError, require,
                        solve_product_constraints)
 from .gradedcat import (AbelianGroup, Bicharacter, Context, GradedMorphism,
                         GradedObject, braiding, braiding_inverse,
@@ -59,10 +59,13 @@ class BialgebraData:
     def __init__(self, carrier, m, u, delta, eps):
         HH = tensor_obj(carrier, carrier)
         unit = unit_object(carrier.ctx)
-        assert m.source == HH and m.target == carrier, "bad multiplication type"
-        assert u.source == unit and u.target == carrier, "bad unit type"
-        assert delta.source == carrier and delta.target == HH, "bad coproduct type"
-        assert eps.source == carrier and eps.target == unit, "bad counit type"
+        require(m.source == HH and m.target == carrier,
+                "bad multiplication type")
+        require(u.source == unit and u.target == carrier, "bad unit type")
+        require(delta.source == carrier and delta.target == HH,
+                "bad coproduct type")
+        require(eps.source == carrier and eps.target == unit,
+                "bad counit type")
         self.carrier = carrier
         self.m = m
         self.u = u
@@ -84,7 +87,8 @@ class HopfAlgebraData(BialgebraData):
 
     def __init__(self, carrier, m, u, delta, eps, S):
         super().__init__(carrier, m, u, delta, eps)
-        assert S.source == carrier and S.target == carrier, "bad antipode type"
+        require(S.source == carrier and S.target == carrier,
+                "bad antipode type")
         self.S = S
 
     def _key(self):
@@ -177,10 +181,11 @@ class YDModuleData:
 
     def __init__(self, hopf, carrier, action, coaction):
         H = hopf.carrier
-        assert action.source == tensor_obj(H, carrier) and action.target == carrier, \
-            "bad action type"
-        assert coaction.source == carrier and coaction.target == tensor_obj(H, carrier), \
-            "bad coaction type"
+        require(action.source == tensor_obj(H, carrier)
+                and action.target == carrier, "bad action type")
+        require(coaction.source == carrier
+                and coaction.target == tensor_obj(H, carrier),
+                "bad coaction type")
         self.hopf = hopf
         self.carrier = carrier
         self.action = action
@@ -216,7 +221,7 @@ def check_yd(yd):
 
 def yd_braiding(V, W):
     """The induced braiding c: V (x) W -> W (x) V of two YD modules."""
-    assert V.hopf == W.hopf
+    require(V.hopf == W.hopf, "YD modules over different Hopf algebras")
     H = V.hopf.carrier
     return ((W.action @ identity_mor(V.carrier))
             * (identity_mor(H) @ braiding(V.carrier, W.carrier))
@@ -225,7 +230,7 @@ def yd_braiding(V, W):
 
 def yd_braiding_inverse(V, W):
     """Inverse of yd_braiding(V, W); requires an invertible antipode."""
-    assert V.hopf == W.hopf
+    require(V.hopf == W.hopf, "YD modules over different Hopf algebras")
     Hd = V.hopf
     H = Hd.carrier
     try:
@@ -366,7 +371,8 @@ def _group_algebra_on(tctx, group):
 
 def check_hopf_morphism(f, A, B):
     """Exact residuals for f: A -> B being a morphism of Hopf algebras."""
-    assert f.source == A.carrier and f.target == B.carrier
+    require(f.source == A.carrier and f.target == B.carrier,
+            "bad Hopf morphism type")
     return CheckReport([
         ("respects_m", f * A.m - B.m * (f @ f)),
         ("respects_u", f * A.u - B.u),

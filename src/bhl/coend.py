@@ -27,54 +27,56 @@ dimension).  The certificate checks
   equal its anchor's, that is when their coaction matrices agree.  So (a)
   holds once P is checked against psi_bar of each coaction and each glued
   block's coaction against its anchor's.
-* (b) the columns' images mod p reach rank N - n, for a prime p = 1 (mod
-  the field order) at which zeta maps to a root of Phi_n and which divides
-  no denominator met.  That map is a ring map, and a ring map never raises
-  rank, so rank R >= N - n.  The columns are streamed balancing first;
-  then, along the maps into cofree blocks (whose hom bases are written
-  down, not eliminated; see `comodcat`), only the columns (a, b) with
-  eps(h_b) != 0; then every other column, in `_hom_pairs` order.  The
-  stream stops as soon as the rank reaches N - n.  The counit columns
-  come first because by the counit axiom they are nearly triangular: the
-  k-th formula map f = (id (x) E_a') rho_A has sum_b eps(h_b) f[b, j] =
-  [j = a'], so where eps(h_b0) = 1 and eps vanishes on the other basis
-  vectors, column (a, b0) has a single entry in A's block, at (a, a'),
-  and almost every such column raises the rank.  (A group algebra has
-  eps != 0 on every basis vector, so its order is `_hom_pairs` order.)
-  Each hom-basis map the stream uses is checked to be colinear, once,
-  before its first column, so every streamed column is a relation.  A
-  map into a cofree block is checked by formula: it must be the k-th map
-  (id (x) E_a) rho_A of `hom_space`'s basis, row for row, which is
-  colinear because A's coaction is coassociative (checked when A was
-  built) and the block's coaction is Delta (checked by `cofree_degree`).
-  Any other map is checked by the product, `is_colinear`.
+* (b) rank R >= N - n, by a lemma and one exact elimination.  Split the
+  ambient coordinates into T, those of the cofree blocks (`cofree_degree`
+  not None), and S, the rest.  Let A be a block in S, a' a basis vector of
+  A of degree d, and B a cofree block of degree d.  The formula map
+  f = (id (x) E_a') rho_A is in B's hom basis (see `comodcat`), so for each
+  a the sum  sum_b eps(h_b) col(f, a, b)  of its columns is a relation.  Its
+  part in A's block is  - sum_j sum_b eps(h_b) rho_A[(b, a'), j] e_(a, j),
+  which is -e_(a, a') by A's counit axiom (eps (x) id) rho_A = id, checked
+  when A was built (`Comodule.__init__`); the rest lies in B's block, in T.
+  So if every degree of every basis vector of a block in S is the degree of
+  some cofree block, these sums restrict to S as a signed permutation:
+  every relation is a combination of them plus a relation supported on T,
+  and rank R = |S| + rank(R restricted to relations supported on T).  The
+  certificate checks that premise from the degrees alone, checks each hom
+  basis the lemma uses against the formula row for row
+  (`_is_cofree_formula`), and then eliminates exactly the relation columns
+  supported on T -- balancing and dinaturality between cofree blocks, in
+  `_relation_columns` order -- and stops as soon as their rank reaches
+  |T| - n.  Then rank R >= |S| + |T| - n = N - n.  Each hom-basis map
+  that stream uses is checked to be colinear, once, before its first
+  column, so every streamed column is a relation: a map into a cofree
+  block by formula (the k-th map (id (x) E_a) rho_A of `hom_space`'s
+  basis, colinear because A's coaction is coassociative, checked when A
+  was built, and the block's coaction is Delta, checked by
+  `cofree_degree`), any other by the product, `is_colinear`.
 
 With rank P = n, (a) and (b) give span R = ker P exactly.  The canonical
 presentation of ker P is read off P: coordinate j is free iff P e_j is
 independent of the columns after j, the projection is P_F^-1 P, and the
 reduced relation row of a pivot p is e_p - sum_k proj[k][p] e_(free k).
 It is what eliminating the relations would give, entry for entry.  If
-rank P < n, if a premise of (a) fails, if a streamed map is not colinear,
-or if (b) fails at a few primes (a non-Hopf input, a diagram too small to
-cut H out), every relation column is eliminated exactly instead, in the
-same stream order, so every output, error paths included, is as
-elimination gives it.  The reduced rows are canonical, so the stream
+rank P < n, if a premise of (a) or of the lemma fails, if a streamed map is
+not colinear, or if the relations supported on T fall short of |T| - n (a
+non-Hopf input, a diagram too small to cut H out), every relation column
+is eliminated exactly instead, so every output, error paths included, is
+as elimination gives it.  The reduced rows are canonical, so the stream
 order changes no output.
 
 An enlargement certifies itself from its own candidate:
-`Diagram.enlarged` only appends blocks and gluings, so the base's relations
-are relations of the enlargement, and only the new columns are streamed.
-At the base's prime the rank bound resumes from the base's rows mod p; at
-any other prime the base's reduced relation rows are streamed first.
+`Diagram.enlarged` only appends blocks and gluings, so the base's offsets
+stay and its relations are relations of the enlargement.  The elimination
+on T resumes from the base's reduced rows on T, and only the new columns
+supported on T are streamed.
 """
 
 import copy
-from itertools import chain, islice
 
 from .exactalg import (EngineError, InvalidStructureError, Matrix,
                        QuotientPresentation, SparseEliminator,
-                       _ModpEliminator, _modp_primes, cokernel_from_rref,
-                       require)
+                       cokernel_from_rref, require)
 from .gradedcat import (GradedMorphism, GradedObject, dual_object,
                         line_object, tensor_obj)
 from .comodcat import (Comodule, FlagReport, act, cofree_degree,
@@ -250,22 +252,27 @@ def _is_cofree_formula(f, k, A, B_degree):
 
 
 def _relation_columns(diagram, spaces, offsets, blocks_done=0,
-                      balance_done=0, colinear=False):
+                      balance_done=0, colinear=False, within=None):
     """Yield ("family-name", column-dict) for every relation that the
     prefix of `blocks_done` blocks and `balance_done` gluings lacks, in a
-    fixed deterministic order: balancing; then, over the pairs with a
-    cofree target in `_hom_pairs` order, the dinaturality columns (a, b)
-    with eps(h_b) != 0; then every other dinaturality column, in
-    `_hom_pairs` order.  Within a pair the columns run over the hom basis,
-    then a, then b.  With `colinear`, each hom-basis map is checked to be
-    colinear before its first column is yielded, and _NotColinear is
-    raised if not: a map into a cofree block by comparing it with the
-    formula map, any other by `is_colinear`."""
+    fixed deterministic order: balancing, then dinaturality in `_hom_pairs`
+    order; within a pair the columns run over the hom basis, then a, then
+    b.  With `within`, a collection of block indices, only the families
+    between two blocks of it are yielded.  With `colinear`, each hom-basis
+    map is checked to be colinear before its first column is yielded, and
+    _NotColinear is raised if not: a map into a cofree block by comparing
+    it with the formula map, any other by `is_colinear`."""
     blocks = diagram.blocks
     one = diagram.hopf.carrier.ctx.field.one
     neg_one = -one
+
+    def wanted(i, j):
+        return within is None or (i in within and j in within)
+
     for k in range(balance_done, len(diagram.balance)):
         ci, wi = diagram.balance[k]
+        if not wanted(ci, wi):
+            continue
         n = blocks[wi].carrier.dim
         require(blocks[ci].carrier.dim == n,
                 "a glued block must have its anchor's dimension")
@@ -274,26 +281,24 @@ def _relation_columns(diagram, spaces, offsets, blocks_done=0,
         for b in range(n):
             for a in range(n):
                 yield name, {offC + b * n + a: one, offW + b * n + a: neg_one}
-    pairs = [(ai, bi) for ai, bi in _hom_pairs(diagram)
-             if ai >= blocks_done or bi >= blocks_done]
-    cofree = {bi: cofree_degree(blocks[bi]) for _, bi in pairs}
-    counit = sorted(diagram.hopf.eps.matrix.data[0])  # b with eps(h_b) != 0
-
-    def columns(ai, bi, bs, check):
+    for ai, bi in _hom_pairs(diagram):
+        if (ai < blocks_done and bi < blocks_done) or not wanted(ai, bi):
+            continue
         A, B = blocks[ai], blocks[bi]
         dA, dB = A.carrier.dim, B.carrier.dim
         offA, offB = offsets[ai], offsets[bi]
         name = "dinaturality[%d->%d]" % (ai, bi)
+        degree = cofree_degree(B) if colinear else None
         for k, f in enumerate(diagram.hom_basis(ai, bi)):
-            if check and not ((cofree[bi] is not None
-                               and _is_cofree_formula(f, k, A, cofree[bi]))
-                              or is_colinear(f, A, B)):
+            if colinear and not ((degree is not None
+                                  and _is_cofree_formula(f, k, A, degree))
+                                 or is_colinear(f, A, B)):
                 raise _NotColinear(name)
             f_cols = f.matrix.transpose().data
             neg_rows = [{j: -v for j, v in row.items()}
                         for row in f.matrix.data]
             for a in range(dA):
-                for b in bs:
+                for b in range(dB):
                     col = {offB + i * dB + b: v for i, v in f_cols[a].items()}
                     for j, v in neg_rows[b].items():
                         c = offA + a * dA + j
@@ -303,20 +308,6 @@ def _relation_columns(diagram, spaces, offsets, blocks_done=0,
                     if col:
                         yield name, col
 
-    # the counit columns first: nearly triangular by the counit axiom (see
-    # the module docstring), almost every one of them raises the rank.  The
-    # maps into cofree blocks are checked there, before their first column
-    for ai, bi in pairs:
-        if cofree[bi] is not None:
-            yield from columns(ai, bi, counit, colinear)
-    for ai, bi in pairs:
-        dB = blocks[bi].carrier.dim
-        if cofree[bi] is None:
-            yield from columns(ai, bi, range(dB), colinear)
-        else:
-            yield from columns(ai, bi, [b for b in range(dB)
-                                        if b not in counit], False)
-
 
 class CoendResult:
     """The computed quotient with its canonical presentation.
@@ -324,22 +315,20 @@ class CoendResult:
     `quotient` is a graded object (basis c0, c1, ... with the degrees of the
     free ambient coordinates); `pi(i)` is the universal projection from
     block i's F(B) (x) *F(B) as a morphism of the graded category.
-    `certificate` is the prime of the rank bound when the presentation was
-    certified (see the module docstring), None when it was eliminated.
-    `modp_rows` are the rank bound's rows mod that prime, from which
-    `enlarged` resumes; a caller that enlarges nothing may set them to
-    None to free them (then `enlarged` streams the reduced relation rows).
+    `certificate` holds, when the presentation was certified (see the
+    module docstring), the reduced rows {pivot: row} of the relations
+    supported on the cofree blocks, from which `enlarged` resumes; None
+    when the presentation was eliminated.
     """
 
     def __init__(self, diagram, spaces, offsets, presentation, quotient,
-                 certificate=None, modp_rows=None):
+                 certificate=None):
         self.diagram = diagram
         self.spaces = spaces
         self.offsets = offsets
         self.presentation = presentation
         self.quotient = quotient
         self.certificate = certificate
-        self.modp_rows = modp_rows
 
     @property
     def dim(self):
@@ -347,11 +336,10 @@ class CoendResult:
 
     def enlarged(self, *extra):
         """compute_coend(self.diagram.enlarged(*extra)), certified from the
-        enlargement's own candidate.  Only the relations the enlargement
-        adds are streamed.  The base's relations seed the rank bound: at
-        the base's prime its mod-p rows are resumed as they are, at any
-        other prime its reduced relation rows are streamed first.  Without
-        a certificate the enlargement is eliminated from scratch."""
+        enlargement's own candidate.  The elimination on the cofree blocks
+        resumes from the base's certificate rows, and only the columns the
+        enlargement adds are streamed.  Without a base certificate the
+        enlargement is certified, or else eliminated, from scratch."""
         big = self.diagram.enlarged(*extra)
         layout = _block_spaces(big)
         return _certified(big, *layout, base=self) or _eliminated(big, *layout)
@@ -474,32 +462,6 @@ def _lemma_holds(diagram, offsets, P):
                for ci, wi in diagram.balance)
 
 
-_PRIME_TRIES = 3  # primes tried for the rank bound before eliminating
-
-
-def _rank_bound(field, target, rows, resume=None):
-    """(p, rows mod p) for a prime p at which the images of the rows of
-    rows(p) reach rank `target`, or None.  `resume` is (p, rows mod p) of
-    an earlier bound, the starting rows at its own prime.  The stream stops
-    as soon as the rank reaches the target; a prime dividing a denominator,
-    or one at which the rank falls short, is replaced by the next,
-    re-streaming the rows."""
-    for p, root in islice(_modp_primes(field), _PRIME_TRIES):
-        modp = _ModpEliminator(field, p, root)
-        if resume is not None and resume[0] == p:
-            modp.rows = dict(resume[1])
-        if modp.rank < target:
-            try:
-                for row in rows(p):
-                    if modp.add(row) and modp.rank >= target:
-                        break
-            except ZeroDivisionError:
-                continue
-        if modp.rank >= target:
-            return p, modp.rows
-    return None
-
-
 def _presentation(field, total, proj, free):
     """The canonical presentation of ker P from (P_F^-1 P as columns, F):
     the reduced relation row of a pivot p is e_p - sum_k proj[p][k]
@@ -522,10 +484,35 @@ def _presentation(field, total, proj, free):
     )
 
 
+def _counit_lemma_holds(diagram, cofree):
+    """Whether the counit lemma of the module docstring covers every block
+    that is not cofree: each degree d of its basis vectors is the degree of
+    a cofree block, and the hom basis into the first such block is the
+    formula basis, one map per basis vector of degree d.  (A cofree block
+    has H's dimension, so every pair into it is in `_hom_pairs`.)
+    `cofree` maps each cofree block's index to its degree."""
+    first = {}
+    for bi, d in cofree.items():
+        first.setdefault(d, bi)
+    for ai, A in enumerate(diagram.blocks):
+        if ai in cofree:
+            continue
+        V = A.carrier
+        for d in dict.fromkeys(V.degree(a) for a in range(V.dim)):
+            if d not in first:
+                return False
+            basis = diagram.hom_basis(ai, first[d])
+            if (len(basis) != sum(V.degree(a) == d for a in range(V.dim))
+                    or not all(_is_cofree_formula(f, k, A, d)
+                               for k, f in enumerate(basis))):
+                return False
+    return True
+
+
 def _certified(diagram, spaces, offsets, total, base=None):
     """The coend certified from the candidate, or None.  `base` is the
-    coend of a diagram that this one enlarges: its relations are not
-    streamed again (see `CoendResult.enlarged`)."""
+    coend of a diagram that this one enlarges: with a certificate, its
+    relations are not streamed again (see `CoendResult.enlarged`)."""
     field = diagram.hopf.carrier.ctx.field
     n = diagram.hopf.carrier.dim
     P = _candidate(diagram, offsets, total)
@@ -535,31 +522,29 @@ def _certified(diagram, spaces, offsets, total, base=None):
     del P  # not needed by the presentation: lower its peak memory
     if found is None:
         return None
-
-    resume, prefix = None, ()
-    if base is not None:
-        prefix = (len(base.diagram.blocks), len(base.diagram.balance))
-        if base.modp_rows is not None:
-            resume = (base.certificate, base.modp_rows)
-
-    def rows(p):
-        columns = _relation_columns(diagram, spaces, offsets, *prefix,
-                                    colinear=True)
-        columns = (col for _, col in columns)
-        if base is None or (resume is not None and p == resume[0]):
-            return columns
-        # the base's relations, spanned by its reduced relation rows
-        return chain(base.presentation.relation_matrix.transpose().data,
-                     columns)
-
-    try:
-        bound = _rank_bound(field, total - n, rows, resume)
-    except _NotColinear:
+    cofree = {bi: d for bi, d in ((bi, cofree_degree(B))
+                                  for bi, B in enumerate(diagram.blocks))
+              if d is not None}
+    if not _counit_lemma_holds(diagram, cofree):
         return None
-    if bound is None:
+
+    elim, prefix = SparseEliminator(field), ()
+    if base is not None and base.certificate is not None:
+        elim.rows = dict(base.certificate)
+        prefix = (len(base.diagram.blocks), len(base.diagram.balance))
+    target = sum(spaces[bi].dim for bi in cofree) - n
+    if elim.rank < target:
+        try:
+            for _, col in _relation_columns(diagram, spaces, offsets, *prefix,
+                                            colinear=True, within=cofree):
+                if elim.add(col) and elim.rank >= target:
+                    break
+        except _NotColinear:
+            return None
+    if elim.rank < target:
         return None
     return _result(diagram, spaces, offsets,
-                   _presentation(field, total, *found), *bound)
+                   _presentation(field, total, *found), elim.rows)
 
 
 def _eliminated(diagram, spaces, offsets, total):
@@ -572,8 +557,7 @@ def _eliminated(diagram, spaces, offsets, total):
                    cokernel_from_rref(field, total, elim.rref_rows()))
 
 
-def _result(diagram, spaces, offsets, pres, certificate=None,
-            modp_rows=None):
+def _result(diagram, spaces, offsets, pres, certificate=None):
     def coord_degree(p):
         for S, off in zip(reversed(spaces), reversed(offsets)):
             if p >= off:
@@ -583,8 +567,7 @@ def _result(diagram, spaces, offsets, pres, certificate=None,
     quotient = GradedObject(diagram.hopf.carrier.ctx,
                             [("c%d" % k, coord_degree(p))
                              for k, p in enumerate(pres.free)])
-    return CoendResult(diagram, spaces, offsets, pres, quotient, certificate,
-                       modp_rows)
+    return CoendResult(diagram, spaces, offsets, pres, quotient, certificate)
 
 
 def compute_coend(diagram):

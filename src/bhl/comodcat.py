@@ -11,10 +11,9 @@ by formula: Hom^H(A, H (x) L) = Hom(F(A), L) through f |-> (id (x) f) rho_A,
 so the maps (id (x) E_a) rho_A, one for each basis vector a of A of degree
 d, are a basis, with no elimination.  Into any other comodule they are the
 kernel of the colinearity equations.  By the counit axiom,
-sum_b eps(h_b) rho_A[(b, a), j] = [j = a], so where eps(h_b0) = 1 and eps
-vanishes on the other basis vectors, row b0 of (id (x) E_a) rho_A is the
-unit row e_a: the coend streams the dinaturality columns (., b0) of these
-maps first, since each has a single entry in A's block (see `coend`).
+sum_b eps(h_b) rho_A[(b, a), j] = [j = a], so the eps-weighted sum of the
+rows of (id (x) E_a) rho_A is the unit row e_a: the coend's certificate
+rests on this (see `coend`).
 
 The comodule axioms are checked exactly at construction, without forming
 Kronecker products: (Delta (x) id) rho and (eps (x) id) rho are

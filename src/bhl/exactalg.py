@@ -18,7 +18,7 @@ All results are exact; "zero" always means identically zero.
 
 from functools import reduce
 from math import gcd, lcm
-from operator import add as _add, mul as _mul, neg as _neg, sub as _sub
+from operator import add as _add, neg as _neg, sub as _sub
 
 
 class EngineError(Exception):
@@ -783,99 +783,6 @@ class SparseEliminator:
                             row[kk] = nc * vv
             reduced[p] = row
         return [(p, reduced[p]) for p in pivs]
-
-
-def _is_prime(n):
-    """Miller-Rabin with bases 2, 3, 5, 7: exact below 3,215,031,751."""
-    for q in (2, 3, 5, 7):
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in (2, 3, 5, 7):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _modp_primes(field):
-    """(p, r) for the primes p = 1 (mod the field order) above 2^30, in
-    increasing order, with r the first root of Phi_n mod p found by
-    x -> x^((p-1)/n).  zeta -> r is then a ring map from the elements of
-    the field whose denominators p does not divide onto Z/p."""
-    n = field.order
-    p = (2 ** 30 // n + 1) * n + 1
-    while True:
-        if _is_prime(p):
-            for a in range(2, p):
-                r = pow(a, (p - 1) // n, p)
-                if sum(c * pow(r, i, p) for i, c in enumerate(field.modulus)) % p == 0:
-                    yield p, r
-                    break
-        p += n
-
-
-class _ModpEliminator:
-    """SparseEliminator's forward reduction on images mod a prime p.
-
-    `add` maps a sparse row of Scalars through zeta -> root and raises
-    ZeroDivisionError if p divides a coefficient's denominator.  A ring map
-    never raises rank, so `rank` bounds the rank over the field from below.
-    """
-
-    def __init__(self, field, p, root):
-        self.p = p
-        self.powers = [pow(root, i, p) for i in range(field.degree)]
-        self.rows = {}  # pivot column -> row {column: int}, row[pivot] == 1
-        # id(Scalar) -> (Scalar, image); holding the Scalar keeps its id
-        # from being reused, and ids hash without comparing coefficients
-        self._images = {}
-
-    def image(self, s):
-        hit = self._images.get(id(s))
-        if hit is None:
-            hit = self._images[id(s)] = (s, self._map(s))
-        return hit[1]
-
-    def _map(self, s):
-        # s.den is the lcm of the coefficients' reduced denominators, so p
-        # divides it iff p divides one of them
-        p = self.p
-        if s.den % p == 0:
-            raise ZeroDivisionError("p divides a denominator")
-        return sum(map(_mul, s.num, self.powers)) * pow(s.den, -1, p) % p
-
-    def add(self, vec):
-        """Reduce the image of vec (not consumed); True if rank grew."""
-        p, rows, image = self.p, self.rows, self.image
-        vec = {k: x for k, x in ((k, image(v)) for k, v in vec.items()) if x}
-        while vec:
-            piv = min(vec)
-            row = rows.get(piv)
-            if row is None:
-                inv = pow(vec[piv], -1, p)
-                rows[piv] = {k: x * inv % p for k, x in vec.items()}
-                return True
-            c = p - vec[piv]
-            for k, x in row.items():
-                x = (vec.get(k, 0) + c * x) % p
-                if x:
-                    vec[k] = x
-                else:
-                    vec.pop(k, None)
-        return False
-
-    @property
-    def rank(self):
-        return len(self.rows)
 
 
 def _eliminate(field, rows):

@@ -103,7 +103,13 @@ def extract_product(res):
     constraints = []
     for a, b in ((reg, reg), (reg, one), (one, reg), (one, one)):
         VA, VB = D.blocks[a].carrier, D.blocks[b].carrier
-        piAB = res.pi(D.index(D.derived(comodule_tensor, a, b)))
+        try:
+            ab = D.index(D.derived(comodule_tensor, a, b))
+        except KeyError:  # m breaks a unit law, say
+            raise InvalidStructureError(
+                "the tensor product of blocks %d and %d is not a block of "
+                "the diagram" % (a, b)) from None
+        piAB = res.pi(ab)
         mid = Matrix.identity(field, VA.dim) @ braiding(
             dual_object(VA), tensor_obj(VB, dual_object(VB))).matrix
         glue = (Matrix.identity(field, VA.dim * VB.dim)
@@ -215,7 +221,6 @@ def reconstruct(H, diagram=None):
     """Full pipeline: coend, structure maps, comparison, equivalence checks."""
     res = compute_coend(diagram if diagram is not None
                         else reconstruction_diagram(H))
-    res.modp_rows = None  # nothing is enlarged here: free the rank bound's rows
     res.check_regular_surjective()
     eps = extract_counit(res)
     delta = extract_coproduct(res)

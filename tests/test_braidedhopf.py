@@ -9,7 +9,8 @@ from bhl.braidedhopf import (
     yd_braiding_inverse,
 )
 from bhl.catalog import exterior_line, group_algebra, sweedler, yd_samples
-from bhl.exactalg import CycloField, Matrix, NoSolutionError
+from bhl.exactalg import (CycloField, InvalidStructureError, Matrix,
+                          NoSolutionError)
 from bhl.gradedcat import (
     AbelianGroup, Bicharacter, Context, GradedMorphism, GradedObject,
     identity_mor, tensor_obj, unit_object,
@@ -106,6 +107,41 @@ def kz2_yd_samples():
     coaction)."""
     H = group_algebra(2)
     return H, [yd for _, yd in yd_samples(H)]
+
+
+def mistyped_data():
+    """Each shape check of this module, handed a datum of the wrong type."""
+    H = sweedler()
+    kz2, samples = kz2_yd_samples()
+    kz3_samples = [yd for _, yd in yd_samples(group_algebra(3))]
+    V = samples[0]
+    return {
+        "bialgebra_m": lambda: BialgebraData(H.carrier, H.delta, H.u,
+                                             H.delta, H.eps),
+        "bialgebra_u": lambda: BialgebraData(H.carrier, H.m, H.eps,
+                                             H.delta, H.eps),
+        "bialgebra_delta": lambda: BialgebraData(H.carrier, H.m, H.u, H.m,
+                                                 H.eps),
+        "bialgebra_eps": lambda: BialgebraData(H.carrier, H.m, H.u, H.delta,
+                                               H.u),
+        "hopf_antipode": lambda: HopfAlgebraData(H.carrier, H.m, H.u,
+                                                 H.delta, H.eps, H.eps),
+        "yd_action": lambda: YDModuleData(kz2, V.carrier, V.coaction,
+                                          V.coaction),
+        "yd_coaction": lambda: YDModuleData(kz2, V.carrier, V.action,
+                                            V.action),
+        "yd_braiding": lambda: yd_braiding(V, kz3_samples[0]),
+        "yd_braiding_inverse": lambda: yd_braiding_inverse(V,
+                                                           kz3_samples[0]),
+        "hopf_morphism": lambda: check_hopf_morphism(H.u, H, H),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(mistyped_data()))
+def test_mistyped_datum_raises_invalid_structure(case):
+    # shape checks are not asserts: they hold under python -O too
+    with pytest.raises(InvalidStructureError):
+        mistyped_data()[case]()
 
 
 def test_yd_samples_pass():

@@ -4,6 +4,7 @@ codes, error codes, and byte-identical reports."""
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -207,6 +208,31 @@ def test_non_comultiplicative_product_is_an_invalid_structure(command,
                                 "message": "coaction is not coassociative"}
     err = capsys.readouterr().err
     assert err == "error[InvalidStructure]: coaction is not coassociative\n"
+
+
+def broken_unit_law_spec(tmp_path):
+    """The exterior_line spec with m(1 (x) x) = 2x: the unit law fails, so
+    the tensor product of the unit and regular blocks is no block of the
+    reconstruction diagram."""
+    doc = hopf_to_spec(build("exterior_line"))
+    assert doc["hopf"]["m"][1][1] == "1"
+    doc["hopf"]["m"][1][1] = "2"
+    spec = tmp_path / "broken-unit.json"
+    spec.write_text(canonical_json(doc))
+    return spec
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "verify-reconstruction"])
+def test_broken_unit_law_is_an_invalid_structure(command, tmp_path, capsys):
+    spec = broken_unit_law_spec(tmp_path)
+    code, payload = run_cli([command, str(spec)], tmp_path, "r.json")
+    message = ("the tensor product of blocks 1 and 0 is not a block of the "
+               "diagram")
+    assert code == 1
+    assert payload == {"command": command, "status": "error",
+                       "error": {"code": "InvalidStructure",
+                                 "message": message}}
+    assert capsys.readouterr().err == "error[InvalidStructure]: %s\n" % message
 
 
 def test_yd_modules_from_spec_file(tmp_path):
@@ -486,10 +512,10 @@ def test_python_m_bhl_runs_the_cli():
     assert json.loads(proc.stdout)["status"] == "pass"
 
 
-def run_module(flags, args):
+def run_module(flags, args, module="bhl"):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(bhl.__file__).resolve().parent.parent)
-    return subprocess.run([sys.executable] + flags + ["-m", "bhl"] + args,
+    return subprocess.run([sys.executable] + flags + ["-m", module] + args,
                           capture_output=True, env=env)
 
 
@@ -505,6 +531,22 @@ def test_optimized_interpreter_gives_the_same_reports(tmp_path):
         assert plain.stdout == optimized.stdout, args
         for proc in (plain, optimized):
             assert b"Traceback" not in proc.stderr, proc.stderr.decode()
+
+
+def test_optimized_cli_module_writes_the_same_bytes(tmp_path):
+    """python -O -m bhl.cli exits with the same code and writes the same
+    bytes as python -m bhl.cli, on a passing reconstruction and on the
+    broken unit law (the summary's elapsed time aside)."""
+    spec = str(broken_unit_law_spec(tmp_path))
+    for args, want in ((["verify-reconstruction", "--builtin", "sweedler"], 0),
+                       (["verify-reconstruction", spec], 1)):
+        plain, optimized = (run_module(flags, args, module="bhl.cli")
+                            for flags in ([], ["-O"]))
+        assert plain.returncode == optimized.returncode == want, args
+        assert plain.stdout == optimized.stdout, args
+        assert (re.sub(rb"\(\d+\.\d+s\)", b"", plain.stderr)
+                == re.sub(rb"\(\d+\.\d+s\)", b"", optimized.stderr)), args
+        assert b"Traceback" not in plain.stderr + optimized.stderr, args
 
 
 def test_optimized_interpreter_reproduces_the_golden_report(tmp_path):

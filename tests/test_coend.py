@@ -1,6 +1,6 @@
 """Coend quotients: dimensions, grading, surjectivity, stability."""
 
-from itertools import groupby, islice
+import re
 
 import pytest
 
@@ -11,14 +11,14 @@ from bhl.braidedhopf import HopfAlgebraData
 from bhl.coend import (
     CoendResult, Diagram, PiNotSurjectiveError, check_stability, compute_coend,
     default_diagram, reconstruction_diagram, _block_spaces,
-    _candidate, _eliminated, _hom_pairs,
+    _candidate, _counit_lemma_holds, _eliminated, _relation_columns,
 )
 from bhl.comodcat import (
     act, cofree_degree, comodule_dual, comodule_tensor, direct_sum_comodule,
     hom_space, regular_comodule, unit_comodule,
 )
-from bhl.exactalg import (InvalidStructureError, Matrix, _ModpEliminator,
-                          _modp_primes, cokernel_from_rref)
+from bhl.exactalg import (InvalidStructureError, Matrix, SparseEliminator,
+                          cokernel_from_rref)
 from bhl.gradedcat import (GradedMorphism, GradedObject, identity_mor,
                            left_dual, line_object, tensor_obj, unit_object)
 from oracles import (hom_basis_by_elimination, is_comodule_morphism,
@@ -182,61 +182,49 @@ def test_resumed_enlargement_by_a_known_block_streams_nothing(monkeypatch):
     assert_same_coend(same, small)
 
 
-def count_modp_adds(monkeypatch):
-    """A list that grows by one for every _ModpEliminator.add."""
-    adds = []
-    add = _ModpEliminator.add
-
-    def counting(self, vec):
-        adds.append(self.p)
-        return add(self, vec)
-
-    monkeypatch.setattr(_ModpEliminator, "add", counting)
-    return adds
+def cofree_blocks(diagram):
+    """{block index: degree} of the diagram's cofree blocks."""
+    return {bi: d for bi, d in ((bi, cofree_degree(B))
+                                for bi, B in enumerate(diagram.blocks))
+            if d is not None}
 
 
 @pytest.mark.parametrize("name", ["exterior_line", "nichols_cyclic:3",
                                   "taft:2"])
-def test_resumed_enlargement_starts_from_the_base_rows_mod_p(name,
-                                                             monkeypatch):
-    # at the base's prime the enlargement streams its new columns only;
-    # without the base's rows mod p it streams the reduced relation rows
-    # first, one add each, and then the same columns
+def test_resumed_enlargement_starts_from_the_base_rows(name, monkeypatch):
+    # the enlargement resumes from the base's reduced rows on the cofree
+    # blocks and streams only its own new cofree columns; without the
+    # base's rows it streams every cofree column again, to the same result
     base = default_diagram(build(name))
     small = compute_coend(base)
-    adds = count_modp_adds(monkeypatch)
+    streamed = []
+    relation_columns = bhl.coend._relation_columns
+
+    def recording(*args, **kwargs):
+        for item in relation_columns(*args, **kwargs):
+            streamed.append(item)
+            yield item
+
+    monkeypatch.setattr(bhl.coend, "_relation_columns", recording)
     for block in stability_blocks(base):
-        del adds[:]
+        del streamed[:]
         big = small.enlarged(block)
-        resumed = len(adds)
-        assert big.certificate == small.certificate
+        resumed = [family for family, _ in streamed]
+        assert big.certificate is not None
+        assert all(big.certificate[p] is row
+                   for p, row in small.certificate.items())
+        new = len(base.blocks)
+        assert all(max(int(x) for x in re.findall(r"\d+", family)) >= new
+                   for family in resumed)
+        assert bool(resumed) == (new in cofree_blocks(big.diagram))
         assert_same_coend(big, compute_coend(big.diagram))
-        rows, small.modp_rows = small.modp_rows, None
-        del adds[:]
+        cert, small.certificate = small.certificate, None
+        del streamed[:]
         again = small.enlarged(block)
-        small.modp_rows = rows
-        assert len(adds) == resumed + small.presentation.relation_matrix.cols
-        assert again.certificate == big.certificate
+        small.certificate = cert
+        assert len(streamed) > len(resumed)
+        assert again.certificate is not None
         assert_same_coend(again, big)
-
-
-def test_resumed_enlargement_at_another_prime_streams_the_seeds(monkeypatch):
-    base = default_diagram(exterior_line())
-    small = compute_coend(base)
-    primes = _modp_primes
-
-    def skip_the_first(field):
-        return islice(primes(field), 1, None)
-
-    monkeypatch.setattr(bhl.coend, "_modp_primes", skip_the_first)
-    adds = count_modp_adds(monkeypatch)
-    for block in stability_blocks(base):
-        del adds[:]
-        big = small.enlarged(block)
-        assert big.certificate not in (None, small.certificate)
-        assert set(adds) == {big.certificate}
-        assert len(adds) >= small.presentation.relation_matrix.cols
-        assert_same_coend(big, eliminated(big.diagram))
 
 
 @pytest.mark.parametrize("name", STOCK)
@@ -258,8 +246,10 @@ def test_certificate_checks_cofree_maps_by_formula(name, monkeypatch):
 
 
 def test_colinear_map_off_the_formula_is_checked_by_product():
-    # twice each formula map into the regular block is colinear but not
-    # the formula map: is_colinear must accept it
+    # twice each formula map from a cofree block into the regular block is
+    # colinear but not the formula map: the stream between cofree blocks
+    # must accept it by is_colinear (the lemma's maps, from the other
+    # blocks, stay formula maps)
     H = exterior_line()
     D = default_diagram(H)
     reg = D.blocks[D.regular]
@@ -270,7 +260,7 @@ def test_colinear_map_off_the_formula_is_checked_by_product():
 
     def doubled(A, B):
         basis = hom_space(A, B)
-        if B != reg:
+        if B != reg or cofree_degree(A) is None:
             return basis
         return [GradedMorphism(f.source, f.target, f.matrix.scale(two))
                 for f in basis]
@@ -402,47 +392,73 @@ def test_certified_coend_eliminates_no_hom_space(name, monkeypatch):
 
 def test_certificate_streams_balancing_then_cofree_and_stops_at_the_bound(
         monkeypatch):
+    # the certificate streams only the relations between cofree blocks, in
+    # the fallback stream's order (balancing first), and stops as soon as
+    # their rank reaches |T| - n; it keeps the reduced rows it reached
     D = default_diagram(build("nichols_cyclic:3"))
     spaces, offsets, total = _block_spaces(D)
-    full = list(bhl.coend._relation_columns(D, spaces, offsets))
-    relation_columns = bhl.coend._relation_columns
+    T = cofree_blocks(D)
+    full = list(_relation_columns(D, spaces, offsets))
     streamed = []
 
     def recording(*args, **kwargs):
-        for item in relation_columns(*args, **kwargs):
-            streamed.append(item)
-            yield item
+        for name, col in _relation_columns(*args, **kwargs):
+            streamed.append((name, dict(col)))  # the eliminator consumes col
+            yield name, col
 
     monkeypatch.setattr(bhl.coend, "_relation_columns", recording)
     res = compute_coend(D)
     assert res.certificate is not None
-    # the stream is the fallback stream's prefix, and it stops at the rank
-    # bound, before the end
-    assert streamed == full[:len(streamed)]
-    assert len(streamed) < len(full)
-    # the fallback stream: balancing; the pairs with a cofree target, in
-    # `_hom_pairs` order, for their columns (a, b) with eps(h_b) != 0; then
-    # every pair again for the rest (eps is zero on x and x^2 here)
-    def family(pair):
-        return "dinaturality[%d->%d]" % pair
 
-    present = {name for name, _ in full}
-    pairs = [family(p) for p in _hom_pairs(D) if family(p) in present]
-    cofree = [family(p) for p in _hom_pairs(D) if family(p) in present
-              and cofree_degree(D.blocks[p[1]]) is not None]
-    balancing = ["balancing[%d]" % k for k in range(len(D.balance))]
-    runs = [(name, len(list(run)))
-            for name, run in groupby(name for name, _ in full)]
-    assert [name for name, _ in runs] == balancing + cofree + pairs
-    # the rank bound is reached among the counit columns, and each of them
-    # has a single entry in its source block, at (a, the map's basis vector)
-    first = sum(n for _, n in runs[:len(balancing)])
-    counit_end = first + sum(n for _, n in runs[len(balancing):][:len(cofree)])
-    assert first < len(streamed) <= counit_end
-    for name, col in streamed[first:]:
-        ai, bi = (int(x) for x in name[len("dinaturality["):-1].split("->"))
-        lo, hi = offsets[ai], offsets[ai] + spaces[ai].dim
-        assert ai != bi and sum(lo <= c < hi for c in col) == 1, name
+    def blocks_of(family):
+        ids = [int(x) for x in re.findall(r"\d+", family)]
+        return D.balance[ids[0]] if family.startswith("balancing") else ids
+
+    on_T = [(name, col) for name, col in full
+            if set(blocks_of(name)) <= set(T)]
+    assert streamed == on_T[:len(streamed)]
+    assert len(streamed) < len(on_T)
+    assert streamed[0][0].startswith("balancing")
+    assert not streamed[-1][0].startswith("balancing")
+    target = sum(spaces[bi].dim for bi in T) - D.hopf.carrier.dim
+    elim = SparseEliminator(D.hopf.carrier.ctx.field)
+    grew = [elim.add(dict(col)) for _, col in streamed]
+    assert grew[-1] and elim.rank == target
+    assert res.certificate == elim.rows
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_counit_lemma_covers_every_builtin(name):
+    # every degree of every non-cofree basis vector has a cofree block, in
+    # the stock diagrams and in every enlargement `stability` makes, so
+    # each of their coends is certified
+    H = build(name)
+    for D in (default_diagram(H), reconstruction_diagram(H)):
+        assert _counit_lemma_holds(D, cofree_blocks(D))
+        res = compute_coend(D)
+        assert res.certificate is not None
+        for block in stability_blocks(D):
+            big = res.enlarged(block)
+            assert _counit_lemma_holds(big.diagram, cofree_blocks(big.diagram))
+            assert big.certificate is not None
+
+
+def test_block_of_a_degree_no_cofree_block_has_falls_back():
+    # exterior_line's regular block and its tensor square, with no action
+    # and no balancing: the square has basis vectors of degree 1, and the
+    # only cofree block, the regular one, has degree 0, so the lemma does
+    # not cover the square and the coend is eliminated
+    H = exterior_line()
+    reg = regular_comodule(H)
+    D = Diagram(H, [reg, comodule_tensor(reg, reg)])
+    T = cofree_blocks(D)
+    V = D.blocks[1].carrier
+    assert set(T.values()) == {H.carrier.ctx.group.zero}
+    assert {V.degree(i) for i in range(V.dim)} - set(T.values())
+    assert not _counit_lemma_holds(D, T)
+    res = compute_coend(D)
+    assert res.certificate is None
+    assert_same_coend(res, eliminated(D))
 
 
 def test_glued_block_with_another_coaction_falls_back():
@@ -489,49 +505,14 @@ def rescaled_sweedler():
                            (t @ t) * H.delta * ti, H.eps * ti, t * H.S * ti)
 
 
-def test_prime_dividing_a_denominator_is_skipped(monkeypatch):
+def test_relation_columns_with_denominators_are_certified():
+    # exact elimination on the cofree blocks needs no care for the
+    # denominators 3 of the rescaled basis
     H = rescaled_sweedler()
-    field = H.carrier.ctx.field
-    third = field.scalar(1) / field.scalar(3)
-    with pytest.raises(ZeroDivisionError):
-        _ModpEliminator(field, 3, 1).add({0: third})
-    primes = _modp_primes
-
-    def three_first(field):
-        yield 3, 1  # zeta -> 1 is a root of Phi_1 mod 3
-        yield from primes(field)
-
-    monkeypatch.setattr(bhl.coend, "_modp_primes", three_first)
     D = default_diagram(H)
     res = compute_coend(D)
-    assert res.certificate == next(primes(field))[0]
+    assert res.certificate is not None
     assert_same_coend(res, eliminated(D))
-
-
-@pytest.mark.parametrize("short_primes", [1, bhl.coend._PRIME_TRIES])
-def test_short_modp_rank_tries_the_next_prime(monkeypatch, short_primes):
-    # a prime at which the image loses rank is planted by capping the rank
-    D = default_diagram(exterior_line())
-    field = D.hopf.carrier.ctx.field
-    short = [p for p, _ in islice(_modp_primes(field), short_primes)]
-    tried = []
-
-    class Capped(_ModpEliminator):
-        def __init__(self, field, p, root):
-            super().__init__(field, p, root)
-            tried.append(p)
-
-        def add(self, vec):
-            return self.p not in short and super().add(vec)
-
-    monkeypatch.setattr(bhl.coend, "_ModpEliminator", Capped)
-    res = compute_coend(D)
-    assert_same_coend(res, eliminated(D))
-    if short_primes < bhl.coend._PRIME_TRIES:
-        assert tried == short + [res.certificate]
-    else:
-        assert res.certificate is None
-        assert tried == short
 
 
 def test_pi_not_surjective_guard():

@@ -23,7 +23,7 @@ import bhl
 from bhl.exactalg import (
     CycloField, InvalidStructureError, Matrix, NoSolutionError,
     NonUniqueError, QuotientPresentation, Scalar, _eliminate,
-    _null_space, _ModpEliminator, _modp_primes, cokernel_from_rref,
+    _null_space, cokernel_from_rref,
     cyclotomic_polynomial, format_scalar, id_kron_mul, kron_id_mul,
     parse_scalar, read_off, solve_product_constraints,
 )
@@ -130,9 +130,6 @@ def test_mixed_field_operations_raise(op):
 
 _X = sympy.Symbol("x")
 ORACLE_FIELDS = [CycloField(n) for n in (1, 3, 5, 8, 12)]
-# a small prime p = 1 (mod n) per field, so that p divides some drawn
-# denominators
-SMALL_PRIMES = {1: 7, 3: 7, 5: 11, 8: 17, 12: 13}
 _RATIONALS = st.fractions(-20, 20, max_denominator=20)
 
 
@@ -158,11 +155,6 @@ def _value(s):
     assert len(s.num) == s.field.degree and s.den > 0
     assert math.gcd(*s.num, s.den) == 1
     return _poly([Fraction(n, s.den) for n in s.num])
-
-
-def _small_root(F, p):
-    return next(r for r in range(1, p)
-                if sum(c * pow(r, i, p) for i, c in enumerate(F.modulus)) % p == 0)
 
 
 @given(st.data())
@@ -212,28 +204,6 @@ def test_parse_scalar_reduces_every_power_like_sympy(data):
     s = parse_scalar(F, text)
     assert _value(s) == ref.rem(_phi(F))
     assert parse_scalar(F, format_scalar(s)) == s
-
-
-@given(st.data())
-@settings(max_examples=100, deadline=None)
-def test_modp_image_is_the_coefficientwise_map(data):
-    F = data.draw(st.sampled_from(ORACLE_FIELDS))
-    coeffs = data.draw(_coeffs(F))
-    s = Scalar(F, coeffs)
-    small = SMALL_PRIMES[F.order]
-    for p, root in (next(_modp_primes(F)), (small, _small_root(F, small))):
-        elim = _ModpEliminator(F, p, root)
-        if any(c.denominator % p == 0 for c in coeffs):
-            with pytest.raises(ZeroDivisionError):
-                elim.image(s)
-        else:
-            assert elim.image(s) == sum(
-                c.numerator * pow(c.denominator, -1, p) * pow(root, i, p)
-                for i, c in enumerate(coeffs)) % p
-    # a denominator divisible by p anywhere raises
-    elim = _ModpEliminator(F, small, _small_root(F, small))
-    with pytest.raises(ZeroDivisionError):
-        elim.image(Scalar(F, coeffs[:-1] + [Fraction(1, small)]))
 
 
 def rref_rows(m):

@@ -2,7 +2,8 @@
 diagram memoizes its blocks and hom bases, and callers find blocks by index
 instead of rebuilding them.  Each relation of a base diagram is reduced
 once, however many enlargements of it are computed, and the enlargements
-resume from the base's rows mod p instead of re-adding them."""
+resume from the base's reduced rows on the cofree blocks instead of
+re-adding them."""
 
 import re
 import sys
@@ -16,7 +17,6 @@ import bhl.comodcat
 import bhl.reconstruct
 from bhl.catalog import build
 from bhl.coend import default_diagram
-from bhl.exactalg import _ModpEliminator
 from bhl.reconstruct import reconstruct
 from oracles import perfbench_module
 
@@ -104,42 +104,46 @@ def test_stability_streams_each_base_relation_once(monkeypatch, tmp_path):
     assert max(fed.values()) == 1
 
 
-def count_modp_adds(monkeypatch, tmp_path, command):
-    """The primes of the mod-p adds that `command` makes on the benchmark's
-    seed-0 nichols_cyclic:5 spec."""
+def count_cofree_adds(monkeypatch, tmp_path, command):
+    """The relation columns that `command`, on the benchmark's seed-0
+    nichols_cyclic:5 spec, feeds the certificate's eliminator on the
+    cofree blocks: one count per coend that streams any."""
     spec = tmp_path / "cyclo5-diag.json"
     spec.write_bytes(perfbench_module("gen").generate("nichols_cyclic:5", 0,
                                                       False))
     adds = []
-    add = _ModpEliminator.add
+    relation_columns = bhl.coend._relation_columns
 
-    def counting(self, vec):
-        adds.append(self.p)
-        return add(self, vec)
+    def counting(*args, **kwargs):
+        columns = relation_columns(*args, **kwargs)
+        return columns if kwargs.get("within") is None else counted(columns)
 
-    monkeypatch.setattr(_ModpEliminator, "add", counting)
+    def counted(columns):
+        adds.append(0)
+        for item in columns:
+            adds[-1] += 1
+            yield item
+
+    monkeypatch.setattr(bhl.coend, "_relation_columns", counting)
     out = tmp_path / "report.json"
     assert bhl.cli.main([command, str(spec), "--out", str(out)]) == 0
     return adds
 
 
-def test_stability_resumes_the_base_rows_mod_p(monkeypatch, tmp_path):
-    """On the benchmark's seed-0 nichols_cyclic:5 spec, the base coend makes
-    its mod-p adds once; the three enlargements add only their own new
-    columns.  Re-adding the base's 775 reduced relation rows in each of
-    the three enlargements would make 5,230; streaming the columns in
-    `_hom_pairs` order alone, without the counit columns first, 2,905."""
-    adds = count_modp_adds(monkeypatch, tmp_path, "stability")
-    assert len(adds) == 929
-    assert len(set(adds)) == 1
+def test_stability_resumes_the_base_cofree_rows(monkeypatch, tmp_path):
+    """On the benchmark's seed-0 nichols_cyclic:5 spec the base coend
+    streams 273 columns on its cofree blocks.  The action-line enlargement
+    adds one cofree block and streams only its 25 new columns; the
+    direct-sum and dual enlargements add no cofree block and stream
+    nothing.  Certifying each enlargement from scratch would stream 298,
+    273 and 273 more."""
+    assert count_cofree_adds(monkeypatch, tmp_path, "stability") == [273, 25]
 
 
-def test_reconstruction_streams_the_counit_columns_first(monkeypatch,
-                                                         tmp_path):
-    """The counit columns of the maps into cofree blocks are nearly
-    triangular, so the rank bound on the seed-0 nichols_cyclic:5 spec (800
-    of whose adds raise the rank) takes 884 mod-p adds; in `_hom_pairs`
-    order alone it took 2,882."""
-    adds = count_modp_adds(monkeypatch, tmp_path, "verify-reconstruction")
-    assert len(adds) == 884
-    assert len(set(adds)) == 1
+def test_reconstruction_stops_the_cofree_stream_at_the_bound(monkeypatch,
+                                                             tmp_path):
+    """The seed-0 nichols_cyclic:5 spec's reconstruction diagram has 640
+    relation columns on its cofree blocks (|T| = 150, n = 5); the stream
+    stops after 273 of them, when their rank reaches |T| - n = 145."""
+    assert count_cofree_adds(monkeypatch, tmp_path,
+                             "verify-reconstruction") == [273]
