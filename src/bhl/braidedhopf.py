@@ -2,16 +2,17 @@
 
 Structure maps are GradedMorphisms; axioms are checked by computing exact
 residual matrices (a check passes iff its residual is identically zero).
-The antipode is found by solving the convolution-inverse equation as an
-exact linear system in its matrix entries.  Also here: Yetter-Drinfeld
-module checks, their induced braiding, and bosonization by a finite
-abelian group.
+The antipode, the convolution inverse of the identity, is read off the
+convolution equation, which is linear in its matrix entries, by
+`exactalg.read_off`, the engine's one solve for an unknown map.  Also
+here: Yetter-Drinfeld module checks, their induced braiding, and
+bosonization by a finite abelian group.
 """
 
 from collections import namedtuple
 
-from .exactalg import (Matrix, NoSolutionError, EngineError, require,
-                       solve_product_constraints)
+from .exactalg import (Matrix, NoSolutionError, EngineError, read_off,
+                       require)
 from .gradedcat import (AbelianGroup, Bicharacter, Context, GradedMorphism,
                         GradedObject, braiding, braiding_inverse,
                         identity_mor, tensor_obj, unit_object)
@@ -145,27 +146,39 @@ def check_hopf(H):
 def solve_antipode(B):
     """The convolution inverse of the identity, or NoSolutionError.
 
-    The two-sided antipode equation is linear in the entries of S; a
-    NonUnique outcome cannot occur for a counital coproduct and would be an
-    internal error.
+    m (S (x) id) Delta = u eps is linear in the entries of S: entry (p, q)
+    reads sum_{i,j,k} m[p, i*n+k] S[i, j] Delta[j*n+k, q].  With x = vec(S),
+    the 1 x n^2 row of the S[i, j] at i*n+j, it is x * M = vec(u eps) for
+    M[i*n+j, p*n+q] = sum_k m[p, i*n+k] Delta[j*n+k, q], and S is read off
+    that one constraint (`read_off`).  The left inverse must also be a
+    right inverse.  A NonUnique outcome cannot occur for a counital
+    coproduct and would be an internal error.
     """
     H = B.carrier
     n = H.dim
     field = H.ctx.field
-    # A_k[p][i] = m[p][i*n + k] and B_k[j] = delta[j*n + k]
-    A_rows = [[{} for _ in range(n)] for _ in range(n)]
-    for p, col, v in B.m.matrix.items():
-        i, k = divmod(col, n)
-        A_rows[k][p][i] = v
-    B_rows = [[None] * n for _ in range(n)]
-    for row_index, row in enumerate(B.delta.matrix.data):
-        j, k = divmod(row_index, n)
-        B_rows[k][j] = row
-    terms = [(Matrix.from_rows(field, A_rows[k], n),
-              Matrix.from_rows(field, B_rows[k], n)) for k in range(n)]
-    ue = (B.u * B.eps).matrix
-    S_mat = solve_product_constraints(field, [(terms, ue)], (n, n))
-    S = GradedMorphism(H, H, S_mat)
+    # the nonzeros (p, m[p, i*n+k]) and (q, Delta[j*n+k, q]), listed
+    m_cols = [list(col.items()) for col in B.m.matrix.transpose().data]
+    delta = [list(row.items()) for row in B.delta.matrix.data]
+    M = []
+    for i in range(n):
+        for j in range(n):
+            row = {}
+            for k in range(n):
+                d_row = delta[j * n + k]
+                for p, v in m_cols[i * n + k] if d_row else ():
+                    for q, w in d_row:
+                        pq = p * n + q
+                        row[pq] = row[pq] + v * w if pq in row else v * w
+            M.append({pq: s for pq, s in row.items() if s})
+    ue = {p * n + q: v for p, q, v in (B.u * B.eps).matrix.items()}
+    x = read_off(field, [(Matrix.from_rows(field, M, n * n),
+                          Matrix.from_rows(field, [ue], n * n))], (1, n * n))
+    S_rows = [{} for _ in range(n)]
+    for ij, v in x.data[0].items():
+        i, j = divmod(ij, n)
+        S_rows[i][j] = v
+    S = GradedMorphism(H, H, Matrix.from_rows(field, S_rows, n))
     i = identity_mor(H)
     if not (B.m * (i @ S) * B.delta - B.u * B.eps).is_zero():
         raise NoSolutionError("left convolution inverse is not two-sided")

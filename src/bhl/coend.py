@@ -75,8 +75,8 @@ supported on T are streamed.
 import copy
 
 from .exactalg import (EngineError, InvalidStructureError, Matrix,
-                       QuotientPresentation, SparseEliminator,
-                       cokernel_from_rref, require)
+                       SparseEliminator, _null_space,
+                       presentation_from_projection, require)
 from .gradedcat import (GradedMorphism, GradedObject, dual_object,
                         line_object, tensor_obj)
 from .comodcat import (Comodule, FlagReport, act, cofree_degree,
@@ -420,7 +420,7 @@ def _candidate(diagram, offsets, total):
 
 
 def _canonical_projection(field, P, n):
-    """(P_F^-1 P as columns, F) for F the coordinates j whose column P e_j
+    """(F, the rows of P_F^-1 P) for F the coordinates j whose column P e_j
     is independent of the later columns -- the free coordinates of the
     canonical presentation of ker P -- or None if rank P < n."""
     elim = SparseEliminator(field)
@@ -438,7 +438,7 @@ def _canonical_projection(field, P, n):
         for h, v in P[j].items():
             rows[h][k] = v
     inv = Matrix.from_rows(field, rows, n).inverse()
-    return (Matrix.from_rows(field, P, n) * inv.transpose()).data, free
+    return free, (inv * Matrix.from_rows(field, P, n).transpose()).data
 
 
 def _lemma_holds(diagram, offsets, P):
@@ -460,28 +460,6 @@ def _lemma_holds(diagram, offsets, P):
             return False
     return all(blocks[ci].coaction.matrix == blocks[wi].coaction.matrix
                for ci, wi in diagram.balance)
-
-
-def _presentation(field, total, proj, free):
-    """The canonical presentation of ker P from (P_F^-1 P as columns, F):
-    the reduced relation row of a pivot p is e_p - sum_k proj[p][k]
-    e_(free k), and the projection is P_F^-1 P itself."""
-    free_at = set(free)
-    one = field.one
-    rel = [{} for _ in range(total)]
-    k = 0
-    for p, col in enumerate(proj):
-        if p not in free_at:
-            rel[p][k] = one
-            for q, v in col.items():
-                rel[free[q]][k] = -v
-            k += 1
-    return QuotientPresentation(
-        ambient_dim=total,
-        relation_matrix=Matrix.from_rows(field, rel, k),
-        free=free,
-        projection=Matrix.from_rows(field, proj, len(free)).transpose(),
-    )
 
 
 def _counit_lemma_holds(diagram, cofree):
@@ -544,7 +522,8 @@ def _certified(diagram, spaces, offsets, total, base=None):
     if elim.rank < target:
         return None
     return _result(diagram, spaces, offsets,
-                   _presentation(field, total, *found), elim.rows)
+                   presentation_from_projection(field, total, *found),
+                   elim.rows)
 
 
 def _eliminated(diagram, spaces, offsets, total):
@@ -553,8 +532,8 @@ def _eliminated(diagram, spaces, offsets, total):
     elim = SparseEliminator(field)
     for _, col in _relation_columns(diagram, spaces, offsets):
         elim.add(col)
-    return _result(diagram, spaces, offsets,
-                   cokernel_from_rref(field, total, elim.rref_rows()))
+    return _result(diagram, spaces, offsets, presentation_from_projection(
+        field, total, *_null_space(field, total, elim.rref_rows())))
 
 
 def _result(diagram, spaces, offsets, pres, certificate=None):

@@ -11,8 +11,11 @@ downstream (graded categories, Hopf structure checks, coend quotients)
 reduces to the handful of primitives in this module: sparse products, the
 whiskered products (A (x) I) X and (I (x) B) X taken block by block without
 forming the Kronecker product, sparse elimination to reduced rows, the
-null space and quotient presentation read off them, and exact solves for
-unknown linear maps.
+null space and quotient presentation read off them, and `read_off`, the one
+solve for an unknown linear map X from equations X * B_t = C_t: it streams
+the columns of each B_t, extended by those of C_t, into one eliminator, and
+reads X off the reduced rows.  Matrix inverses and the antipode are solved
+through it.
 All results are exact; "zero" always means identically zero.
 """
 
@@ -648,14 +651,11 @@ class Matrix:
         return _eliminate(self.field, self.data).rank
 
     def inverse(self):
+        """The X with X * self == I, read off (see `read_off`)."""
         require(self.rows == self.cols, "inverse of non-square matrix")
         n = self.rows
-        aug = self.hstack(Matrix.identity(self.field, n))
-        rows = _eliminate(self.field, aug.data).rref_rows()
-        if [p for p, _ in rows] != list(range(n)):
-            raise NoSolutionError("matrix is singular")
-        return Matrix.from_rows(self.field, [{j - n: v for j, v in row.items()
-                                              if j >= n} for _, row in rows], n)
+        return read_off(self.field, [(self, Matrix.identity(self.field, n))],
+                        (n, n))
 
 
 def _row_times(row, rows):
@@ -892,19 +892,25 @@ def _kills_relations(P, R, free, one):
     return True
 
 
-def cokernel_from_rref(field, ambient_dim, rref_rows):
-    """Canonical quotient presentation from the reduced relation row basis:
-    projection row k is null-space vector k of the reduced rows."""
-    free, proj = _null_space(field, ambient_dim, rref_rows)
-    rel = [{} for _ in range(ambient_dim)]
-    for k, (_, row) in enumerate(rref_rows):
-        for j, v in row.items():
-            rel[j][k] = v
+def presentation_from_projection(field, ambient_dim, free, projection):
+    """The canonical presentation whose projection has the sparse rows
+    `projection`, the identity on the coordinates `free` (as `_null_space`
+    gives them): the reduced relation of every other coordinate p, in
+    order, is e_p - sum_k projection[k][p] e_(free k)."""
+    free_at = set(free)
+    column = {p: k for k, p in enumerate(p for p in range(ambient_dim)
+                                         if p not in free_at)}
+    one = field.one
+    rel = [{column[p]: one} if p in column else {} for p in range(ambient_dim)]
+    for j, row in zip(free, projection):
+        for p, v in row.items():
+            if p != j:
+                rel[j][column[p]] = -v
     return QuotientPresentation(
         ambient_dim=ambient_dim,
-        relation_matrix=Matrix.from_rows(field, rel, len(rref_rows)),
+        relation_matrix=Matrix.from_rows(field, rel, len(column)),
         free=free,
-        projection=Matrix.from_rows(field, proj, ambient_dim),
+        projection=Matrix.from_rows(field, projection, ambient_dim),
     )
 
 
@@ -912,100 +918,47 @@ def cokernel_from_rref(field, ambient_dim, rref_rows):
 # solving for unknown maps
 # ---------------------------------------------------------------------------
 
-def solve_product_constraints(field, constraint_groups, shape):
-    """Solve for X of the given (rows, cols) shape, exactly.
-
-    Each constraint group is (terms, C) with terms a list of (A, B) pairs,
-    requiring  sum_t  A_t * X * B_t  =  C.  Raises NoSolutionError if the
-    system is inconsistent and NonUniqueError if X is underdetermined.
-    """
-    r, c = shape
-    n_unknowns = r * c
-    rhs_col = n_unknowns
-    elim = SparseEliminator(field)
-    for terms, C in constraint_groups:
-        for A, B in terms:
-            require(A.cols == r and B.rows == c, "constraint shape mismatch")
-            require(C.rows == A.rows and C.cols == B.cols,
-                    "constraint right side shape mismatch")
-        # within one term every (i, j) gives its own unknown, so entries
-        # can only cancel where two terms meet
-        sparse_terms = [(A.data, B.transpose().data) for A, B in terms]
-        summed = len(terms) > 1
-        for p, crow in enumerate(C.data):
-            for q in range(C.cols):
-                row = {}
-                for arows, bcols in sparse_terms:
-                    bcol = bcols[q]
-                    if not bcol:
-                        continue
-                    for i, a in arows[p].items():
-                        base = i * c
-                        for j, b in bcol.items():
-                            k = base + j
-                            if k in row:
-                                row[k] = row[k] + a * b
-                            else:
-                                row[k] = a * b
-                if summed:
-                    row = {k: v for k, v in row.items() if v}
-                rhs = crow.get(q)
-                if rhs is not None:
-                    row[rhs_col] = -rhs
-                if row:
-                    elim.add(row)
-    if rhs_col in elim.rows:
-        raise NoSolutionError("constraints are inconsistent")
-    if elim.rank < n_unknowns:
-        raise NonUniqueError("constraints leave %d free parameters"
-                             % (n_unknowns - elim.rank))
-    out = [{} for _ in range(r)]
-    for p, row in elim.rref_rows():
-        v = row.get(rhs_col)
-        if v is not None:
-            i, j = divmod(p, c)
-            out[i][j] = -v
-    return Matrix.from_rows(field, out, c)
-
-
 def read_off(field, constraints, shape):
     """Solve X * B_t = C_t for X of the given (rows, cols) shape, exactly:
-    the same X, or the same error, as solve_product_constraints on the
-    groups ([(identity, B_t)], C_t).
+    the same X, or the same error and message, as the full solve of the
+    equations X * B_t = C_t entry by entry (`solve_product_constraints` in
+    the tests' oracles).
 
-    The columns of B_1, B_2, ... are streamed into an eliminator until
-    their rank reaches cols; on those columns J the only candidate is
-    X = C_J * B_J^-1, and X * B_t == C_t is then required for every t,
-    which decides consistency.  If the columns fall short of rank cols, X
-    is read off the eliminator's pivot rows (zero on the others): it
+    Column j of each B_t, extended by column j of C_t on the coordinates
+    cols .. cols+rows-1, is streamed into one eliminator until the B parts
+    reach rank cols.  Every solution X satisfies [X, -I] v = 0 on each
+    streamed vector v, so a vector whose B part reduces to zero while its C
+    part does not proves the system inconsistent, and no such vector joins
+    the basis: the rank is that of the B parts.  Row p of the reduced basis
+    is then e_p, plus entries on the free coordinates when the rank falls
+    short, plus sum_i X[i, p] e_(cols+i); X is read off those rows, zero on
+    the free coordinates.  X * B_t == C_t is then required for every t,
+    which decides the columns left unstreamed; if the rank falls short, X
     solves the system iff any X does, and then X is not unique."""
     r, c = shape
     for B, C in constraints:
         require(B.rows == c and C.rows == r and C.cols == B.cols,
                 "constraint shape mismatch")
     elim = SparseEliminator(field)
-    picked_B, picked_C = [], []  # the columns J of the B_t and C_t
     for B, C in constraints:
         if elim.rank == c:
             break
-        C_cols = None
-        for j, col in enumerate(B.transpose().data):
-            if col and elim.add(dict(col)):
-                if C_cols is None:
-                    C_cols = C.transpose().data
-                picked_B.append(col)
-                picked_C.append(C_cols[j])
-                if elim.rank == c:
-                    break
-    # B_J restricted to the pivot rows is invertible: the eliminator's rows
-    # are triangular combinations of the picked columns with unit pivots
-    pivots = sorted(elim.rows)
-    square = Matrix.from_rows(field, [{k: col[p] for k, col in enumerate(picked_B)
-                                       if p in col} for p in pivots], len(pivots))
-    C_J = Matrix.from_rows(field, picked_C, r).transpose()
-    X_J = C_J * square.inverse()
-    X = Matrix.from_rows(field, [{pivots[k]: v for k, v in row.items()}
-                                 for row in X_J.data], c)
+        for col, ccol in zip(B.transpose().data, C.transpose().data):
+            vec = dict(col)
+            for i, v in ccol.items():
+                vec[c + i] = v
+            # a new row's pivot is the last key of `elim.rows` (dicts keep
+            # insertion order)
+            if vec and elim.add(vec) and next(reversed(elim.rows)) >= c:
+                raise NoSolutionError("constraints are inconsistent")
+            if elim.rank == c:
+                break
+    out = [{} for _ in range(r)]
+    for p, row in elim.rref_rows():
+        for k, v in row.items():
+            if k >= c:
+                out[k - c][p] = v
+    X = Matrix.from_rows(field, out, c)
     if any(X * B != C for B, C in constraints):
         raise NoSolutionError("constraints are inconsistent")
     if r and elim.rank < c:

@@ -14,16 +14,17 @@ universal property imposes through the block projections:
                cross-checked against the convolution inverse of the
                identity on the reconstructed bialgebra.
 
-The maps are read off, not solved for: the columns of the B_t are streamed
-until they reach full rank (the regular block's projection, which is in
-every group, already does after `check_regular_surjective`), X is C_J B_J^-1
-on those columns J, and X . B_t == C_t is then verified exactly for every
-t, so an inconsistent system still raises NoSolutionError
-(`exactalg.read_off`).  The constraints are stated on matrices: pi_A (x)
-pi_B, pi (x) pi and the maps that insert a coevaluation or braid the dual
-legs are Kronecker products of matrices, so no graded tensor object of a
-four-fold product is built; each map read off is wrapped as a
-GradedMorphism, which checks its degrees.
+Each map is read off its constraints by `exactalg.read_off`: the columns
+of the B_t, each extended by the same column of C_t, are streamed into one
+eliminator until the B parts reach full rank (the regular block's
+projection, which is in every group, already does after
+`check_regular_surjective`), X is read off the reduced rows, and
+X . B_t == C_t is then verified exactly for every t, so an inconsistent
+system still raises NoSolutionError.  The constraints are stated on
+matrices: pi_A (x) pi_B, pi (x) pi and the maps that insert a
+coevaluation or braid the dual legs are Kronecker products of matrices, so
+no graded tensor object of a four-fold product is built; each map read off
+is wrapped as a GradedMorphism, which checks its degrees.
 
 A canonical comparison map from the original Hopf algebra is built from the
 regular block and checked to be an isomorphism of Hopf algebras; each block

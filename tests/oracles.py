@@ -13,8 +13,10 @@ relation column with its pivot's projection column instead of forming the
 product.  `parse_scalar_by_fractions` and
 `format_scalar_by_fractions` read and write scalar literals with
 `fractions.Fraction`, the oracle for the int-only `parse_scalar` and
-`format_scalar`.  `perfbench_module` loads a module of the benchmark, whose
-generator builds the seeded spec files.
+`format_scalar`.  `solve_product_constraints` solves sum_t A_t X B_t = C
+for an unknown map X by eliminating one equation per entry, the oracle for
+`read_off` and `solve_antipode`.  `perfbench_module` loads a module of the
+benchmark, whose generator builds the seeded spec files.
 """
 
 import importlib.util
@@ -23,7 +25,8 @@ from pathlib import Path
 
 from bhl.comodcat import (FlagReport, act, comodule_tensor, trivial_comodule,
                           unit_comodule)
-from bhl.exactalg import Matrix, Scalar, SparseEliminator, _null_space, require
+from bhl.exactalg import (Matrix, NonUniqueError, NoSolutionError, Scalar,
+                          SparseEliminator, _null_space, require)
 from bhl.gradedcat import (GradedMorphism, identity_mor, left_dual, phi_left,
                            tensor_obj, unit_object)
 
@@ -170,6 +173,62 @@ def verify_presentation_by_product(pres):
             "relation columns are not in reduced form")
     require(rel.cols + q == amb,
             "relation rank + quotient dimension != ambient dimension")
+
+
+def solve_product_constraints(field, constraint_groups, shape):
+    """Solve for X of the given (rows, cols) shape, exactly.
+
+    Each constraint group is (terms, C) with terms a list of (A, B) pairs,
+    requiring  sum_t  A_t * X * B_t  =  C.  Raises NoSolutionError if the
+    system is inconsistent and NonUniqueError if X is underdetermined.
+    """
+    r, c = shape
+    n_unknowns = r * c
+    rhs_col = n_unknowns
+    elim = SparseEliminator(field)
+    for terms, C in constraint_groups:
+        for A, B in terms:
+            require(A.cols == r and B.rows == c, "constraint shape mismatch")
+            require(C.rows == A.rows and C.cols == B.cols,
+                    "constraint right side shape mismatch")
+        # within one term every (i, j) gives its own unknown, so entries
+        # can only cancel where two terms meet
+        sparse_terms = [(A.data, B.transpose().data) for A, B in terms]
+        summed = len(terms) > 1
+        for p, crow in enumerate(C.data):
+            for q in range(C.cols):
+                row = {}
+                for arows, bcols in sparse_terms:
+                    bcol = bcols[q]
+                    if not bcol:
+                        continue
+                    for i, a in arows[p].items():
+                        base = i * c
+                        for j, b in bcol.items():
+                            k = base + j
+                            if k in row:
+                                row[k] = row[k] + a * b
+                            else:
+                                row[k] = a * b
+                if summed:
+                    row = {k: v for k, v in row.items() if v}
+                rhs = crow.get(q)
+                if rhs is not None:
+                    row[rhs_col] = -rhs
+                if row:
+                    elim.add(row)
+    if rhs_col in elim.rows:
+        raise NoSolutionError("constraints are inconsistent")
+    if elim.rank < n_unknowns:
+        raise NonUniqueError("constraints leave %d free parameters"
+                             % (n_unknowns - elim.rank))
+    out = [{} for _ in range(r)]
+    for p, row in elim.rref_rows():
+        v = row.get(rhs_col)
+        if v is not None:
+            i, j = divmod(p, c)
+            out[i][j] = -v
+    return Matrix.from_rows(field, out, c)
 
 
 def rational_matrix(field, rows):

@@ -8,14 +8,15 @@ from bhl.braidedhopf import (
     check_hopf_morphism, check_yd, solve_antipode, yd_braiding,
     yd_braiding_inverse,
 )
-from bhl.catalog import exterior_line, group_algebra, sweedler, yd_samples
+from bhl.catalog import (BUILTIN_NAMES, build, exterior_line, group_algebra,
+                         sweedler, yd_samples)
 from bhl.exactalg import (CycloField, InvalidStructureError, Matrix,
-                          NoSolutionError)
+                          NonUniqueError, NoSolutionError)
 from bhl.gradedcat import (
     AbelianGroup, Bicharacter, Context, GradedMorphism, GradedObject,
     identity_mor, tensor_obj, unit_object,
 )
-from oracles import rational_matrix
+from oracles import rational_matrix, solve_product_constraints
 
 
 def trivially_graded_exterior():
@@ -95,6 +96,48 @@ def test_solve_antipode_no_solution():
     assert check_bialgebra(B).passed
     with pytest.raises(NoSolutionError):
         solve_antipode(B)
+    assert _outcome(solve_antipode, B) == _outcome(antipode_by_oracle, B)
+
+
+def antipode_by_oracle(B):
+    """solve_antipode by the oracle's full solve: m (S (x) id) Delta = u eps
+    as the sum over k of A_k S B_k, with A_k[p][i] = m[p][i*n + k] and
+    B_k[j] = Delta[j*n + k], then the same two-sided check."""
+    H = B.carrier
+    n = H.dim
+    field = H.ctx.field
+    A_rows = [[{} for _ in range(n)] for _ in range(n)]
+    for p, col, v in B.m.matrix.items():
+        i, k = divmod(col, n)
+        A_rows[k][p][i] = v
+    B_rows = [[None] * n for _ in range(n)]
+    for row_index, row in enumerate(B.delta.matrix.data):
+        j, k = divmod(row_index, n)
+        B_rows[k][j] = row
+    terms = [(Matrix.from_rows(field, A_rows[k], n),
+              Matrix.from_rows(field, B_rows[k], n)) for k in range(n)]
+    S = GradedMorphism(H, H, solve_product_constraints(
+        field, [(terms, (B.u * B.eps).matrix)], (n, n)))
+    if not (B.m * (identity_mor(H) @ S) * B.delta - B.u * B.eps).is_zero():
+        raise NoSolutionError("left convolution inverse is not two-sided")
+    return S
+
+
+def _outcome(solve, B):
+    """solve(B), or the type and message of the engine error it raises."""
+    try:
+        return solve(B)
+    except (NoSolutionError, NonUniqueError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES + [
+    "nichols_cyclic:5", "nichols_cyclic:7", "group_algebra:2,2,2", "taft:3"])
+def test_solve_antipode_matches_the_oracle(name):
+    H = build(name)
+    B = BialgebraData(H.carrier, H.m, H.u, H.delta, H.eps)
+    S = solve_antipode(B)
+    assert S == antipode_by_oracle(B) == H.S
 
 
 # ---------------------------------------------------------------------------

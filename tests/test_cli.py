@@ -2,20 +2,25 @@
 codes, error codes, and byte-identical reports."""
 
 import hashlib
+import io
 import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bhl
 from bhl.braidedhopf import check_hopf
 from bhl.catalog import build
-from bhl.cli import (canonical_json, datum_from_spec, hopf_to_spec,
+from bhl.cli import (HANDLERS, canonical_json, datum_from_spec, hopf_to_spec,
                      matrix_to_spec, main)
 
 
@@ -430,6 +435,53 @@ def test_builtin_reference_to_unknown_name_is_usage_error(tmp_path, capsys):
     assert main(["check-hopf", str(spec)]) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "unknown builtin" in err, err
+
+
+# every structure map of a spec, one entry at a time: whatever the entry,
+# main ends with exit 0, 1 or 2, never with an exception
+MUTATED_SPECS = ("exterior_line", "sweedler")
+MUTATED_MAPS = ("m", "u", "delta", "eps", "S")
+LITERALS = st.one_of(
+    st.sampled_from(["0", "1", "-1", "2", "-1/3", "z", "z^3", "1/0", "x",
+                     "", "1e400"]),
+    st.integers(-3, 3))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_mutated_spec_entry_never_escapes_main(data):
+    doc = hopf_to_spec(build(data.draw(st.sampled_from(MUTATED_SPECS))))
+    block = doc["hopf"]
+    drop_antipode = data.draw(st.booleans())
+    if drop_antipode:  # the commands that need S solve for it
+        del block["S"]
+    mat = block[data.draw(st.sampled_from(
+        MUTATED_MAPS[:-1] if drop_antipode else MUTATED_MAPS))]
+    row = mat[data.draw(st.integers(0, len(mat) - 1))]
+    row[data.draw(st.integers(0, len(row) - 1))] = data.draw(LITERALS)
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = Path(tmp) / "mutated.json"
+        spec.write_text(json.dumps(doc))
+        for command in HANDLERS:
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main([command, str(spec)])
+            lines = err.getvalue().splitlines()
+            assert code in (0, 1, 2), (command, code)
+            if code == 2:
+                assert len(lines) == 1 and lines[0].startswith("error: ")
+                assert out.getvalue() == ""
+                continue
+            payload = json.loads(out.getvalue())
+            if lines[0].startswith("error["):
+                assert code == 1 and len(lines) == 1
+                error = payload["error"]
+                assert payload == {"command": command, "status": "error",
+                                   "error": error}
+                assert lines[0] == "error[%s]: %s" % (error["code"],
+                                                      error["message"])
+            else:
+                assert payload["status"] == ("pass" if code == 0 else "fail")
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from bhl.comodcat import (
     hom_space, regular_comodule, unit_comodule,
 )
 from bhl.exactalg import (InvalidStructureError, Matrix, SparseEliminator,
-                          cokernel_from_rref)
+                          _null_space, presentation_from_projection)
 from bhl.gradedcat import (GradedMorphism, GradedObject, identity_mor,
                            left_dual, line_object, tensor_obj, unit_object)
 from oracles import (hom_basis_by_elimination, is_comodule_morphism,
@@ -523,7 +523,8 @@ def test_pi_not_surjective_guard():
     spaces, offsets, total = _block_spaces(D)
     field = H.carrier.ctx.field
     rows = [(p, {p: field.one}) for p in range(spaces[0].dim)]
-    pres = cokernel_from_rref(field, total, rows)
+    pres = presentation_from_projection(field, total,
+                                        *_null_space(field, total, rows))
     quotient = GradedObject(H.carrier.ctx, [("c0", ())])
     res = CoendResult(D, spaces, offsets, pres, quotient)
     with pytest.raises(PiNotSurjectiveError) as err:

@@ -8,7 +8,8 @@ from bhl.catalog import BUILTIN_NAMES, build, group_algebra, sweedler
 from bhl.coend import (CoendResult, Diagram, _block_spaces, compute_coend,
                        reconstruction_diagram)
 from bhl.comodcat import direct_sum_comodule, regular_comodule, unit_comodule
-from bhl.exactalg import Matrix, NoSolutionError, cokernel_from_rref
+from bhl.exactalg import (Matrix, NoSolutionError, _null_space,
+                          presentation_from_projection)
 from bhl.gradedcat import GradedMorphism, GradedObject, braiding, identity_mor
 from bhl.reconstruct import (
     CrossCheckMismatchError, NotIsoError, Reconstruction, canonical_comparison,
@@ -90,7 +91,8 @@ def test_not_iso_guard():
     spaces, offsets, total = _block_spaces(D)
     field = H.carrier.ctx.field
     rows = [(p, {p: field.one}) for p in range(spaces[0].dim)]
-    pres = cokernel_from_rref(field, total, rows)
+    pres = presentation_from_projection(field, total,
+                                        *_null_space(field, total, rows))
     quotient = GradedObject(H.carrier.ctx, [("c0", ())])
     res = CoendResult(D, spaces, offsets, pres, quotient)
     with pytest.raises(NotIsoError) as err:
