@@ -1,7 +1,9 @@
 """Hopf-algebra structure data inside a braided graded category.
 
 Structure maps are GradedMorphisms; axioms are checked by computing exact
-residual matrices (a check passes iff its residual is identically zero).
+residual matrices (a check passes iff its residual is identically zero),
+each side a chain of whiskered maps I (x) f (x) I and braidings
+(`gradedcat.chain`), as in the string diagrams, with no Kronecker product.
 The antipode, the convolution inverse of the identity, is read off the
 convolution equation, which is linear in its matrix entries, by
 `exactalg.read_off`, the engine's one solve for an unknown map.  Also
@@ -14,7 +16,7 @@ from collections import namedtuple
 from .exactalg import (Matrix, NoSolutionError, EngineError, read_off,
                        require)
 from .gradedcat import (AbelianGroup, Bicharacter, Context, GradedMorphism,
-                        GradedObject, braiding, braiding_inverse,
+                        GradedObject, braiding, braiding_inverse, chain,
                         identity_mor, tensor_obj, unit_object)
 
 
@@ -97,34 +99,37 @@ class HopfAlgebraData(BialgebraData):
 
 
 def check_algebra(A):
-    H = A.carrier
-    i = identity_mor(H)
+    H, m, u = A.carrier, A.m, A.u
+    n, i, HHH = H.dim, identity_mor(H), tensor_obj(tensor_obj(H, H), H)
     return CheckReport([
-        ("associativity", A.m * (A.m @ i) - A.m * (i @ A.m)),
-        ("unit_left", A.m * (A.u @ i) - i),
-        ("unit_right", A.m * (i @ A.u) - i),
+        ("associativity",
+         chain(HHH, H, (1, m, n), (1, m, 1)) - chain(HHH, H, (n, m, 1), (1, m, 1))),
+        ("unit_left", chain(H, H, (1, u, n), (1, m, 1)) - i),
+        ("unit_right", chain(H, H, (n, u, 1), (1, m, 1)) - i),
     ])
 
 
 def check_coalgebra(C):
-    H = C.carrier
-    i = identity_mor(H)
+    H, delta, eps = C.carrier, C.delta, C.eps
+    n, i, HHH = H.dim, identity_mor(H), tensor_obj(tensor_obj(H, H), H)
     return CheckReport([
-        ("coassociativity", (C.delta @ i) * C.delta - (i @ C.delta) * C.delta),
-        ("counit_left", (C.eps @ i) * C.delta - i),
-        ("counit_right", (i @ C.eps) * C.delta - i),
+        ("coassociativity", chain(H, HHH, (1, delta, 1), (1, delta, n))
+         - chain(H, HHH, (1, delta, 1), (n, delta, 1))),
+        ("counit_left", chain(H, H, (1, delta, 1), (1, eps, n)) - i),
+        ("counit_right", chain(H, H, (1, delta, 1), (n, eps, 1)) - i),
     ])
 
 
 def check_bialgebra(B):
-    H = B.carrier
-    i = identity_mor(H)
-    sigma = braiding(H, H)
-    mult_compat = (B.delta * B.m
-                   - (B.m @ B.m) * (i @ sigma @ i) * (B.delta @ B.delta))
-    unit_compat = B.delta * B.u - (B.u @ B.u)
-    counit_compat = B.eps * B.m - (B.eps @ B.eps)
-    unit_counit = B.eps * B.u - identity_mor(unit_object(H.ctx))
+    H, n = B.carrier, B.carrier.dim
+    HH, unit = tensor_obj(H, H), unit_object(H.ctx)
+    # (m (x) m) (id (x) sigma (x) id) (Delta (x) Delta)
+    mult_compat = B.delta * B.m - chain(
+        HH, HH, (n, B.delta, 1), (1, B.delta, n * n), (n, braiding(H, H), n),
+        (n * n, B.m, 1), (1, B.m, n))
+    unit_compat = B.delta * B.u - chain(unit, HH, (1, B.u, 1), (1, B.u, n))
+    counit_compat = B.eps * B.m - chain(HH, unit, (1, B.eps, n), (1, B.eps, 1))
+    unit_counit = B.eps * B.u - identity_mor(unit)
     return CheckReport(
         check_algebra(B).checks
         + check_coalgebra(B).checks
@@ -134,13 +139,18 @@ def check_bialgebra(B):
            ("unit_counit", unit_counit)])
 
 
+def antipode_residual(B, S, side):
+    """m (S (x) id) Delta - u eps for side "left", m (id (x) S) Delta - u eps
+    for "right": zero on both sides iff S is the antipode of B."""
+    H, n = B.carrier, B.carrier.dim
+    a, b = (1, n) if side == "left" else (n, 1)
+    return chain(H, H, (1, B.delta, 1), (a, S, b), (1, B.m, 1)) - B.u * B.eps
+
+
 def check_hopf(H):
-    i = identity_mor(H.carrier)
-    ue = H.u * H.eps
-    return CheckReport(
-        check_bialgebra(H).checks
-        + [("antipode_left", H.m * (H.S @ i) * H.delta - ue),
-           ("antipode_right", H.m * (i @ H.S) * H.delta - ue)])
+    return CheckReport(check_bialgebra(H).checks
+                       + [("antipode_" + side, antipode_residual(H, H.S, side))
+                          for side in ("left", "right")])
 
 
 def solve_antipode(B):
@@ -179,8 +189,7 @@ def solve_antipode(B):
         i, j = divmod(ij, n)
         S_rows[i][j] = v
     S = GradedMorphism(H, H, Matrix.from_rows(field, S_rows, n))
-    i = identity_mor(H)
-    if not (B.m * (i @ S) * B.delta - B.u * B.eps).is_zero():
+    if not antipode_residual(B, S, "right").is_zero():
         raise NoSolutionError("left convolution inverse is not two-sided")
     return S
 
@@ -219,44 +228,57 @@ def check_yd(yd):
     Hd = yd.hopf
     H, V = Hd.carrier, yd.carrier
     a, rho = yd.action, yd.coaction
-    iH, iV = identity_mor(H), identity_mor(V)
-    lhs = (Hd.m @ a) * (iH @ braiding(H, H) @ iV) * (Hd.delta @ rho)
-    rhs = ((Hd.m @ iV) * (iH @ braiding(V, H)) * ((rho * a) @ iH)
-           * (iH @ braiding(H, V)) * (Hd.delta @ iV))
+    n, d, iV = H.dim, V.dim, identity_mor(V)
+    HV, HHV = tensor_obj(H, V), tensor_obj(tensor_obj(H, H), V)
+    # (m (x) a) (id (x) c_{H,H} (x) id) (Delta (x) rho)
+    lhs = chain(HV, HV, (n, rho, 1), (1, Hd.delta, n * d),
+                (n, braiding(H, H), d), (n * n, a, 1), (1, Hd.m, d))
+    # (m (x) id) (id (x) c_{V,H}) ((rho a) (x) id) (id (x) c_{H,V}) (Delta (x) id)
+    rhs = chain(HV, HV, (1, Hd.delta, d), (n, braiding(H, V), 1), (1, a, n),
+                (1, rho, n), (n, braiding(V, H), 1), (1, Hd.m, d))
     return CheckReport([
-        ("module_assoc", a * (Hd.m @ iV) - a * (iH @ a)),
-        ("module_unit", a * (Hd.u @ iV) - iV),
-        ("comodule_coassoc", (Hd.delta @ iV) * rho - (iH @ rho) * rho),
-        ("comodule_counit", (Hd.eps @ iV) * rho - iV),
+        ("module_assoc", chain(HHV, V, (1, Hd.m, d), (1, a, 1))
+         - chain(HHV, V, (n, a, 1), (1, a, 1))),
+        ("module_unit", chain(V, V, (1, Hd.u, d), (1, a, 1)) - iV),
+        ("comodule_coassoc", chain(V, HHV, (1, rho, 1), (1, Hd.delta, d))
+         - chain(V, HHV, (1, rho, 1), (n, rho, 1))),
+        ("comodule_counit", chain(V, V, (1, rho, 1), (1, Hd.eps, d)) - iV),
         ("yd_compat", lhs - rhs),
     ])
 
 
 def yd_braiding(V, W):
-    """The induced braiding c: V (x) W -> W (x) V of two YD modules."""
+    """The induced braiding c: V (x) W -> W (x) V of two YD modules,
+    (a_W (x) id) (id (x) c_{V,W}) (rho_V (x) id)."""
     require(V.hopf == W.hopf, "YD modules over different Hopf algebras")
-    H = V.hopf.carrier
-    return ((W.action @ identity_mor(V.carrier))
-            * (identity_mor(H) @ braiding(V.carrier, W.carrier))
-            * (V.coaction @ identity_mor(W.carrier)))
+    X, Y = V.carrier, W.carrier
+    return chain(tensor_obj(X, Y), tensor_obj(Y, X), (1, V.coaction, Y.dim),
+                 (V.hopf.carrier.dim, braiding(X, Y), 1), (1, W.action, X.dim))
 
 
 def yd_braiding_inverse(V, W):
     """Inverse of yd_braiding(V, W); requires an invertible antipode."""
     require(V.hopf == W.hopf, "YD modules over different Hopf algebras")
-    Hd = V.hopf
-    H = Hd.carrier
+    H, X, Y = V.hopf.carrier, V.carrier, W.carrier
     try:
-        S_inv = Hd.S.matrix.inverse()
+        S_inv = V.hopf.S.matrix.inverse()
     except NoSolutionError:
         raise SingularAntipodeError("antipode is not invertible") from None
-    Sm1 = GradedMorphism(H, H, S_inv)
-    iV, iW = identity_mor(V.carrier), identity_mor(W.carrier)
-    return (braiding_inverse(V.carrier, W.carrier)
-            * (W.action @ iV)
-            * (braiding_inverse(H, W.carrier) @ iV)
-            * (iW @ Sm1 @ iV)
-            * (iW @ V.coaction))
+    dX, dY = X.dim, Y.dim
+    # c^-1_{V,W} (a_W (x) id) (c^-1_{H,W} (x) id) (id (x) S^-1 (x) id) (id (x) rho_V)
+    return chain(tensor_obj(Y, X), tensor_obj(X, Y), (dY, V.coaction, 1),
+                 (dY, GradedMorphism(H, H, S_inv), dX),
+                 (1, braiding_inverse(H, Y), dX), (1, W.action, dX),
+                 (1, braiding_inverse(X, Y), 1))
+
+
+def braid_relation(c, V):
+    """(c (x) id)(id (x) c)(c (x) id) - (id (x) c)(c (x) id)(id (x) c) for
+    c: V (x) V -> V (x) V; zero iff c satisfies the braid relation."""
+    d = V.dim
+    VVV = tensor_obj(tensor_obj(V, V), V)
+    return (chain(VVV, VVV, (1, c, d), (d, c, 1), (1, c, d))
+            - chain(VVV, VVV, (d, c, 1), (1, c, d), (d, c, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -386,10 +408,15 @@ def check_hopf_morphism(f, A, B):
     """Exact residuals for f: A -> B being a morphism of Hopf algebras."""
     require(f.source == A.carrier and f.target == B.carrier,
             "bad Hopf morphism type")
+    nA, nB = A.carrier.dim, B.carrier.dim
+    AA, BB = tensor_obj(A.carrier, A.carrier), tensor_obj(B.carrier, B.carrier)
+    # f (x) f = (f (x) id) (id (x) f)
     return CheckReport([
-        ("respects_m", f * A.m - B.m * (f @ f)),
+        ("respects_m", f * A.m - chain(AA, B.carrier, (nA, f, 1), (1, f, nB),
+                                       (1, B.m, 1))),
         ("respects_u", f * A.u - B.u),
-        ("respects_delta", B.delta * f - (f @ f) * A.delta),
+        ("respects_delta", B.delta * f - chain(A.carrier, BB, (1, A.delta, 1),
+                                               (nA, f, 1), (1, f, nB))),
         ("respects_eps", B.eps * f - A.eps),
         ("respects_antipode", B.S * f - f * A.S),
     ])

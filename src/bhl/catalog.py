@@ -11,7 +11,7 @@ from .braidedhopf import (BialgebraData, HopfAlgebraData, YDModuleData,
                           bosonize_with_maps, check_hopf, solve_antipode,
                           _group_algebra_on)
 from .gradedcat import (AbelianGroup, Bicharacter, Context, GradedMorphism,
-                        GradedObject, identity_mor, tensor_obj, unit_object)
+                        GradedObject, chain, tensor_obj, unit_object)
 
 
 def _assert_hopf(H, name):
@@ -124,9 +124,9 @@ def yd_samples(H):
     regular action with the trivial coaction.  The trio satisfies the YD
     compatibility precisely when H is commutative and cocommutative, so all
     three pass for group algebras."""
-    iV = identity_mor(H.carrier)
-    trivial_action = H.eps @ iV
-    trivial_coaction = H.u @ iV
+    V, VV = H.carrier, tensor_obj(H.carrier, H.carrier)
+    trivial_action = chain(VV, V, (1, H.eps, V.dim))
+    trivial_coaction = chain(V, VV, (1, H.u, V.dim))
     return [
         ("trivial_action_regular_coaction",
          YDModuleData(H, H.carrier, trivial_action, H.delta)),

@@ -35,8 +35,9 @@ import time
 
 from .braidedhopf import (
     BialgebraData, CheckReport, HopfAlgebraData, YDModuleData,
-    bosonize_with_maps, check_bialgebra, check_hopf, check_hopf_morphism,
-    check_yd, solve_antipode, yd_braiding, yd_braiding_inverse,
+    antipode_residual, bosonize_with_maps, braid_relation, check_bialgebra,
+    check_hopf, check_hopf_morphism, check_yd, solve_antipode, yd_braiding,
+    yd_braiding_inverse,
 )
 from .catalog import build, yd_samples
 from .exactalg import (CycloField, EngineError, InvalidStructureError,
@@ -316,12 +317,8 @@ def cmd_check_hopf(datum, args, doc, objects):
 def cmd_antipode(datum, args, doc, objects):
     B = BialgebraData(datum.carrier, datum.m, datum.u, datum.delta, datum.eps)
     S = solve_antipode(B)
-    iH = identity_mor(B.carrier)
-    counit_part = B.u * B.eps
-    rep = CheckReport([
-        ("antipode_left", B.m * (S @ iH) * B.delta - counit_part),
-        ("antipode_right", B.m * (iH @ S) * B.delta - counit_part),
-    ])
+    rep = CheckReport([("antipode_" + side, antipode_residual(B, S, side))
+                       for side in ("left", "right")])
     checks = checks_from_residuals(rep)
     ok = rep.passed
     if isinstance(datum, HopfAlgebraData):
@@ -341,12 +338,10 @@ def cmd_yd_check(datum, args, doc, objects):
     rows, all_ok = [], True
     for name, yd in mods:
         rep = check_yd(yd)
-        iV = identity_mor(yd.carrier)
         c = yd_braiding(yd, yd)
         cinv = yd_braiding_inverse(yd, yd)
         braid_rep = CheckReport([
-            ("braid_relation", (c @ iV) * (iV @ c) * (c @ iV)
-             - (iV @ c) * (c @ iV) * (iV @ c)),
+            ("braid_relation", braid_relation(c, yd.carrier)),
             ("braiding_inverse", c * cinv - identity_mor(c.source)),
         ])
         checks = checks_from_residuals(rep) + checks_from_residuals(braid_rep)

@@ -15,20 +15,18 @@ sum_b eps(h_b) rho_A[(b, a), j] = [j = a], so the eps-weighted sum of the
 rows of (id (x) E_a) rho_A is the unit row e_a: the coend's certificate
 rests on this (see `coend`).
 
-The comodule axioms are checked exactly at construction, without forming
-Kronecker products: (Delta (x) id) rho and (eps (x) id) rho are
-`exactalg.kron_id_mul` products, (id (x) rho) rho is `exactalg.id_kron_mul`,
-and `comodule_tensor` merges the two coactions through m and the braiding
-the same way.
+No Kronecker product is formed: the comodule axioms are checked exactly at
+construction by `exactalg.whiskered` products, and the coactions of
+`trivial_comodule`, `act`, `comodule_dual` and `comodule_tensor` are chains
+of whiskered maps (`gradedcat.chain`).
 """
 
 from collections import defaultdict
 
-from .exactalg import (Matrix, SparseEliminator, _null_space, id_kron_mul,
-                       kron_id_mul, require)
-from .gradedcat import (GradedMorphism, GradedObject, braiding,
-                        direct_sum_obj, identity_mor, left_dual, tensor_obj,
-                        unit_object)
+from .exactalg import (Matrix, SparseEliminator, _null_space, require,
+                       whiskered)
+from .gradedcat import (GradedMorphism, GradedObject, braiding, chain,
+                        direct_sum_obj, left_dual, tensor_obj, unit_object)
 
 
 class Comodule:
@@ -45,10 +43,10 @@ class Comodule:
         require(coaction.target == tensor_obj(H, carrier),
                 "coaction target mismatch")
         rho, d = coaction.matrix, carrier.dim
-        require(kron_id_mul(hopf.delta.matrix, d, rho)
-                == id_kron_mul(H.dim, rho, rho),
+        require(whiskered(1, hopf.delta.matrix, d, rho)
+                == whiskered(H.dim, rho, 1, rho),
                 "coaction is not coassociative")
-        require(kron_id_mul(hopf.eps.matrix, d, rho)
+        require(whiskered(1, hopf.eps.matrix, d, rho)
                 == Matrix.identity(rho.field, d),
                 "coaction violates the counit")
         self.hopf = hopf
@@ -75,7 +73,7 @@ def regular_comodule(H):
 
 def trivial_comodule(H, V):
     """V with coaction u (x) id."""
-    return Comodule(H, V, H.u @ identity_mor(V))
+    return Comodule(H, V, chain(V, tensor_obj(H.carrier, V), (1, H.u, V.dim)))
 
 
 def unit_comodule(H):
@@ -88,13 +86,12 @@ def comodule_tensor(A, B):
     require(A.hopf == B.hopf, "comodules over different Hopf algebras")
     Hd = A.hopf
     H, V, W = Hd.carrier, A.carrier, B.carrier
-    # (m (x) id (x) id) (id (x) c_{V,H} (x) id) (rho_A (x) rho_B), whiskered
-    swap = braiding(V, H).matrix @ Matrix.identity(H.ctx.field, W.dim)
-    rho = kron_id_mul(Hd.m.matrix, V.dim * W.dim, id_kron_mul(
-        H.dim, swap, A.coaction.matrix @ B.coaction.matrix))
+    n, dV, dW = H.dim, V.dim, W.dim
     carrier = tensor_obj(V, W)
-    return Comodule(Hd, carrier,
-                    GradedMorphism(carrier, tensor_obj(H, carrier), rho))
+    # (m (x) id (x) id) (id (x) c_{V,H} (x) id) (rho_A (x) rho_B)
+    return Comodule(Hd, carrier, chain(
+        carrier, tensor_obj(H, carrier), (dV, B.coaction, 1),
+        (1, A.coaction, n * dW), (n, braiding(V, H), dW), (1, Hd.m, dV * dW)))
 
 
 def comodule_dual(A):
@@ -103,18 +100,23 @@ def comodule_dual(A):
     H = Hd.carrier
     V = A.carrier
     d = left_dual(V)
-    iD = identity_mor(d.space)
-    rho = (((Hd.S @ iD) * braiding(d.space, H)) @ d.ev) \
-        * (iD @ A.coaction @ iD) \
-        * (d.coev @ iD)
-    return Comodule(Hd, d.space, rho)
+    D, k = d.space, d.space.dim
+    # (((S (x) id) c_{*V,H}) (x) ev) (id (x) rho (x) id) (coev (x) id)
+    return Comodule(Hd, D, chain(
+        D, tensor_obj(H, D), (1, d.coev, k), (k, A.coaction, k),
+        (k * H.dim, d.ev, 1), (1, braiding(D, H), 1), (1, Hd.S, k)))
 
 
 def act(B, X):
     """The right action of the ambient category: B (x) X with X inert."""
     require(isinstance(X, GradedObject), "an action must be by a graded object")
-    return Comodule(B.hopf, tensor_obj(B.carrier, X),
-                    B.coaction @ identity_mor(X))
+    return Comodule(B.hopf, tensor_obj(B.carrier, X), act_coaction(B, X))
+
+
+def act_coaction(B, X):
+    """The coaction rho_B (x) id of B (x) X."""
+    VX = tensor_obj(B.carrier, X)
+    return chain(VX, tensor_obj(B.hopf.carrier, VX), (1, B.coaction, X.dim))
 
 
 def direct_sum_comodule(A, B):
@@ -210,15 +212,9 @@ def hom_space(A, B):
 
 
 def is_colinear(f, A, B):
-    """Whether f: F(A) -> F(B) is colinear: rho_B f = (id (x) f) rho_A,
-    the right side taken as f times each H-slice of rho_A."""
-    field, dA = f.matrix.field, A.carrier.dim
-    rho = A.coaction.matrix.data
-    rhs = []
-    for h in range(A.hopf.carrier.dim):
-        rhs.extend((f.matrix * Matrix.from_rows(
-            field, rho[h * dA:(h + 1) * dA], dA)).data)
-    return (B.coaction.matrix * f.matrix).data == tuple(rhs)
+    """Whether f: F(A) -> F(B) is colinear: rho_B f = (id (x) f) rho_A."""
+    return B.coaction.matrix * f.matrix == whiskered(
+        A.hopf.carrier.dim, f.matrix, 1, A.coaction.matrix)
 
 
 class FlagReport:

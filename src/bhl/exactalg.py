@@ -8,18 +8,18 @@ arithmetic plus one gcd.  Scalar literals are parsed and formatted with
 ints too; only a literal in a rare form (an exponent, underscores) is
 handed to `fractions.Fraction`, imported on first use.  Everything
 downstream (graded categories, Hopf structure checks, coend quotients)
-reduces to the handful of primitives in this module: sparse products, the
-whiskered products (A (x) I) X and (I (x) B) X taken block by block without
-forming the Kronecker product, sparse elimination to reduced rows, the
-null space and quotient presentation read off them, and `read_off`, the one
-solve for an unknown linear map X from equations X * B_t = C_t: it streams
-the columns of each B_t, extended by those of C_t, into one eliminator, and
-reads X off the reduced rows.  Matrix inverses and the antipode are solved
-through it.
+reduces to the handful of primitives in this module: sparse products,
+`whiskered`, the one kernel for tensored maps, (I (x) f (x) I) X without the
+Kronecker product, sparse elimination to reduced rows, the null space and
+quotient presentation read off them, and `read_off`, the one solve for an
+unknown linear map X from equations X * B_t = C_t: it streams the columns of
+each B_t, extended by those of C_t, into one eliminator, and reads X off the
+reduced rows.  Matrix inverses and the antipode are solved through it.
 All results are exact; "zero" always means identically zero.
 """
 
 from functools import reduce
+from itertools import compress, count
 from math import gcd, lcm
 from operator import add as _add, neg as _neg, sub as _sub
 
@@ -600,33 +600,16 @@ class Matrix:
     __rmul__ = scale
 
     def __matmul__(self, other):
-        """Kronecker (tensor) product, row-major on both indices.  A row
-        of either factor that is a single one (an identity factor's rows,
-        say) copies the other factor's row to shifted columns instead of
-        multiplying by it."""
+        """Kronecker (tensor) product, row-major on both indices.  The
+        engine forms one, pi_A (x) pi_B in `reconstruct`; every other
+        tensor product of maps is applied by `whiskered`."""
         require(other.field is self.field,
                 "Kronecker product of matrices over %r and %r"
                 % (self.field, other.field))
         bc = other.cols
-        one = self.field.one
-        brows = [(brow, _unit_column(brow, one)) for brow in other.data]
-        out = []
-        for arow in self.data:
-            shifted = [(j * bc, v) for j, v in arow.items()]
-            if _unit_column(arow, one) is not None:
-                # the other factor's rows, moved to this block's columns
-                # (and shared as they are in the first block)
-                (off, _), = shifted
-                out.extend([{off + l: w for l, w in brow.items()}
-                            for brow in other.data] if off else other.data)
-                continue
-            for brow, l in brows:
-                if l is not None:
-                    out.append({off + l: v for off, v in shifted})
-                else:
-                    out.append({off + l: v * w for off, v in shifted
-                                for l, w in brow.items()})
-        return Matrix.from_rows(self.field, out, self.cols * bc)
+        return Matrix.from_rows(self.field, [
+            {j * bc + l: v * w for j, v in arow.items() for l, w in brow.items()}
+            for arow in self.data for brow in other.data], self.cols * bc)
 
     def transpose(self):
         out = [{} for _ in range(self.cols)]
@@ -674,42 +657,46 @@ def _row_times(row, rows):
     return {j: s for j, s in acc.items() if s}
 
 
-def kron_id_mul(A, d, X):
-    """(A (x) I_d) * X without forming the Kronecker product: block i of
-    the result (its rows i*d .. i*d + d - 1) is sum_k A[i,k] * block k of X.
-    Row r of block i combines the rows k*d + r of X."""
-    require(A.cols * d == X.rows, "shape mismatch (%dx%d (x) I_%d) * %dx%d"
-            % (A.rows, A.cols, d, X.rows, X.cols))
-    require(A.field is X.field, "product of matrices over %r and %r"
-            % (A.field, X.field))
-    strided = [X.data[r::d] for r in range(d)]
-    return Matrix.from_rows(A.field, [_row_times(arow, rows)
-                                      for arow in A.data for rows in strided],
-                            X.cols)
+def whiskered(a, f, b, X):
+    """(I_a (x) f (x) I_b) * X without forming the Kronecker product.
 
-
-def id_kron_mul(n, B, X):
-    """(I_n (x) B) * X without forming the Kronecker product: block h of
-    the result is B * block h of X (its rows h*B.cols .. (h+1)*B.cols - 1)."""
-    require(n * B.cols == X.rows, "shape mismatch (I_%d (x) %dx%d) * %dx%d"
-            % (n, B.rows, B.cols, X.rows, X.cols))
-    require(B.field is X.field, "product of matrices over %r and %r"
-            % (B.field, X.field))
-    q = B.cols
-    blocks = [X.data[h * q:(h + 1) * q] for h in range(n)]
-    return Matrix.from_rows(B.field, [_row_times(brow, block)
-                                      for block in blocks for brow in B.data],
-                            X.cols)
-
-
-def _unit_column(row, one):
-    """j if the sparse row is the single entry `one` at column j, else None
-    (a Scalar's form is unique, so its coefficients decide)."""
-    if len(row) == 1:
-        (j, v), = row.items()
-        if v.den == 1 and v.num == one.num:
-            return j
-    return None
+    Row (i, r, j) of the result, i < a and j < b, is the sum over k of
+    f[r, k] times row (i, k, j) of X.  Only the nonzero rows of X are
+    visited, each sent along its column of f, so the cost is their nonzeros.
+    A row of f with a single entry copies the row of X (shared, as matrices
+    share rows), scaled only when the entry is not one."""
+    k, n = f.cols, f.rows
+    require(a * k * b == X.rows, "shape mismatch (I_%d (x) %dx%d (x) I_%d) "
+            "* %dx%d" % (a, n, k, b, X.rows, X.cols))
+    require(f.field is X.field, "product of matrices over %r and %r"
+            % (f.field, X.field))
+    one = f.field.one
+    # column kk of f: (row r, entry, or None for a one, r is f's only entry)
+    columns = [[] for _ in range(k)]
+    for r, frow in enumerate(f.data):
+        for kk, w in frow.items():
+            columns[kk].append((r * b, None if w == one else w, len(frow) == 1))
+    kb, nb = k * b, n * b
+    out = [{}] * (a * nb)
+    sums = {}
+    data = X.data
+    for s in compress(count(), data):
+        row = data[s]
+        i, rest = divmod(s, kb)
+        kk, j = divmod(rest, b)
+        base = i * nb + j
+        for rb, w, single in columns[kk]:
+            t = base + rb
+            if single:
+                out[t] = row if w is None else {c: w * v for c, v in row.items()}
+                continue
+            acc = sums.setdefault(t, {})
+            for c, v in row.items():
+                x = v if w is None else w * v
+                acc[c] = acc[c] + x if c in acc else x
+    for t, acc in sums.items():
+        out[t] = {c: v for c, v in acc.items() if v}
+    return Matrix.from_rows(f.field, out, X.cols)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ between *Y (x) *X and *(X (x) Y) is the coefficient-one relabeling.
 from collections import namedtuple
 from itertools import product as _iproduct
 
-from .exactalg import CycloField, InvalidStructureError, Matrix, require
+from .exactalg import (CycloField, InvalidStructureError, Matrix, require,
+                       whiskered)
 
 
 class AbelianGroup:
@@ -273,32 +274,44 @@ def identity_mor(V):
     return GradedMorphism(V, V, Matrix.identity(V.ctx.field, V.dim))
 
 
-def braiding(V, W):
-    """sigma_{V,W}: V (x) W -> W (x) V, flip times the bicharacter value."""
+def chain(source, target, *steps):
+    """The composite source -> target of the steps (a, f, b), first step
+    first: each is I_a (x) f (x) I_b for a morphism f between identity
+    factors of dimensions a and b, applied by `exactalg.whiskered` to the
+    identity of source.  A tensor product f (x) g is (f (x) I)(I (x) g),
+    the step (dim f.source, g, 1) and then (1, f, dim g.target), and a
+    braiding is the stored map `braiding(V, W)`, whiskered like any other.
+    No intermediate tensor object is built."""
+    X = Matrix.identity(source.ctx.field, source.dim)
+    for a, f, b in steps:
+        X = whiskered(a, f.matrix, b, X)
+    return GradedMorphism(source, target, X)
+
+
+def _flip(V, W, value):
+    """The flip V (x) W -> W (x) V, v_i (x) w_j scaled by
+    value(field, deg v_i, deg w_j)."""
     require(V.ctx == W.ctx, "braiding of objects of different categories")
-    ctx = V.ctx
+    field = V.ctx.field
     data = {}
     for i in range(V.dim):
         dv = V.degree(i)
         for j in range(W.dim):
-            c = ctx.chi.value(ctx.field, dv, W.degree(j))
-            data[(j * V.dim + i, i * W.dim + j)] = c
-    return GradedMorphism(tensor_obj(V, W), tensor_obj(W, V),
-                          Matrix.from_dict(ctx.field, V.dim * W.dim, V.dim * W.dim, data))
+            data[(j * V.dim + i, i * W.dim + j)] = value(field, dv, W.degree(j))
+    VW = tensor_obj(V, W)
+    return GradedMorphism(VW, tensor_obj(W, V),
+                          Matrix.from_dict(field, VW.dim, VW.dim, data))
+
+
+def braiding(V, W):
+    """sigma_{V,W}: V (x) W -> W (x) V, flip times the bicharacter value."""
+    return _flip(V, W, V.ctx.chi.value)
 
 
 def braiding_inverse(V, W):
     """The inverse of braiding(V, W), from W (x) V back to V (x) W."""
-    require(V.ctx == W.ctx, "braiding of objects of different categories")
-    ctx = V.ctx
-    data = {}
-    for i in range(V.dim):
-        dv = V.degree(i)
-        for j in range(W.dim):
-            c = ctx.chi.value_inverse(ctx.field, dv, W.degree(j))
-            data[(i * W.dim + j, j * V.dim + i)] = c
-    return GradedMorphism(tensor_obj(W, V), tensor_obj(V, W),
-                          Matrix.from_dict(ctx.field, V.dim * W.dim, V.dim * W.dim, data))
+    chi = V.ctx.chi
+    return _flip(W, V, lambda field, dw, dv: chi.value_inverse(field, dv, dw))
 
 
 def _dual_label_left(label):
@@ -368,4 +381,5 @@ def psi(f, X, Y):
     dual = left_dual(Y)
     require(f.source == tensor_obj(X, dual.space),
             "psi: source must be X (x) *Y")
-    return (f @ identity_mor(Y)) * (identity_mor(X) @ dual.coev)
+    return chain(X, tensor_obj(f.target, Y), (X.dim, dual.coev, 1),
+                 (1, f, Y.dim))

@@ -21,10 +21,11 @@ projection, which is in every group, already does after
 `check_regular_surjective`), X is read off the reduced rows, and
 X . B_t == C_t is then verified exactly for every t, so an inconsistent
 system still raises NoSolutionError.  The constraints are stated on
-matrices: pi_A (x) pi_B, pi (x) pi and the maps that insert a
-coevaluation or braid the dual legs are Kronecker products of matrices, so
-no graded tensor object of a four-fold product is built; each map read off
-is wrapped as a GradedMorphism, which checks its degrees.
+matrices, with no graded tensor object of a four-fold product: the
+coproduct's (pi (x) pi)(id (x) coev (x) id) is summed entry by entry, the
+other legs are whiskered (`exactalg.whiskered`, `gradedcat.chain`), and
+pi_A (x) pi_B is the engine's one Kronecker product.  Each map read off is
+wrapped as a GradedMorphism, which checks its degrees.
 
 A canonical comparison map from the original Hopf algebra is built from the
 regular block and checked to be an isomorphism of Hopf algebras; each block
@@ -32,15 +33,18 @@ becomes a comodule over the quotient, and sample hom spaces on both sides
 are compared dimension by dimension.
 """
 
+from itertools import product
+
 from .braidedhopf import (BialgebraData, HopfAlgebraData, check_hopf,
                           check_hopf_morphism, solve_antipode)
 from .coend import compute_coend, reconstruction_diagram
-from .comodcat import (Comodule, FlagReport, comodule_dual,
+from .comodcat import (Comodule, FlagReport, act_coaction, comodule_dual,
                        comodule_tensor, hom_space, unit_comodule)
-from .exactalg import EngineError, InvalidStructureError, Matrix, read_off
-from .gradedcat import (GradedMorphism, braiding, braiding_inverse,
-                        dual_morphism, dual_object, identity_mor, left_dual,
-                        phi_left, psi, tensor_obj, unit_object)
+from .exactalg import (EngineError, InvalidStructureError, Matrix, read_off,
+                       whiskered)
+from .gradedcat import (GradedMorphism, braiding, braiding_inverse, chain,
+                        dual_morphism, dual_object, left_dual, phi_left, psi,
+                        tensor_obj, unit_object)
 
 
 class NotIsoError(EngineError):
@@ -56,11 +60,32 @@ def _field(res):
 
 
 def extract_counit(res):
-    """eps: Q -> 1, pinned by eps . pi_B = ev_{F(B)} over every block."""
-    constraints = [(res.pi(i).matrix, left_dual(B.carrier).ev.matrix)
-                   for i, B in enumerate(res.diagram.blocks)]
-    X = read_off(_field(res), constraints, (1, res.dim))
+    """eps: Q -> 1, pinned by eps . pi_B = ev_{F(B)} over every block; ev is
+    the 1 x d^2 row with ones at (i, i), written down as a matrix."""
+    field = _field(res)
+    dims = [B.carrier.dim for B in res.diagram.blocks]
+    constraints = [(res.pi(i).matrix, Matrix.from_rows(
+        field, [dict.fromkeys(range(0, d * d, d + 1), field.one)], d * d))
+        for i, d in enumerate(dims)]
+    X = read_off(field, constraints, (1, res.dim))
     return GradedMorphism(res.quotient, unit_object(res.quotient.ctx), X)
+
+
+def _split_along_coev(pi, d):
+    """(pi (x) pi) (id (x) coev (x) id) for the projection pi of a
+    d-dimensional block, entry by entry: row (q1, q2), column (v, w) is
+    sum_k pi[q1, (v, k)] pi[q2, (k, w)]."""
+    q = pi.rows
+    cols = pi.transpose().data
+    rows = [{} for _ in range(q * q)]
+    for v, k, w in product(range(d), repeat=3):
+        vw = v * d + w
+        for q1, x in cols[v * d + k].items():
+            for q2, y in cols[k * d + w].items():
+                row = rows[q1 * q + q2]
+                row[vw] = row[vw] + x * y if vw in row else x * y
+    return Matrix.from_rows(pi.field, [{c: v for c, v in row.items() if v}
+                                       for row in rows], d * d)
 
 
 def extract_coproduct(res):
@@ -68,18 +93,13 @@ def extract_coproduct(res):
     coevaluation (the regular block alone already pins the solution)."""
     H = res.diagram.hopf
     q = res.dim
-    field = _field(res)
     constraints = []
     for i, B in enumerate(res.diagram.blocks):
         if B.carrier.dim > H.carrier.dim:
             continue
-        V = B.carrier
-        d = left_dual(V)
         pi = res.pi(i).matrix
-        insert = (Matrix.identity(field, V.dim) @ d.coev.matrix
-                  @ Matrix.identity(field, d.space.dim))
-        constraints.append((pi, (pi @ pi) * insert))
-    X = read_off(field, constraints, (q * q, q))
+        constraints.append((pi, _split_along_coev(pi, B.carrier.dim)))
+    X = read_off(_field(res), constraints, (q * q, q))
     QQ = tensor_obj(res.quotient, res.quotient)
     return GradedMorphism(res.quotient, QQ, X)
 
@@ -97,9 +117,7 @@ def extract_product(res):
     m . (pi_A (x) pi_B) = pi_{A(x)B} . (braid the dual legs into place),
     where the two dual legs are merged by the dual-pairing isomorphism.
     """
-    D = res.diagram
-    q = res.dim
-    field = _field(res)
+    D, q = res.diagram, res.dim
     reg, one = D.regular, D.index(D.derived(unit_comodule))
     constraints = []
     for a, b in ((reg, reg), (reg, one), (one, reg), (one, one)):
@@ -110,14 +128,16 @@ def extract_product(res):
             raise InvalidStructureError(
                 "the tensor product of blocks %d and %d is not a block of "
                 "the diagram" % (a, b)) from None
-        piAB = res.pi(ab)
-        mid = Matrix.identity(field, VA.dim) @ braiding(
-            dual_object(VA), tensor_obj(VB, dual_object(VB))).matrix
-        glue = (Matrix.identity(field, VA.dim * VB.dim)
-                @ phi_left(VA, VB).matrix)
-        rhs = piAB.matrix * glue * mid
-        constraints.append((res.pi(a).matrix @ res.pi(b).matrix, rhs))
-    X = read_off(field, constraints, (q, q * q))
+        # pi_AB (id (x) phi) (id (x) c_{*A,B(x)*B}), whiskered on the
+        # transposes: (X F)^T = F^T X^T
+        dA, dB = VA.dim, VB.dim
+        mid = braiding(dual_object(VA), tensor_obj(VB, dual_object(VB)))
+        rhs = whiskered(dA, mid.matrix.transpose(), 1, whiskered(
+            dA * dB, phi_left(VA, VB).matrix.transpose(), 1,
+            res.pi(ab).matrix.transpose()))
+        constraints.append((res.pi(a).matrix @ res.pi(b).matrix,
+                            rhs.transpose()))
+    X = read_off(_field(res), constraints, (q, q * q))
     QQ = tensor_obj(res.quotient, res.quotient)
     return GradedMorphism(QQ, res.quotient, X)
 
@@ -131,14 +151,14 @@ def extract_antipode(res, bialgebra):
     """
     D = res.diagram
     V = D.hopf.carrier
+    n = V.dim
     dV = left_dual(V)
     ddV = left_dual(dV.space)
     pi_dual = res.pi(D.index(D.derived(comodule_dual, D.regular)))
-    start = identity_mor(tensor_obj(V, dV.space)) @ ddV.coev
-    middle = identity_mor(V) @ pi_dual @ identity_mor(dV.space)
-    unbraid = identity_mor(V) @ braiding_inverse(dV.space, res.quotient)
-    finish = dV.ev @ identity_mor(res.quotient)
-    target = finish * unbraid * middle * start
+    # (ev (x) id) (id (x) c^-1_{*V,Q}) (id (x) pi_dual (x) id) (id (x) coev)
+    target = chain(tensor_obj(V, dV.space), res.quotient, (n * n, ddV.coev, 1),
+                   (n, pi_dual, n), (n, braiding_inverse(dV.space, res.quotient), 1),
+                   (1, dV.ev, res.dim))
     X = read_off(_field(res), [(res.pi(D.regular).matrix, target.matrix)],
                  (res.dim, res.dim))
     S = GradedMorphism(res.quotient, res.quotient, X)
@@ -155,8 +175,9 @@ def canonical_comparison(res):
     Must be invertible -- this is the reconstruction isomorphism.
     """
     H = res.diagram.hopf
-    h = res.pi(res.diagram.regular) * (identity_mor(H.carrier)
-                                       @ dual_morphism(H.eps))
+    h = chain(H.carrier, res.quotient,
+              (H.carrier.dim, dual_morphism(H.eps), 1),
+              (1, res.pi(res.diagram.regular), 1))
     if H.carrier.dim != res.dim or h.matrix.rank() < res.dim:
         raise NotIsoError("comparison map from the original Hopf algebra "
                           "is not invertible")
@@ -213,8 +234,7 @@ def verify_equivalence_samples(res, quotient_hopf):
         # q_of[wi] is a verified comodule, so comparing coactions decides
         # q_of[ci] == act(q_of[wi], X) without re-checking the axioms
         checks.append(("action_carried[%d]" % k,
-                       q_of[ci].coaction
-                       == q_of[wi].coaction @ identity_mor(X)))
+                       q_of[ci].coaction == act_coaction(q_of[wi], X)))
     return FlagReport(checks)
 
 

@@ -15,8 +15,12 @@ product.  `parse_scalar_by_fractions` and
 `fractions.Fraction`, the oracle for the int-only `parse_scalar` and
 `format_scalar`.  `solve_product_constraints` solves sum_t A_t X B_t = C
 for an unknown map X by eliminating one equation per entry, the oracle for
-`read_off` and `solve_antipode`.  `perfbench_module` loads a module of the
-benchmark, whose generator builds the seeded spec files.
+`read_off` and `solve_antipode`.  `kron` is the Kronecker product entry by
+entry, and the `*_by_kron` functions state the axiom residuals, induced
+braidings, comodule coactions and the coproduct's constraint as products of
+Kronecker products: the oracles for `exactalg.whiskered` and the chains of
+`gradedcat.chain` that replace them.  `perfbench_module` loads a module of
+the benchmark, whose generator builds the seeded spec files.
 """
 
 import importlib.util
@@ -27,8 +31,10 @@ from bhl.comodcat import (FlagReport, act, comodule_tensor, trivial_comodule,
                           unit_comodule)
 from bhl.exactalg import (Matrix, NonUniqueError, NoSolutionError, Scalar,
                           SparseEliminator, _null_space, require)
-from bhl.gradedcat import (GradedMorphism, identity_mor, left_dual, phi_left,
-                           tensor_obj, unit_object)
+from bhl.braidedhopf import CheckReport
+from bhl.gradedcat import (GradedMorphism, braiding, braiding_inverse,
+                           identity_mor, left_dual, phi_left, tensor_obj,
+                           unit_object)
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -41,6 +47,126 @@ def perfbench_module(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def kron(A, B):
+    """The Kronecker product A (x) B, row-major on both indices, entry by
+    entry (as `Matrix.__matmul__` defines it): the oracle for
+    `exactalg.whiskered` and the chains of `gradedcat.chain`."""
+    require(A.field is B.field, "Kronecker product of matrices over %r and %r"
+            % (A.field, B.field))
+    bc = B.cols
+    return Matrix.from_rows(A.field, [
+        {j * bc + l: v * w for j, v in arow.items() for l, w in brow.items()}
+        for arow in A.data for brow in B.data], A.cols * bc)
+
+
+def tensor(f, *rest):
+    """f (x) g (x) ... of graded morphisms, by `kron`."""
+    for g in rest:
+        f = GradedMorphism(tensor_obj(f.source, g.source),
+                           tensor_obj(f.target, g.target),
+                           kron(f.matrix, g.matrix))
+    return f
+
+
+def check_hopf_by_kron(H):
+    """The residuals of `check_hopf`, each side a product of Kronecker
+    products, as the engine once formed them."""
+    i = identity_mor(H.carrier)
+    sigma = braiding(H.carrier, H.carrier)
+    ue = H.u * H.eps
+    return CheckReport([
+        ("associativity", H.m * tensor(H.m, i) - H.m * tensor(i, H.m)),
+        ("unit_left", H.m * tensor(H.u, i) - i),
+        ("unit_right", H.m * tensor(i, H.u) - i),
+        ("coassociativity",
+         tensor(H.delta, i) * H.delta - tensor(i, H.delta) * H.delta),
+        ("counit_left", tensor(H.eps, i) * H.delta - i),
+        ("counit_right", tensor(i, H.eps) * H.delta - i),
+        ("mult_compat", H.delta * H.m - tensor(H.m, H.m)
+         * tensor(i, sigma, i) * tensor(H.delta, H.delta)),
+        ("unit_compat", H.delta * H.u - tensor(H.u, H.u)),
+        ("counit_compat", H.eps * H.m - tensor(H.eps, H.eps)),
+        ("unit_counit", H.eps * H.u - identity_mor(unit_object(H.carrier.ctx))),
+        ("antipode_left", H.m * tensor(H.S, i) * H.delta - ue),
+        ("antipode_right", H.m * tensor(i, H.S) * H.delta - ue),
+    ])
+
+
+def check_yd_by_kron(yd):
+    """The residuals of `check_yd` by Kronecker products."""
+    Hd = yd.hopf
+    H, V = Hd.carrier, yd.carrier
+    a, rho = yd.action, yd.coaction
+    iH, iV = identity_mor(H), identity_mor(V)
+    lhs = (tensor(Hd.m, a) * tensor(iH, braiding(H, H), iV)
+           * tensor(Hd.delta, rho))
+    rhs = (tensor(Hd.m, iV) * tensor(iH, braiding(V, H)) * tensor(rho * a, iH)
+           * tensor(iH, braiding(H, V)) * tensor(Hd.delta, iV))
+    return CheckReport([
+        ("module_assoc", a * tensor(Hd.m, iV) - a * tensor(iH, a)),
+        ("module_unit", a * tensor(Hd.u, iV) - iV),
+        ("comodule_coassoc",
+         tensor(Hd.delta, iV) * rho - tensor(iH, rho) * rho),
+        ("comodule_counit", tensor(Hd.eps, iV) * rho - iV),
+        ("yd_compat", lhs - rhs),
+    ])
+
+
+def yd_braiding_by_kron(V, W):
+    return (tensor(W.action, identity_mor(V.carrier))
+            * tensor(identity_mor(V.hopf.carrier),
+                     braiding(V.carrier, W.carrier))
+            * tensor(V.coaction, identity_mor(W.carrier)))
+
+
+def yd_braiding_inverse_by_kron(V, W):
+    H = V.hopf.carrier
+    Sm1 = GradedMorphism(H, H, V.hopf.S.matrix.inverse())
+    iV, iW = identity_mor(V.carrier), identity_mor(W.carrier)
+    return (braiding_inverse(V.carrier, W.carrier)
+            * tensor(W.action, iV)
+            * tensor(braiding_inverse(H, W.carrier), iV)
+            * tensor(iW, Sm1, iV)
+            * tensor(iW, V.coaction))
+
+
+def braid_relation_by_kron(c, V):
+    """(c (x) id)(id (x) c)(c (x) id) - (id (x) c)(c (x) id)(id (x) c) for a
+    braiding c of V with itself."""
+    iV = identity_mor(V)
+    return (tensor(c, iV) * tensor(iV, c) * tensor(c, iV)
+            - tensor(iV, c) * tensor(c, iV) * tensor(iV, c))
+
+
+def comodule_tensor_by_kron(A, B):
+    """The coaction of A (x) B: (m (x) id) (id (x) c_{V,H} (x) id)
+    (rho_A (x) rho_B)."""
+    H = A.hopf
+    iV, iW = identity_mor(A.carrier), identity_mor(B.carrier)
+    return (tensor(H.m, iV, iW)
+            * tensor(identity_mor(H.carrier), braiding(A.carrier, H.carrier), iW)
+            * tensor(A.coaction, B.coaction))
+
+
+def comodule_dual_by_kron(A):
+    """The coaction of the dual comodule on *V."""
+    Hd = A.hopf
+    d = left_dual(A.carrier)
+    iD = identity_mor(d.space)
+    return (tensor(tensor(Hd.S, iD) * braiding(d.space, Hd.carrier), d.ev)
+            * tensor(iD, A.coaction, iD) * tensor(d.coev, iD))
+
+
+def coproduct_constraint_by_kron(pi, V):
+    """(pi (x) pi) (id (x) coev (x) id), the coproduct's constraint on a
+    block projection pi of the block carried by V."""
+    field = pi.field
+    d = left_dual(V)
+    insert = kron(kron(Matrix.identity(field, V.dim), d.coev.matrix),
+                  Matrix.identity(field, d.space.dim))
+    return kron(pi, pi) * insert
 
 
 def is_comodule_morphism(f, A, B):

@@ -240,8 +240,9 @@ def test_broken_unit_law_is_an_invalid_structure(command, tmp_path, capsys):
     assert capsys.readouterr().err == "error[InvalidStructure]: %s\n" % message
 
 
-def test_yd_modules_from_spec_file(tmp_path):
-    # swap action with a group-graded coaction: YD compatibility fails
+def yd_module_spec():
+    """group_algebra:2 with a swap action and a group-graded coaction on a
+    plane V: the YD compatibility fails."""
     doc = hopf_to_spec(build("group_algebra:2"))
     doc["objects"]["V"] = {"labels": ["v0", "v1"], "degrees": [[], []]}
     doc["yd_modules"] = [{
@@ -250,6 +251,11 @@ def test_yd_modules_from_spec_file(tmp_path):
         "action": [["1", "0", "0", "1"], ["0", "1", "1", "0"]],
         "coaction": [["1", "0"], ["0", "0"], ["0", "0"], ["0", "1"]],
     }]
+    return doc
+
+
+def test_yd_modules_from_spec_file(tmp_path):
+    doc = yd_module_spec()
     spec = tmp_path / "yd.json"
     spec.write_text(canonical_json(doc))
     code, payload = run_cli(["yd-check", str(spec)], tmp_path, "r.json")
@@ -463,25 +469,44 @@ def test_mutated_spec_entry_never_escapes_main(data):
         spec = Path(tmp) / "mutated.json"
         spec.write_text(json.dumps(doc))
         for command in HANDLERS:
-            out, err = io.StringIO(), io.StringIO()
-            with redirect_stdout(out), redirect_stderr(err):
-                code = main([command, str(spec)])
-            lines = err.getvalue().splitlines()
-            assert code in (0, 1, 2), (command, code)
-            if code == 2:
-                assert len(lines) == 1 and lines[0].startswith("error: ")
-                assert out.getvalue() == ""
-                continue
-            payload = json.loads(out.getvalue())
-            if lines[0].startswith("error["):
-                assert code == 1 and len(lines) == 1
-                error = payload["error"]
-                assert payload == {"command": command, "status": "error",
-                                   "error": error}
-                assert lines[0] == "error[%s]: %s" % (error["code"],
-                                                      error["message"])
-            else:
-                assert payload["status"] == ("pass" if code == 0 else "fail")
+            assert_exits_cleanly(command, spec)
+
+
+def assert_exits_cleanly(command, spec):
+    """main on the spec ends with exit 0 or 1 and a report or a structured
+    error, or with exit 2 and a one-line usage error: never an exception."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([command, str(spec)])
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2), (command, code)
+    if code == 2:
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert out.getvalue() == ""
+        return
+    payload = json.loads(out.getvalue())
+    if lines[0].startswith("error["):
+        assert code == 1 and len(lines) == 1
+        error = payload["error"]
+        assert payload == {"command": command, "status": "error",
+                           "error": error}
+        assert lines[0] == "error[%s]: %s" % (error["code"], error["message"])
+    else:
+        assert payload["status"] == ("pass" if code == 0 else "fail")
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_mutated_yd_module_entry_never_escapes_main(data):
+    doc = yd_module_spec()
+    mat = doc["yd_modules"][0][data.draw(st.sampled_from(["action",
+                                                          "coaction"]))]
+    row = mat[data.draw(st.integers(0, len(mat) - 1))]
+    row[data.draw(st.integers(0, len(row) - 1))] = data.draw(LITERALS)
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = Path(tmp) / "mutated.json"
+        spec.write_text(json.dumps(doc))
+        assert_exits_cleanly("yd-check", spec)
 
 
 # ---------------------------------------------------------------------------

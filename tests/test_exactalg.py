@@ -24,12 +24,11 @@ from bhl.exactalg import (
     CycloField, InvalidStructureError, Matrix, NoSolutionError,
     NonUniqueError, QuotientPresentation, Scalar, SparseEliminator,
     _eliminate, _null_space, presentation_from_projection,
-    cyclotomic_polynomial, format_scalar, id_kron_mul, kron_id_mul,
-    parse_scalar, read_off,
+    cyclotomic_polynomial, format_scalar, parse_scalar, read_off, whiskered,
 )
-from oracles import (format_scalar_by_fractions, parse_scalar_by_fractions,
-                     rational_matrix, solve_product_constraints,
-                     verify_presentation_by_product)
+from oracles import (format_scalar_by_fractions, kron,
+                     parse_scalar_by_fractions, rational_matrix,
+                     solve_product_constraints, verify_presentation_by_product)
 
 
 def test_cyclotomic_polynomials_match_sympy():
@@ -630,35 +629,40 @@ def test_kron_of_mixed_fields_still_raises():
 # -- whiskered products --------------------------------------------------------
 
 @given(st.data())
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 def test_whiskered_products_match_kronecker_then_multiply(data):
     F = data.draw(st.sampled_from([CycloField(1), CycloField(5)]))
-    r, k, d, c = (data.draw(st.integers(0, 3)) for _ in range(4))
-    A = Matrix(F, data.draw(_with_unit_rows(F, r, k)), cols=k)
-    X = Matrix(F, data.draw(_grids(F, k * d, c)), cols=c)
-    left = kron_id_mul(A, d, X)
-    assert left == (A @ Matrix.identity(F, d)) * X
-    assert all(all(row.values()) for row in left.data)
-    B = Matrix(F, data.draw(_with_unit_rows(F, r, k)), cols=k)
-    Y = Matrix(F, data.draw(_grids(F, d * k, c)), cols=c)
-    right = id_kron_mul(d, B, Y)
-    assert right == (Matrix.identity(F, d) @ B) * Y
-    assert all(all(row.values()) for row in right.data)
+    # a = 1 and b = 1 often, zero-dimensional factors sometimes
+    a, b = (data.draw(st.sampled_from([1, 1, 0, 2, 3])) for _ in range(2))
+    r, k, c = (data.draw(st.integers(0, 3)) for _ in range(3))
+    f = data.draw(_with_unit_rows(F, r, k))
+    # single entries other than one take the scaled copy
+    for i in range(r):
+        if k and data.draw(st.booleans()):
+            j, v = data.draw(st.integers(0, k - 1)), data.draw(_scalars(F))
+            f[i] = [v if col == j else F.zero for col in range(k)]
+    f = Matrix(F, f, cols=k)
+    X = Matrix(F, data.draw(_grids(F, a * k * b, c)), cols=c)
+    out = whiskered(a, f, b, X)
+    expected = kron(kron(Matrix.identity(F, a), f), Matrix.identity(F, b)) * X
+    assert out == expected
+    assert (out.rows, out.cols) == (a * r * b, c)
+    assert all(all(row.values()) for row in out.data)
 
 
 def test_whiskered_products_check_shapes_and_fields():
     F = CycloField(1)
     A, X = Matrix.zeros(F, 2, 3), Matrix.zeros(F, 5, 2)
     with pytest.raises(InvalidStructureError, match="shape mismatch"):
-        kron_id_mul(A, 2, X)
+        whiskered(1, A, 2, X)
     with pytest.raises(InvalidStructureError, match="shape mismatch"):
-        id_kron_mul(2, A, X)
+        whiskered(2, A, 1, X)
     Z = Matrix.zeros(CycloField(5), 6, 2)
     with pytest.raises(InvalidStructureError):
-        kron_id_mul(A, 2, Z)
+        whiskered(1, A, 2, Z)
     with pytest.raises(InvalidStructureError):
-        id_kron_mul(2, A, Z)
-    assert kron_id_mul(A, 2, Matrix.zeros(F, 6, 2)) == Matrix.zeros(F, 4, 2)
+        whiskered(2, A, 1, Z)
+    assert whiskered(1, A, 2, Matrix.zeros(F, 6, 2)) == Matrix.zeros(F, 4, 2)
 
 
 # -- the presentation check against the product oracle ------------------------
