@@ -94,14 +94,16 @@ def context_from_spec(doc):
     r, E = bspec["root_order"], bspec["exponent_matrix"]
     _require(_is_int(r) and r >= 1,
              "bicharacter.root_order must be a positive integer")
-    _require(isinstance(E, list) and all(isinstance(row, list) for row in E),
-             "bicharacter.exponent_matrix must be a list of rows")
+    _require(isinstance(E, list)
+             and all(isinstance(row, list) and all(map(_is_int, row))
+                     for row in E),
+             "bicharacter.exponent_matrix must be a list of integer rows")
     _require(r <= 2 or field.order % r == 0,
              "bicharacter root order %d unavailable in Q(zeta_%d)"
              % (r, field.order))
     try:
         chi = Bicharacter(group, r, E)
-    except (TypeError, ValueError, InvalidStructureError) as exc:
+    except (ValueError, InvalidStructureError) as exc:
         raise SchemaError("bad bicharacter: %s" % exc) from None
     return Context(field, group, chi)
 
@@ -384,7 +386,7 @@ def _run_reconstruction(datum, args, emit_datum):
         "dimensions": {
             "hopf": H.carrier.dim,
             "coend": r.coend.dim,
-            "ambient": sum(s.dim for s in r.coend.spaces),
+            "ambient": r.coend.presentation.ambient_dim,
             "blocks": len(r.coend.diagram.blocks),
         },
         "comparison": matrix_to_spec(r.comparison.matrix),

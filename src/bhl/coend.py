@@ -1,7 +1,9 @@
 """The relative coend of the forgetful functor on a finite comodule diagram.
 
 The ambient space is the direct sum, over the diagram's comodule blocks B,
-of F(B) (x) *F(B).  Two relation families are divided out, exactly:
+of F(B) (x) *F(B), of which only the offsets are kept (`pi` builds a
+block's labelled object when asked).  Two relation families are divided
+out, exactly:
 
 * dinaturality, one column per basis morphism f: A -> B and basis pair
   (a, b):  sum_i f[i,a] e_{B,(i,b)}  -  sum_j f[b,j] e_{A,(a,j)};
@@ -53,16 +55,16 @@ dimension).  The certificate checks
   was built, and the block's coaction is Delta, checked by
   `cofree_degree`), any other by the product, `is_colinear`.
 
-With rank P = n, (a) and (b) give span R = ker P exactly.  The canonical
-presentation of ker P is read off P: coordinate j is free iff P e_j is
-independent of the columns after j, the projection is P_F^-1 P, and the
-reduced relation row of a pivot p is e_p - sum_k proj[k][p] e_(free k).
-It is what eliminating the relations would give, entry for entry.  If
-rank P < n, if a premise of (a) or of the lemma fails, if a streamed map is
-not colinear, or if the relations supported on T fall short of |T| - n (a
-non-Hopf input, a diagram too small to cut H out), every relation column
-is eliminated exactly instead, so every output, error paths included, is
-as elimination gives it.  The reduced rows are canonical, so the stream
+With rank P = n, (a) and (b) give span R = ker P exactly.  Its canonical
+presentation, the one elimination gives, is read off P: coordinate j is
+free iff P e_j is independent of the columns after j, and the projection is
+P_F^-1 P (the reduced relation of any other coordinate p is then
+e_p - sum_k proj[k][p] e_(free k), which is not stored).  If rank P < n,
+if a premise of (a) or of the lemma fails, if a streamed map is not
+colinear, or if the relations supported on T fall short of |T| - n (a
+non-Hopf input, a diagram too small to cut H out), every relation column is
+eliminated exactly instead, so every output, error paths included, is as
+elimination gives it.  The reduced rows are canonical, so the stream
 order changes no output.
 
 An enlargement certifies itself from its own candidate:
@@ -73,10 +75,11 @@ supported on T are streamed.
 """
 
 import copy
+from bisect import bisect_right
 
 from .exactalg import (EngineError, InvalidStructureError, Matrix,
-                       SparseEliminator, _null_space,
-                       presentation_from_projection, require)
+                       QuotientPresentation, SparseEliminator, _null_space,
+                       require)
 from .gradedcat import (GradedMorphism, GradedObject, dual_object,
                         line_object, tensor_obj)
 from .comodcat import (Comodule, FlagReport, act, cofree_degree,
@@ -211,13 +214,18 @@ def reconstruction_diagram(H, probes=()):
 
 
 def _block_spaces(diagram):
-    spaces, offsets, total = [], [], 0
+    """(each block's offset in the ambient space, the ambient dimension)"""
+    offsets, total = [], 0
     for B in diagram.blocks:
-        S = tensor_obj(B.carrier, dual_object(B.carrier))
-        spaces.append(S)
         offsets.append(total)
-        total += S.dim
-    return spaces, offsets, total
+        total += B.carrier.dim ** 2
+    return offsets, total
+
+
+def _block_at(offsets, p):
+    """(block index, coordinate within the block) of ambient coordinate p."""
+    bi = bisect_right(offsets, p) - 1
+    return bi, p - offsets[bi]
 
 
 def _hom_pairs(diagram):
@@ -251,7 +259,7 @@ def _is_cofree_formula(f, k, A, B_degree):
                                    for h in range(A.hopf.carrier.dim)]
 
 
-def _relation_columns(diagram, spaces, offsets, blocks_done=0,
+def _relation_columns(diagram, offsets, blocks_done=0,
                       balance_done=0, colinear=False, within=None):
     """Yield ("family-name", column-dict) for every relation that the
     prefix of `blocks_done` blocks and `balance_done` gluings lacks, in a
@@ -321,10 +329,9 @@ class CoendResult:
     when the presentation was eliminated.
     """
 
-    def __init__(self, diagram, spaces, offsets, presentation, quotient,
+    def __init__(self, diagram, offsets, presentation, quotient,
                  certificate=None):
         self.diagram = diagram
-        self.spaces = spaces
         self.offsets = offsets
         self.presentation = presentation
         self.quotient = quotient
@@ -346,7 +353,8 @@ class CoendResult:
 
     def pi(self, i):
         """The universal map F(B) (x) *F(B) -> quotient of block i."""
-        S, off = self.spaces[i], self.offsets[i]
+        V = self.diagram.blocks[i].carrier
+        S, off = tensor_obj(V, dual_object(V)), self.offsets[i]
         end = off + S.dim
         P = self.presentation.projection
         rows = [{k - off: v for k, v in row.items() if off <= k < end}
@@ -376,8 +384,7 @@ class CoendResult:
         else:
             P_cols = self.presentation.projection.transpose().data
             streamed, bad = set(), set()
-            for name, col in _relation_columns(self.diagram, self.spaces,
-                                               self.offsets):
+            for name, col in _relation_columns(self.diagram, self.offsets):
                 streamed.add(name)
                 if name not in bad and not _kills(P_cols, col):
                     bad.add(name)
@@ -487,7 +494,7 @@ def _counit_lemma_holds(diagram, cofree):
     return True
 
 
-def _certified(diagram, spaces, offsets, total, base=None):
+def _certified(diagram, offsets, total, base=None):
     """The coend certified from the candidate, or None.  `base` is the
     coend of a diagram that this one enlarges: with a certificate, its
     relations are not streamed again (see `CoendResult.enlarged`)."""
@@ -510,10 +517,10 @@ def _certified(diagram, spaces, offsets, total, base=None):
     if base is not None and base.certificate is not None:
         elim.rows = dict(base.certificate)
         prefix = (len(base.diagram.blocks), len(base.diagram.balance))
-    target = sum(spaces[bi].dim for bi in cofree) - n
+    target = sum(diagram.blocks[bi].carrier.dim ** 2 for bi in cofree) - n
     if elim.rank < target:
         try:
-            for _, col in _relation_columns(diagram, spaces, offsets, *prefix,
+            for _, col in _relation_columns(diagram, offsets, *prefix,
                                             colinear=True, within=cofree):
                 if elim.add(col) and elim.rank >= target:
                     break
@@ -521,32 +528,35 @@ def _certified(diagram, spaces, offsets, total, base=None):
             return None
     if elim.rank < target:
         return None
-    return _result(diagram, spaces, offsets,
-                   presentation_from_projection(field, total, *found),
-                   elim.rows)
+    return _result(diagram, offsets, total, *found, elim.rows)
 
 
-def _eliminated(diagram, spaces, offsets, total):
+def _eliminated(diagram, offsets, total):
     """The coend by exact elimination of every relation column."""
     field = diagram.hopf.carrier.ctx.field
     elim = SparseEliminator(field)
-    for _, col in _relation_columns(diagram, spaces, offsets):
+    for _, col in _relation_columns(diagram, offsets):
         elim.add(col)
-    return _result(diagram, spaces, offsets, presentation_from_projection(
-        field, total, *_null_space(field, total, elim.rref_rows())))
+    return _result(diagram, offsets, total,
+                   *_null_space(field, total, elim.rref_rows()))
 
 
-def _result(diagram, spaces, offsets, pres, certificate=None):
-    def coord_degree(p):
-        for S, off in zip(reversed(spaces), reversed(offsets)):
-            if p >= off:
-                return S.degree(p - off)
-        raise IndexError(p)
+def _result(diagram, offsets, total, free, projection, certificate=None):
+    """The CoendResult of the projection with the sparse rows `projection`,
+    the identity on the coordinates `free`."""
+    ctx = diagram.hopf.carrier.ctx
+    pres = QuotientPresentation(
+        total, free, Matrix.from_rows(ctx.field, projection, total))
 
-    quotient = GradedObject(diagram.hopf.carrier.ctx,
-                            [("c%d" % k, coord_degree(p))
-                             for k, p in enumerate(pres.free)])
-    return CoendResult(diagram, spaces, offsets, pres, quotient, certificate)
+    def coord_degree(p):  # deg v_c - deg v_k at v_c (x) *v_k
+        bi, q = _block_at(offsets, p)
+        V = diagram.blocks[bi].carrier
+        c, k = divmod(q, V.dim)
+        return ctx.group.add(V.degree(c), ctx.group.neg(V.degree(k)))
+
+    quotient = GradedObject(ctx, [("c%d" % k, coord_degree(p))
+                                  for k, p in enumerate(free)])
+    return CoendResult(diagram, offsets, pres, quotient, certificate)
 
 
 def compute_coend(diagram):
@@ -567,14 +577,11 @@ def check_stability(small, big):
     """
     checks = [("dims_match", small.dim == big.dim)]
     shared = [big.diagram.index(B) for B in small.diagram.blocks]
-    inj = {}
-    for i, j in enumerate(shared):
-        for k in range(small.spaces[i].dim):
-            inj[small.offsets[i] + k] = big.offsets[j] + k
     Pb = big.presentation.projection
     Pb_cols = Pb.transpose().data
     kappa = Matrix.from_rows(
-        Pb.field, [Pb_cols[inj[p]] for p in small.presentation.free],
+        Pb.field, [Pb_cols[big.offsets[shared[i]] + q] for i, q in
+                   (_block_at(small.offsets, p) for p in small.presentation.free)],
         big.dim).transpose()
     checks.append(("comparison_iso",
                    small.dim == big.dim and kappa.rank() == small.dim))

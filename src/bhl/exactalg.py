@@ -6,18 +6,21 @@ positive common denominator, with their gcd divided out.  Phi_n is monic
 with integer coefficients, so sums, products and inverses are integer
 arithmetic plus one gcd.  Scalar literals are parsed and formatted with
 ints too; only a literal in a rare form (an exponent, underscores) is
-handed to `fractions.Fraction`, imported on first use.  Everything
+handed to `fractions.Fraction`, imported on first use, and an exponent is
+held to Python's digit limit for int literals first.  Everything
 downstream (graded categories, Hopf structure checks, coend quotients)
 reduces to the handful of primitives in this module: sparse products,
 `whiskered`, the one kernel for tensored maps, (I (x) f (x) I) X without the
-Kronecker product, sparse elimination to reduced rows, the null space and
-quotient presentation read off them, and `read_off`, the one solve for an
-unknown linear map X from equations X * B_t = C_t: it streams the columns of
-each B_t, extended by those of C_t, into one eliminator, and reads X off the
-reduced rows.  Matrix inverses and the antipode are solved through it.
+Kronecker product, sparse elimination to reduced rows, the null space
+read off them, the quotient presentation given by its projection, and
+`read_off`, the one solve for an unknown linear map X from equations
+X * B_t = C_t: it streams the columns of each B_t, extended by those of C_t,
+into one eliminator, and reads X off the reduced rows.  Matrix inverses and
+the antipode are solved through it.
 All results are exact; "zero" always means identically zero.
 """
 
+import sys
 from functools import reduce
 from itertools import compress, count
 from math import gcd, lcm
@@ -379,6 +382,22 @@ def _digits(text):
     return text.isascii() and text.isdigit()
 
 
+def _check_exponent(body):
+    """ValueError, as for an int literal over Python's digit limit, if the
+    exponent of the literal `body` plus its mantissa digits exceed it:
+    Fraction builds 10^exponent unchecked, at a cost growing faster than
+    the exponent."""
+    mantissa, _, exp = body.lower().partition("e")
+    exp = exp.strip().lstrip("+-").replace("_", "")
+    limit = sys.get_int_max_str_digits()
+    if limit and exp.isdecimal():
+        digits = int(exp) + sum(map(str.isdecimal, mantissa))
+        if digits > limit:
+            raise ValueError("Exceeds the limit (%d digits) for integer "
+                             "string conversion: value has up to %d digits"
+                             % (limit, digits))
+
+
 def _parse_rational(text):
     """(numerator, denominator > 0) of a rational literal, exactly as
     `Fraction(text)` reads it: ValueError if it is no literal and
@@ -394,6 +413,7 @@ def _parse_rational(text):
     else:
         whole, dot, frac = body.partition(".")
         if not (dot and _digits(whole + frac)):
+            _check_exponent(body)
             from fractions import Fraction
             return Fraction(text).as_integer_ratio()
         num, den = int(whole + frac), 10 ** len(frac)
@@ -631,7 +651,8 @@ class Matrix:
         return Matrix.from_rows(self.field, out, self.cols + other.cols)
 
     def rank(self):
-        return _eliminate(self.field, self.data).rank
+        elim = SparseEliminator(self.field)
+        return sum(elim.add(dict(row)) for row in self.data)
 
     def inverse(self):
         """The X with X * self == I, read off (see `read_off`)."""
@@ -772,14 +793,6 @@ class SparseEliminator:
         return [(p, reduced[p]) for p in pivs]
 
 
-def _eliminate(field, rows):
-    """A SparseEliminator fed copies of the given sparse rows."""
-    elim = SparseEliminator(field)
-    for row in rows:
-        elim.add(dict(row))
-    return elim
-
-
 def _null_space(field, ncols, rref_rows):
     """(free, basis): the canonical null space of reduced rows on `ncols`
     coordinates.  `free` lists the coordinates that are no row's pivot, in
@@ -798,18 +811,15 @@ def _null_space(field, ncols, rref_rows):
 
 
 class QuotientPresentation:
-    """An ambient space modulo the column span of a relation matrix.
+    """An ambient space modulo a subspace, given by its projection: the
+    identity on the free coordinates, one per quotient basis vector.  That
+    is all there is to check.  The relation of each other coordinate p is
+    e_p - sum_k projection[k][p] e_(free k), so these N - q relations are
+    reduced (only p's has an entry at p), killed by the projection, and
+    span its kernel."""
 
-    The quotient has one basis vector per free coordinate, the ambient
-    coordinates not used as pivots by the reduced relation basis; the
-    projection is the identity on them and kills the relations, and
-    rank(relations) + quotient_dim = ambient_dim.  Presentations are
-    canonical given the relation span.
-    """
-
-    def __init__(self, ambient_dim, relation_matrix, free, projection):
+    def __init__(self, ambient_dim, free, projection):
         self.ambient_dim = ambient_dim
-        self.relation_matrix = relation_matrix
         self.free = free
         self.projection = projection
         self.verify()
@@ -829,76 +839,6 @@ class QuotientPresentation:
         require(all({free_pos[j]: v for j, v in row.items() if j in free_pos}
                     == {k: one} for k, row in enumerate(self.projection.data)),
                 "projection is not the identity on the free coordinates")
-        rel = self.relation_matrix
-        require(not rel.cols or rel.rows == amb, "shape mismatch %dx%d * %dx%d"
-                % (q, amb, rel.rows, rel.cols))
-        require(not rel.cols
-                or _kills_relations(self.projection, rel, self.free, one),
-                "projection does not kill the relations")
-        # the relation columns are reduced: column k is 1 at its own pivot
-        # row and 0 at every other column's, so the pivot rows are unit rows
-        # e_k, one for each k, and the rank is the column count
-        unit_rows = {k for row in rel.data if len(row) == 1
-                     for k, v in row.items() if v == one}
-        require(len(unit_rows) == rel.cols,
-                "relation columns are not in reduced form")
-        require(rel.cols + q == amb,
-                "relation rank + quotient dimension != ambient dimension")
-
-
-def _kills_relations(P, R, free, one):
-    """Whether P * R == 0, for P the identity on the coordinates `free`.
-
-    Row h of P * R is row free[h] of R plus the sum of P[h, j] times row j
-    of R over the other coordinates j.  On reduced relations row j is the
-    unit e_k of the column k whose pivot is j, so it contributes P[h, j] at
-    k, and P * R == 0 says that each relation column k, on the free
-    coordinates, is minus its pivot's projection column: a comparison of
-    entries, not a product.  Rows of R that are not units are multiplied
-    out, so the answer is exact for any R."""
-    free_at = set(free)
-    rel = R.data
-    for prow, j0 in zip(P.data, free):
-        image = {}
-        for j, w in prow.items():
-            if j in free_at:
-                continue
-            rrow = rel[j]
-            if len(rrow) == 1:
-                (k, v), = rrow.items()
-                terms = ((k, w if v == one else w * v),)
-            else:
-                terms = [(k, w * v) for k, v in rrow.items()]
-            for k, x in terms:
-                image[k] = image[k] + x if k in image else x
-        target = rel[j0]
-        image = {k: x for k, x in image.items() if x}
-        if len(image) != len(target) or any(
-                image.get(k) != -v for k, v in target.items()):
-            return False
-    return True
-
-
-def presentation_from_projection(field, ambient_dim, free, projection):
-    """The canonical presentation whose projection has the sparse rows
-    `projection`, the identity on the coordinates `free` (as `_null_space`
-    gives them): the reduced relation of every other coordinate p, in
-    order, is e_p - sum_k projection[k][p] e_(free k)."""
-    free_at = set(free)
-    column = {p: k for k, p in enumerate(p for p in range(ambient_dim)
-                                         if p not in free_at)}
-    one = field.one
-    rel = [{column[p]: one} if p in column else {} for p in range(ambient_dim)]
-    for j, row in zip(free, projection):
-        for p, v in row.items():
-            if p != j:
-                rel[j][column[p]] = -v
-    return QuotientPresentation(
-        ambient_dim=ambient_dim,
-        relation_matrix=Matrix.from_rows(field, rel, len(column)),
-        free=free,
-        projection=Matrix.from_rows(field, projection, ambient_dim),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,8 @@ build the prebalancing exchange that the balancing relations encode and
 psi_bar, the map the certified coend's candidate is built from entrywise,
 and `hom_basis_by_elimination`, the oracle for the hom bases that
 `hom_space` writes down by formula.  `verify_presentation_by_product` is
-the oracle for `QuotientPresentation.verify`, which compares each reduced
-relation column with its pivot's projection column instead of forming the
-product.  `parse_scalar_by_fractions` and
+the oracle for `QuotientPresentation.verify`, which reads the projection at
+the free coordinates instead of forming the product P * E_free.  `parse_scalar_by_fractions` and
 `format_scalar_by_fractions` read and write scalar literals with
 `fractions.Fraction`, the oracle for the int-only `parse_scalar` and
 `format_scalar`.  `solve_product_constraints` solves sum_t A_t X B_t = C
@@ -277,28 +276,21 @@ def psi_bar(g, Z, Y):
 
 
 def verify_presentation_by_product(pres):
-    """QuotientPresentation.verify with the relations killed checked by
-    forming projection x relation matrix, entry for entry."""
+    """QuotientPresentation.verify with the identity on the free
+    coordinates checked by forming projection x E_free, E_free the ambient
+    x quotient matrix whose column k is e_(free k)."""
     q, amb = pres.quotient_dim, pres.ambient_dim
     require(pres.projection.rows == q and pres.projection.cols == amb,
             "projection is not quotient x ambient")
-    free_pos = {j: k for k, j in enumerate(pres.free)}
-    require(len(free_pos) == q and all(0 <= j < amb for j in free_pos),
+    require(len(set(pres.free)) == q and all(0 <= j < amb for j in pres.free),
             "free coordinates are not distinct ambient coordinates")
-    one = pres.projection.field.one
-    require(all({free_pos[j]: v for j, v in row.items() if j in free_pos}
-                == {k: one} for k, row in enumerate(pres.projection.data)),
+    field = pres.projection.field
+    e_free = [{} for _ in range(amb)]
+    for k, j in enumerate(pres.free):
+        e_free[j][k] = field.one
+    require(pres.projection * Matrix.from_rows(field, e_free, q)
+            == Matrix.identity(field, q),
             "projection is not the identity on the free coordinates")
-    require(not pres.relation_matrix.cols
-            or (pres.projection * pres.relation_matrix).is_zero(),
-            "projection does not kill the relations")
-    rel = pres.relation_matrix
-    unit_rows = {k for row in rel.data if len(row) == 1
-                 for k, v in row.items() if v == one}
-    require(len(unit_rows) == rel.cols,
-            "relation columns are not in reduced form")
-    require(rel.cols + q == amb,
-            "relation rank + quotient dimension != ambient dimension")
 
 
 def solve_product_constraints(field, constraint_groups, shape):

@@ -364,6 +364,15 @@ BAD_SPEC_ENTRIES = {
     "cyclotomic_order_text": (("field", "cyclotomic_order"), "x"),
     "invariant_factor_zero": (("group", "invariant_factors", 0), 0),
     "degree_fractional": (("objects", "H", "degrees", 1, 0), 0.5),
+    # each of these was read through int() as 1 (or as 10^300)
+    "exponent_fractional": (("bicharacter", "exponent_matrix", 0, 0), 1.5),
+    "exponent_boolean": (("bicharacter", "exponent_matrix", 0, 0), True),
+    "exponent_text": (("bicharacter", "exponent_matrix", 0, 0), "1"),
+    "exponent_float_huge": (("bicharacter", "exponent_matrix", 0, 0), 1e300),
+    # 10^5000 and 25 * 10^4399 are over Python's 4300-digit limit for ints
+    "entry_exponent_over_digit_limit": (("hopf", "m", 0, 0), "1e5000"),
+    "entry_decimal_exponent_over_digit_limit": (("hopf", "m", 0, 0),
+                                                "2.5e4400"),
 }
 BAD_BUILTINS = ["taft:1", "nichols_cyclic:1", "nichols_cyclic:0",
                 "group_algebra:0"]

@@ -17,8 +17,8 @@ from bhl.comodcat import (
     act, cofree_degree, comodule_dual, comodule_tensor, direct_sum_comodule,
     hom_space, regular_comodule, unit_comodule,
 )
-from bhl.exactalg import (InvalidStructureError, Matrix, SparseEliminator,
-                          _null_space, presentation_from_projection)
+from bhl.exactalg import (InvalidStructureError, Matrix, QuotientPresentation,
+                          SparseEliminator, _null_space)
 from bhl.gradedcat import (GradedMorphism, GradedObject, identity_mor,
                            left_dual, line_object, tensor_obj, unit_object)
 from oracles import (hom_basis_by_elimination, is_comodule_morphism,
@@ -136,7 +136,7 @@ def stability_blocks(base):
 
 
 def assert_same_coend(a, b):
-    for attr in ("projection", "free", "relation_matrix"):
+    for attr in ("projection", "free"):
         assert getattr(a.presentation, attr) == getattr(b.presentation, attr)
     assert a.quotient == b.quotient
 
@@ -283,7 +283,7 @@ def test_candidate_is_psi_bar_of_each_coaction():
                  "nichols_cyclic:3"):
         H = build(name)
         D = default_diagram(H)
-        _, offsets, total = _block_spaces(D)
+        offsets, total = _block_spaces(D)
         P = _candidate(D, offsets, total)
         for B, off in zip(D.blocks, offsets):
             want = psi_bar(B.coaction, H.carrier, B.carrier).matrix
@@ -396,9 +396,9 @@ def test_certificate_streams_balancing_then_cofree_and_stops_at_the_bound(
     # the fallback stream's order (balancing first), and stops as soon as
     # their rank reaches |T| - n; it keeps the reduced rows it reached
     D = default_diagram(build("nichols_cyclic:3"))
-    spaces, offsets, total = _block_spaces(D)
+    offsets, total = _block_spaces(D)
     T = cofree_blocks(D)
-    full = list(_relation_columns(D, spaces, offsets))
+    full = list(_relation_columns(D, offsets))
     streamed = []
 
     def recording(*args, **kwargs):
@@ -420,7 +420,7 @@ def test_certificate_streams_balancing_then_cofree_and_stops_at_the_bound(
     assert len(streamed) < len(on_T)
     assert streamed[0][0].startswith("balancing")
     assert not streamed[-1][0].startswith("balancing")
-    target = sum(spaces[bi].dim for bi in T) - D.hopf.carrier.dim
+    target = sum(D.blocks[bi].carrier.dim ** 2 for bi in T) - D.hopf.carrier.dim
     elim = SparseEliminator(D.hopf.carrier.ctx.field)
     grew = [elim.add(dict(col)) for _, col in streamed]
     assert grew[-1] and elim.rank == target
@@ -520,13 +520,13 @@ def test_pi_not_surjective_guard():
     # block survives on its own, so the regular projection cannot cover it
     H = group_algebra(2)
     D = Diagram(H, [regular_comodule(H), unit_comodule(H)])
-    spaces, offsets, total = _block_spaces(D)
+    offsets, total = _block_spaces(D)
     field = H.carrier.ctx.field
-    rows = [(p, {p: field.one}) for p in range(spaces[0].dim)]
-    pres = presentation_from_projection(field, total,
-                                        *_null_space(field, total, rows))
+    rows = [(p, {p: field.one}) for p in range(offsets[1])]
+    free, proj = _null_space(field, total, rows)
+    pres = QuotientPresentation(total, free, Matrix.from_rows(field, proj, total))
     quotient = GradedObject(H.carrier.ctx, [("c0", ())])
-    res = CoendResult(D, spaces, offsets, pres, quotient)
+    res = CoendResult(D, offsets, pres, quotient)
     with pytest.raises(PiNotSurjectiveError) as err:
         res.check_regular_surjective()
     assert err.value.code == "PiNotSurjective"

@@ -1,7 +1,8 @@
 """src/ holds only what the engine runs: every public module-level function
 and class of bhl is referenced from src/ outside its own definition, and so
 is every public method of a src class.  Code that only tests call belongs
-under tests/ (see tests/oracles.py).
+under tests/ (see tests/oracles.py).  And src/ holds no `assert`: the
+checks it runs are the same under `python -O`.
 
 Methods are matched by name only: a method counts as used when some
 attribute reference in src/ or perfbench/*.py outside its own body, or a
@@ -83,3 +84,13 @@ def test_every_public_method_is_used():
         used |= _attributes(ast.parse(path.read_text(encoding="utf-8")))
     unused = ["%s.%s.%s" % d for d in defined if d[2] not in used]
     assert not unused, "methods that nothing in src/ or perfbench/ uses: %s" % unused
+
+
+def test_src_has_no_assert():
+    """Validation in src/ raises engine errors: an `assert` is stripped
+    under `python -O`, so a check that rests on one would stop running."""
+    found = ["%s:%d" % (path.name, node.lineno)
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert not found, "assert statements in src/: %s" % found

@@ -23,8 +23,8 @@ import bhl
 from bhl.exactalg import (
     CycloField, InvalidStructureError, Matrix, NoSolutionError,
     NonUniqueError, QuotientPresentation, Scalar, SparseEliminator,
-    _eliminate, _null_space, presentation_from_projection,
-    cyclotomic_polynomial, format_scalar, parse_scalar, read_off, whiskered,
+    _null_space, cyclotomic_polynomial, format_scalar, parse_scalar,
+    read_off, whiskered,
 )
 from oracles import (format_scalar_by_fractions, kron,
                      parse_scalar_by_fractions, rational_matrix,
@@ -208,7 +208,10 @@ def test_parse_scalar_reduces_every_power_like_sympy(data):
 
 def rref_rows(m):
     """The reduced row basis of m's row space, as the engine computes it."""
-    return _eliminate(m.field, m.data).rref_rows()
+    elim = SparseEliminator(m.field)
+    for row in m.data:
+        elim.add(dict(row))
+    return elim.rref_rows()
 
 
 def kernel(m):
@@ -220,8 +223,9 @@ def kernel(m):
 
 def cokernel(m):
     """The row-index space of m modulo the span of m's columns."""
-    return presentation_from_projection(
-        m.field, m.rows, *_null_space(m.field, m.rows, rref_rows(m.transpose())))
+    free, basis = _null_space(m.field, m.rows, rref_rows(m.transpose()))
+    return QuotientPresentation(m.rows, free,
+                                Matrix.from_rows(m.field, basis, m.rows))
 
 
 def test_rref_worked_example():
@@ -299,28 +303,29 @@ def test_quotient_presentation_invariants_random():
                                      for _ in range(rows)])
         q = cokernel(m)
         assert isinstance(q, QuotientPresentation)
-        # verify() ran at construction; spot-check the rank identity again
-        assert q.relation_matrix.rank() + q.quotient_dim == q.ambient_dim
+        # verify() ran at construction; the projection is onto the quotient
+        assert q.projection.rank() == q.quotient_dim
         if cols:
             assert (q.projection * m).is_zero()
 
 
-def test_quotient_presentation_rejects_relations_without_unit_pivots():
+def test_quotient_presentation_rejects_bad_free_coordinates():
     F = CycloField(1)
     proj = rational_matrix(F, [[1, -1]])
-    # relations (2, 2)^T: rank 1 and killed by the projection, but not
-    # reduced, so the rank is not proved
-    with pytest.raises(InvalidStructureError):
-        QuotientPresentation(2, rational_matrix(F, [[2], [2]]), [0], proj)
-    # relations (1, 1)^T twice: rank 1 with two columns
-    with pytest.raises(InvalidStructureError):
-        QuotientPresentation(2, rational_matrix(F, [[1, 1], [1, 1]]), [],
-                             Matrix.zeros(F, 0, 2))
     # a free coordinate outside the ambient space
-    with pytest.raises(InvalidStructureError):
-        QuotientPresentation(2, rational_matrix(F, [[1], [1]]), [2], proj)
-    pres = QuotientPresentation(2, rational_matrix(F, [[1], [1]]), [0], proj)
-    assert pres.relation_matrix.rank() == 1
+    with pytest.raises(InvalidStructureError, match="distinct ambient"):
+        QuotientPresentation(2, [2], proj)
+    # one free coordinate twice
+    with pytest.raises(InvalidStructureError, match="distinct ambient"):
+        QuotientPresentation(2, [0, 0], rational_matrix(F, [[1, -1], [1, -1]]))
+    # 2 at the free coordinate
+    with pytest.raises(InvalidStructureError, match="identity on the free"):
+        QuotientPresentation(2, [0], rational_matrix(F, [[2, -1]]))
+    # a projection of the wrong shape
+    with pytest.raises(InvalidStructureError, match="quotient x ambient"):
+        QuotientPresentation(3, [0], proj)
+    pres = QuotientPresentation(2, [0], proj)
+    assert pres.quotient_dim == 1 and pres.projection.rank() == 1
 
 
 def test_solve_unknown_map_basic():
@@ -577,6 +582,22 @@ def test_scalar_literals_read_and_write_as_fractions_do(data):
     assert parse_scalar(F, format_scalar(s)) == s
 
 
+def test_exponent_literals_keep_the_int_digit_limit():
+    # as a plain 5001-digit integer is refused, so is 10^5000, before
+    # Fraction builds it
+    F = CycloField(5)
+    for text in ["1" + "0" * 5000, "1e5000", "2.5e4400", "-1e5000*z",
+                 "1_0e4400"]:
+        with pytest.raises(ValueError, match="Exceeds the limit"):
+            parse_scalar(F, text)
+
+
+def test_exponent_literals_under_the_digit_limit_still_parse():
+    F = CycloField(1)
+    assert parse_scalar(F, "1e4299") == F.scalar(10 ** 4299)
+    assert parse_scalar(F, "2.5e3") == F.scalar(2500)
+
+
 def test_fractions_and_ints_embed_alike():
     F = CycloField(5)
     assert F.scalar(Fraction(6, 4)) == Scalar(F, [Fraction(3, 2), 0, 0, 0])
@@ -677,10 +698,10 @@ def _verdict(check, pres):
 
 
 def _corruptions(pres, rng):
-    """Copies of pres's parts with one projection entry, one relation entry
-    or the free list changed; each yields (projection, relations, free)."""
+    """Copies of pres's parts with one projection entry or the free list
+    changed; each yields (projection, free)."""
     F = pres.projection.field
-    P, R, free = pres.projection, pres.relation_matrix, list(pres.free)
+    P, free = pres.projection, list(pres.free)
     values = [F.zero, F.one, -F.one, F.scalar(2), F.zeta()]
 
     def changed(M, i, j, v):
@@ -692,17 +713,16 @@ def _corruptions(pres, rng):
         return Matrix.from_rows(F, rows, M.cols)
 
     for _ in range(40):
-        i, j = rng.randrange(P.rows), rng.randrange(P.cols)
-        yield changed(P, i, j, rng.choice(values)), R, free
-    for _ in range(40):
-        i, j = rng.randrange(R.rows), rng.randrange(R.cols)
-        yield P, changed(R, i, j, rng.choice(values)), free
+        # half of them at a free coordinate, the only entries verify checks
+        i = rng.randrange(P.rows)
+        j = rng.choice([rng.randrange(P.cols), rng.choice(free)])
+        yield changed(P, i, j, rng.choice(values)), free
     for _ in range(20):
         bent = list(free)
         k = rng.randrange(len(bent))
         bent[k] = rng.choice([rng.randrange(P.cols), bent[k - 1], P.cols])
-        yield P, R, bent
-    yield P, R, free[:-1]
+        yield P, bent
+    yield P, free[:-1]
 
 
 @pytest.mark.parametrize("name", ["sweedler", "nichols_cyclic:3"])
@@ -712,16 +732,15 @@ def test_presentation_check_agrees_with_the_product_oracle(name):
     pres = compute_coend(default_diagram(build(name))).presentation
     rng = random.Random(name)
     verdicts = []
-    for P, R, free in _corruptions(pres, rng):
+    for P, free in _corruptions(pres, rng):
         bent = object.__new__(QuotientPresentation)
-        bent.ambient_dim, bent.relation_matrix = pres.ambient_dim, R
-        bent.free, bent.projection = free, P
+        bent.ambient_dim, bent.free, bent.projection = pres.ambient_dim, free, P
         verdict = _verdict(QuotientPresentation.verify, bent)
         assert verdict == _verdict(verify_presentation_by_product, bent)
         verdicts.append(verdict)
     assert None in verdicts  # a zero written over a zero changes nothing
-    assert "projection does not kill the relations" in verdicts
-    assert "relation columns are not in reduced form" in verdicts
+    assert "projection is not quotient x ambient" in verdicts
+    assert "free coordinates are not distinct ambient coordinates" in verdicts
     assert "projection is not the identity on the free coordinates" in verdicts
 
 

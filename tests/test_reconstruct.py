@@ -8,8 +8,8 @@ from bhl.catalog import BUILTIN_NAMES, build, group_algebra, sweedler
 from bhl.coend import (CoendResult, Diagram, _block_spaces, compute_coend,
                        reconstruction_diagram)
 from bhl.comodcat import direct_sum_comodule, regular_comodule, unit_comodule
-from bhl.exactalg import (Matrix, NoSolutionError, _null_space,
-                          presentation_from_projection)
+from bhl.exactalg import (Matrix, NoSolutionError, QuotientPresentation,
+                          _null_space)
 from bhl.gradedcat import GradedMorphism, GradedObject, braiding, identity_mor
 from bhl.reconstruct import (
     CrossCheckMismatchError, NotIsoError, Reconstruction, canonical_comparison,
@@ -88,13 +88,13 @@ def test_not_iso_guard():
     # a presentation that kills the regular block cannot be compared
     H = group_algebra(2)
     D = Diagram(H, [regular_comodule(H), unit_comodule(H)])
-    spaces, offsets, total = _block_spaces(D)
+    offsets, total = _block_spaces(D)
     field = H.carrier.ctx.field
-    rows = [(p, {p: field.one}) for p in range(spaces[0].dim)]
-    pres = presentation_from_projection(field, total,
-                                        *_null_space(field, total, rows))
+    rows = [(p, {p: field.one}) for p in range(offsets[1])]
+    free, proj = _null_space(field, total, rows)
+    pres = QuotientPresentation(total, free, Matrix.from_rows(field, proj, total))
     quotient = GradedObject(H.carrier.ctx, [("c0", ())])
-    res = CoendResult(D, spaces, offsets, pres, quotient)
+    res = CoendResult(D, offsets, pres, quotient)
     with pytest.raises(NotIsoError) as err:
         canonical_comparison(res)
     assert err.value.code == "NotIso"

@@ -3,10 +3,12 @@ diagram memoizes its blocks and hom bases, and callers find blocks by index
 instead of rebuilding them.  Each relation of a base diagram is reduced
 once, however many enlargements of it are computed, and the enlargements
 resume from the base's reduced rows on the cofree blocks instead of
-re-adding them."""
+re-adding them.  A coend keeps its projection and free coordinates, and
+no copy derived from them."""
 
 import re
 import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -16,7 +18,7 @@ import bhl.coend
 import bhl.comodcat
 import bhl.reconstruct
 from bhl.catalog import build
-from bhl.coend import default_diagram
+from bhl.coend import compute_coend, default_diagram, reconstruction_diagram
 from bhl.reconstruct import reconstruct
 from oracles import perfbench_module
 
@@ -147,3 +149,18 @@ def test_reconstruction_stops_the_cofree_stream_at_the_bound(monkeypatch,
     stops after 273 of them, when their rank reaches |T| - n = 145."""
     assert count_cofree_adds(monkeypatch, tmp_path,
                              "verify-reconstruction") == [273]
+
+
+def test_coend_retains_little_beyond_its_projection():
+    """The coend of taft:3's reconstruction diagram (N = 6,805 ambient
+    coordinates) keeps its projection and free coordinates: no relation
+    matrix rebuilt from them, and no labelled F(B) (x) *F(B) per block."""
+    D = reconstruction_diagram(build("taft:3"))
+    tracemalloc.start()
+    try:
+        res = compute_coend(D)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.certificate is not None
+    assert retained < 1e6, retained
