@@ -18,12 +18,24 @@ optional Yetter-Drinfeld modules.
 
 Reports are canonical JSON: sorted keys, two-space indent, LF endings, and
 no volatile fields (timing appears only in the human summary), so equal
-inputs yield byte-identical report files.  The ``BHL_THREADS`` environment
-variable is validated but reserved: when set it must be a positive integer
-(anything else is a usage error), yet it drives no parallelism -- the engine
-runs in one thread -- and never affects results.  Exit status: 0 all checks
-pass, 1 a check failed or a computation error was reported, 2 usage or
-input errors.
+inputs yield byte-identical report files.
+
+Each input is verified once, here at the boundary (`ensure_hopf`): before
+``yd-check``, ``bosonize``, ``reconstruct``, ``verify-reconstruction`` and
+``stability`` use a datum, its Hopf axioms are checked (a datum without S
+is checked as a bialgebra and S is solved for), and a datum that fails
+ends with ``error[NotHopf]``.  ``check-hopf`` reports the axioms itself and
+``antipode`` solves for S itself, so neither runs the entry check.  The
+catalog builds its entries by formula and checks nothing, and what the
+commands build from a checked input (comodules, their tensor products,
+duals and sums) holds by theorem and is not checked again.
+
+The ``BHL_THREADS`` environment variable is validated but reserved: when
+set it must be a positive integer (anything else is a usage error), yet it
+drives no parallelism -- the engine runs in one thread -- and never affects
+results.  Exit status: 0 all checks pass, 1 a check failed or a
+computation error was reported (among them ``NotHopf``, an input that
+fails the entry check), 2 usage or input errors.
 """
 
 import argparse
@@ -275,11 +287,32 @@ def checks_from_flags(report, prefix=""):
             for name, ok in report.checks]
 
 
+class NotHopfError(EngineError):
+    code = "NotHopf"
+
+
+def _require_passed(report):
+    """NotHopfError naming every failing check of `report`, with the
+    witness (row, col, value) of the first, unless it passed."""
+    failures = report.failures()
+    if failures:
+        i, j, v = report.witness(failures[0])
+        raise NotHopfError("not a Hopf algebra: %s fail%s; %s at row %d, "
+                           "col %d: %s" % (", ".join(failures),
+                                           "" if len(failures) > 1 else "s",
+                                           failures[0], i, j,
+                                           format_scalar(v)))
+
+
 def ensure_hopf(datum):
-    """Promote a bialgebra datum to a Hopf datum by solving for the
-    antipode; a Hopf datum passes through unchanged."""
+    """The one check of an input: a Hopf datum must pass `check_hopf`; a
+    bialgebra datum must pass `check_bialgebra`, and is then promoted by
+    solving for the antipode (`solve_antipode` proves it two-sided).
+    Raises NotHopfError on a failed check."""
     if isinstance(datum, HopfAlgebraData):
+        _require_passed(check_hopf(datum))
         return datum
+    _require_passed(check_bialgebra(datum))
     S = solve_antipode(datum)
     return HopfAlgebraData(datum.carrier, datum.m, datum.u, datum.delta,
                            datum.eps, S)

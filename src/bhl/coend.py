@@ -36,8 +36,10 @@ dimension).  The certificate checks
   f = (id (x) E_a') rho_A is in B's hom basis (see `comodcat`), so for each
   a the sum  sum_b eps(h_b) col(f, a, b)  of its columns is a relation.  Its
   part in A's block is  - sum_j sum_b eps(h_b) rho_A[(b, a'), j] e_(a, j),
-  which is -e_(a, a') by A's counit axiom (eps (x) id) rho_A = id, checked
-  when A was built (`Comodule.__init__`); the rest lies in B's block, in T.
+  which is -e_(a, a') by A's counit axiom (eps (x) id) rho_A = id (a block
+  is a comodule: checked by `Comodule.__init__` if it came from outside,
+  by the theorem its `comodcat` constructor names if it was built from a
+  checked Hopf algebra); the rest lies in B's block, in T.
   So if every degree of every basis vector of a block in S is the degree of
   some cofree block, these sums restrict to S as a signed permutation:
   every relation is a combination of them plus a relation supported on T,
@@ -51,8 +53,8 @@ dimension).  The certificate checks
   that stream uses is checked to be colinear, once, before its first
   column, so every streamed column is a relation: a map into a cofree
   block by formula (the k-th map (id (x) E_a) rho_A of `hom_space`'s
-  basis, colinear because A's coaction is coassociative, checked when A
-  was built, and the block's coaction is Delta, checked by
+  basis, colinear because A's coaction is coassociative, as A is a
+  comodule, and the block's coaction is Delta, checked by
   `cofree_degree`), any other by the product, `is_colinear`.
 
 With rank P = n, (a) and (b) give span R = ker P exactly.  Its canonical
@@ -101,7 +103,7 @@ class Diagram:
     exact identification of its classes with W's.
 
     The diagram owns block identity: `index` finds a block by value,
-    `derived` builds (and so axiom-checks) a comodule made from blocks once
+    `derived` builds a comodule made from blocks once
     -- `index(derived(...))` is its block, or KeyError if it is none -- and
     `hom_basis` computes the hom basis between two blocks once.
     """
@@ -248,7 +250,7 @@ def _is_cofree_formula(f, k, A, B_degree):
     cofree block of degree B_degree: row h of f is row (h, a) of rho_A, a
     the k-th basis vector of A of that degree.  Such a map f is colinear:
     rho_B f = (Delta (x) E_a) rho_A = (id (x) f) rho_A is A's
-    coassociativity, checked when A was built."""
+    coassociativity."""
     VA = A.carrier
     dA = VA.dim
     shifted = [a for a in range(dA) if VA.degree(a) == B_degree]
@@ -354,17 +356,22 @@ class CoendResult:
     def pi(self, i):
         """The universal map F(B) (x) *F(B) -> quotient of block i."""
         V = self.diagram.blocks[i].carrier
-        S, off = tensor_obj(V, dual_object(V)), self.offsets[i]
-        end = off + S.dim
+        return GradedMorphism(tensor_obj(V, dual_object(V)), self.quotient,
+                              self.pi_matrix(i))
+
+    def pi_matrix(self, i):
+        """The matrix of `pi(i)`, block i's columns of the projection, for
+        callers that need no labelled source object."""
+        off = self.offsets[i]
+        end = off + self.diagram.blocks[i].carrier.dim ** 2
         P = self.presentation.projection
         rows = [{k - off: v for k, v in row.items() if off <= k < end}
                 for row in P.data]
-        return GradedMorphism(S, self.quotient,
-                              Matrix.from_rows(P.field, rows, S.dim))
+        return Matrix.from_rows(P.field, rows, end - off)
 
     def check_regular_surjective(self):
         """The regular block alone must already cover the quotient."""
-        r = self.pi(self.diagram.regular).matrix.rank()
+        r = self.pi_matrix(self.diagram.regular).rank()
         if r < self.dim:
             raise PiNotSurjectiveError(
                 "regular block covers only %d of %d quotient dimensions"
@@ -586,7 +593,7 @@ def check_stability(small, big):
     checks.append(("comparison_iso",
                    small.dim == big.dim and kappa.rank() == small.dim))
     for i, j in enumerate(shared):
-        lhs = kappa * small.pi(i).matrix
-        rhs = big.pi(j).matrix
+        lhs = kappa * small.pi_matrix(i)
+        rhs = big.pi_matrix(j)
         checks.append(("intertwines_pi[%d]" % i, lhs == rhs))
     return FlagReport(checks)

@@ -15,10 +15,14 @@ sum_b eps(h_b) rho_A[(b, a), j] = [j = a], so the eps-weighted sum of the
 rows of (id (x) E_a) rho_A is the unit row e_a: the coend's certificate
 rests on this (see `coend`).
 
-No Kronecker product is formed: the comodule axioms are checked exactly at
-construction by `exactalg.whiskered` products, and the coactions of
-`trivial_comodule`, `act`, `comodule_dual` and `comodule_tensor` are chains
-of whiskered maps (`gradedcat.chain`).
+A comodule that enters from outside, `Comodule(hopf, carrier, coaction)`,
+has its axioms checked exactly at construction by `exactalg.whiskered`
+products, with no Kronecker product.  The constructions here -- the
+regular and trivial comodules, tensor products, duals, the action and
+direct sums -- are comodules by theorem once H is a Hopf algebra (the CLI
+checks that once, at its entry) and their operands are comodules, so they
+are built without a check; each names the premise it rests on.  Their
+coactions are chains of whiskered maps (`gradedcat.chain`).
 """
 
 from collections import defaultdict
@@ -34,7 +38,9 @@ class Comodule:
 
     `hopf` may be any structure with carrier/delta/eps (coalgebra data is
     enough for hom spaces; tensor and dual need the full Hopf structure).
-    Comodule axioms are verified exactly at construction.
+    Comodule axioms are verified exactly at construction; the constructions
+    of this module, whose axioms follow from their premises, use
+    `_derived` instead.
     """
 
     def __init__(self, hopf, carrier, coaction):
@@ -53,6 +59,14 @@ class Comodule:
         self.carrier = carrier
         self.coaction = coaction
 
+    @classmethod
+    def _derived(cls, hopf, carrier, coaction):
+        """A comodule whose axioms follow, by a theorem its caller names,
+        from premises already checked; built without a check."""
+        B = cls.__new__(cls)
+        B.hopf, B.carrier, B.coaction = hopf, carrier, coaction
+        return B
+
     def _key(self):
         return (self.hopf, self.carrier, self.coaction)
 
@@ -67,13 +81,16 @@ class Comodule:
 
 
 def regular_comodule(H):
-    """H coacting on itself by the coproduct."""
-    return Comodule(H, H.carrier, H.delta)
+    """H coacting on itself by the coproduct: a comodule by H's coalgebra
+    axioms (coassociativity and the counit)."""
+    return Comodule._derived(H, H.carrier, H.delta)
 
 
 def trivial_comodule(H, V):
-    """V with coaction u (x) id."""
-    return Comodule(H, V, chain(V, tensor_obj(H.carrier, V), (1, H.u, V.dim)))
+    """V with coaction u (x) id: a comodule because Delta u = u (x) u and
+    eps u = 1 (H's unit_compat and unit_counit)."""
+    return Comodule._derived(H, V, chain(V, tensor_obj(H.carrier, V),
+                                         (1, H.u, V.dim)))
 
 
 def unit_comodule(H):
@@ -82,35 +99,43 @@ def unit_comodule(H):
 
 def comodule_tensor(A, B):
     """Tensor product comodule; the coactions are merged through m and the
-    ambient braiding."""
+    ambient braiding.  A comodule by the operands' own axioms, the
+    naturality of the braiding, and Delta m = (m (x) m)(id (x) c (x) id)
+    (Delta (x) Delta) and eps m = eps (x) eps (H's mult_compat and
+    counit_compat)."""
     require(A.hopf == B.hopf, "comodules over different Hopf algebras")
     Hd = A.hopf
     H, V, W = Hd.carrier, A.carrier, B.carrier
     n, dV, dW = H.dim, V.dim, W.dim
     carrier = tensor_obj(V, W)
     # (m (x) id (x) id) (id (x) c_{V,H} (x) id) (rho_A (x) rho_B)
-    return Comodule(Hd, carrier, chain(
+    return Comodule._derived(Hd, carrier, chain(
         carrier, tensor_obj(H, carrier), (dV, B.coaction, 1),
         (1, A.coaction, n * dW), (n, braiding(V, H), dW), (1, Hd.m, dV * dW)))
 
 
 def comodule_dual(A):
-    """Left dual comodule on *V, twisting the coaction through the antipode."""
+    """Left dual comodule on *V, twisting the coaction through the antipode.
+    A comodule by the operand's own axioms, the zig-zag identities of ev
+    and coev, and H's antipode axioms, which make S an anti-coalgebra map
+    of the bialgebra H."""
     Hd = A.hopf
     H = Hd.carrier
     V = A.carrier
     d = left_dual(V)
     D, k = d.space, d.space.dim
     # (((S (x) id) c_{*V,H}) (x) ev) (id (x) rho (x) id) (coev (x) id)
-    return Comodule(Hd, D, chain(
+    return Comodule._derived(Hd, D, chain(
         D, tensor_obj(H, D), (1, d.coev, k), (k, A.coaction, k),
         (k * H.dim, d.ev, 1), (1, braiding(D, H), 1), (1, Hd.S, k)))
 
 
 def act(B, X):
-    """The right action of the ambient category: B (x) X with X inert."""
+    """The right action of the ambient category: B (x) X with X inert, a
+    comodule by B's own axioms (its coaction is rho_B (x) id)."""
     require(isinstance(X, GradedObject), "an action must be by a graded object")
-    return Comodule(B.hopf, tensor_obj(B.carrier, X), act_coaction(B, X))
+    return Comodule._derived(B.hopf, tensor_obj(B.carrier, X),
+                             act_coaction(B, X))
 
 
 def act_coaction(B, X):
@@ -120,7 +145,8 @@ def act_coaction(B, X):
 
 
 def direct_sum_comodule(A, B):
-    """Block direct sum of two comodules."""
+    """Block direct sum of two comodules, a comodule by the operands' own
+    axioms (its coaction is rho_A (+) rho_B)."""
     require(A.hopf == B.hopf, "comodules over different Hopf algebras")
     Hd = A.hopf
     nH = Hd.carrier.dim
@@ -137,7 +163,7 @@ def direct_sum_comodule(A, B):
         rows[h * n + dA + w] = {dA + c: x for c, x in row.items()}
     rho = GradedMorphism(carrier, tensor_obj(Hd.carrier, carrier),
                          Matrix.from_rows(field, rows, n))
-    return Comodule(Hd, carrier, rho)
+    return Comodule._derived(Hd, carrier, rho)
 
 
 def cofree_degree(B):

@@ -18,8 +18,10 @@ for an unknown map X by eliminating one equation per entry, the oracle for
 entry, and the `*_by_kron` functions state the axiom residuals, induced
 braidings, comodule coactions and the coproduct's constraint as products of
 Kronecker products: the oracles for `exactalg.whiskered` and the chains of
-`gradedcat.chain` that replace them.  `perfbench_module` loads a module of
-the benchmark, whose generator builds the seeded spec files.
+`gradedcat.chain` that replace them; `check_comodule_by_kron` states the
+comodule axioms that way, the oracle for the comodules built by theorem.
+`perfbench_module` loads a module of the benchmark, whose generator builds
+the seeded spec files.
 """
 
 import importlib.util
@@ -137,6 +139,18 @@ def braid_relation_by_kron(c, V):
     iV = identity_mor(V)
     return (tensor(c, iV) * tensor(iV, c) * tensor(c, iV)
             - tensor(iV, c) * tensor(c, iV) * tensor(iV, c))
+
+
+def check_comodule_by_kron(C):
+    """The comodule axioms of C, each side a product of Kronecker products:
+    the oracle for the constructions that `comodcat` and
+    `reconstruct.comodule_over_quotient` build without a check."""
+    Hd, rho, iV = C.hopf, C.coaction, identity_mor(C.carrier)
+    return CheckReport([
+        ("coassociativity", tensor(Hd.delta, iV) * rho
+         - tensor(identity_mor(Hd.carrier), rho) * rho),
+        ("counit", tensor(Hd.eps, iV) * rho - iV),
+    ])
 
 
 def comodule_tensor_by_kron(A, B):

@@ -18,10 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bhl
-from bhl.braidedhopf import check_hopf
+from bhl.braidedhopf import HopfAlgebraData, check_bialgebra, check_hopf
 from bhl.catalog import build
-from bhl.cli import (HANDLERS, canonical_json, datum_from_spec, hopf_to_spec,
-                     matrix_to_spec, main)
+from bhl.cli import (HANDLERS, SchemaError, canonical_json, datum_from_spec,
+                     hopf_to_spec, matrix_to_spec, main)
 
 
 def run_cli(args, tmp_path=None, out_name=None):
@@ -182,43 +182,52 @@ def broken_coassociativity_spec(tmp_path):
     return spec
 
 
+ENTRY_CHECKED = ("yd-check", "bosonize", "reconstruct",
+                 "verify-reconstruction", "stability")
+
+
+def assert_not_hopf(command, spec, message, tmp_path, capsys):
+    """`command` on the spec exits 1 at the entry check with exactly this
+    NotHopf payload and one stderr line."""
+    code, payload = run_cli([command, str(spec)], tmp_path, "r.json")
+    assert code == 1
+    assert payload == {"command": command, "status": "error",
+                       "error": {"code": "NotHopf", "message": message}}
+    assert capsys.readouterr().err == "error[NotHopf]: %s\n" % message
+
+
 @pytest.mark.parametrize("command", ["verify-reconstruction", "stability"])
 def test_non_coassociative_spec_is_an_invalid_structure(command, tmp_path,
                                                          capsys):
-    # the regular comodule of the spec fails its own axiom check, with or
-    # without python -O
-    spec = broken_coassociativity_spec(tmp_path)
-    code, payload = run_cli([command, str(spec)], tmp_path, "r.json")
-    assert code == 1
-    assert payload["error"] == {"code": "InvalidStructure",
-                                "message": "coaction is not coassociative"}
-    err = capsys.readouterr().err
-    assert err == "error[InvalidStructure]: coaction is not coassociative\n"
+    # Delta(1) = 2 (1 (x) 1): the entry check names every failing axiom and
+    # the first witness, with or without python -O, before any comodule of
+    # the spec is built
+    assert_not_hopf(command, broken_coassociativity_spec(tmp_path),
+                    "not a Hopf algebra: coassociativity, counit_left, "
+                    "counit_right, mult_compat, unit_compat, antipode_left, "
+                    "antipode_right fail; coassociativity at row 3, col 3: 1",
+                    tmp_path, capsys)
 
 
 @pytest.mark.parametrize("command", ["verify-reconstruction", "stability"])
 def test_non_comultiplicative_product_is_an_invalid_structure(command,
                                                               tmp_path,
                                                               capsys):
-    # m(1 (x) g) = 2g: Delta is no longer an algebra map, so the tensor
-    # square of the regular comodule, merged through m, is not coassociative
+    # m(1 (x) g) = 2g: Delta is no longer an algebra map, and the entry
+    # check says so before the tensor square of the regular comodule is built
     doc = hopf_to_spec(build("sweedler"))
     assert doc["hopf"]["m"][1][1] == "1"
     doc["hopf"]["m"][1][1] = "2"
     spec = tmp_path / "broken-m.json"
     spec.write_text(canonical_json(doc))
-    code, payload = run_cli([command, str(spec)], tmp_path, "r.json")
-    assert code == 1
-    assert payload["error"] == {"code": "InvalidStructure",
-                                "message": "coaction is not coassociative"}
-    err = capsys.readouterr().err
-    assert err == "error[InvalidStructure]: coaction is not coassociative\n"
+    assert_not_hopf(command, spec,
+                    "not a Hopf algebra: associativity, unit_left, "
+                    "mult_compat, counit_compat fail; associativity at row 0, "
+                    "col 5: 1", tmp_path, capsys)
 
 
 def broken_unit_law_spec(tmp_path):
-    """The exterior_line spec with m(1 (x) x) = 2x: the unit law fails, so
-    the tensor product of the unit and regular blocks is no block of the
-    reconstruction diagram."""
+    """The exterior_line spec with m(1 (x) x) = 2x: the unit law fails."""
     doc = hopf_to_spec(build("exterior_line"))
     assert doc["hopf"]["m"][1][1] == "1"
     doc["hopf"]["m"][1][1] = "2"
@@ -227,17 +236,31 @@ def broken_unit_law_spec(tmp_path):
     return spec
 
 
-@pytest.mark.parametrize("command", ["reconstruct", "verify-reconstruction"])
+@pytest.mark.parametrize("command", ["reconstruct", "verify-reconstruction",
+                                     "yd-check", "bosonize", "stability"])
 def test_broken_unit_law_is_an_invalid_structure(command, tmp_path, capsys):
-    spec = broken_unit_law_spec(tmp_path)
-    code, payload = run_cli([command, str(spec)], tmp_path, "r.json")
-    message = ("the tensor product of blocks 1 and 0 is not a block of the "
-               "diagram")
-    assert code == 1
-    assert payload == {"command": command, "status": "error",
-                       "error": {"code": "InvalidStructure",
-                                 "message": message}}
-    assert capsys.readouterr().err == "error[InvalidStructure]: %s\n" % message
+    # every entry-checked command fails the same way; without the entry
+    # check, stability passed this spec, yd-check failed a module, bosonize
+    # ended in NoSolution and the reconstructions in InvalidStructure
+    assert_not_hopf(command, broken_unit_law_spec(tmp_path),
+                    "not a Hopf algebra: associativity, unit_left, "
+                    "antipode_left, antipode_right fail; associativity at row "
+                    "1, col 1: -2", tmp_path, capsys)
+
+
+def test_non_hopf_spec_without_antipode_fails_its_bialgebra_check(tmp_path,
+                                                                  capsys):
+    # without S the entry check runs check_bialgebra before solving for S,
+    # so a broken m is reported as not Hopf, not as NoSolution
+    doc = hopf_to_spec(build("exterior_line"))
+    del doc["hopf"]["S"]
+    doc["hopf"]["m"][1][1] = "2"
+    spec = tmp_path / "broken-bialgebra.json"
+    spec.write_text(canonical_json(doc))
+    for command in ENTRY_CHECKED:
+        assert_not_hopf(command, spec, "not a Hopf algebra: associativity, "
+                        "unit_left fail; associativity at row 1, col 1: -2",
+                        tmp_path, capsys)
 
 
 def yd_module_spec():
@@ -453,7 +476,8 @@ def test_builtin_reference_to_unknown_name_is_usage_error(tmp_path, capsys):
 
 
 # every structure map of a spec, one entry at a time: whatever the entry,
-# main ends with exit 0, 1 or 2, never with an exception
+# main ends with exit 0, 1 or 2, never with an exception, and a datum that
+# fails its Hopf check ends in error[NotHopf] on every entry-checked command
 MUTATED_SPECS = ("exterior_line", "sweedler")
 MUTATED_MAPS = ("m", "u", "delta", "eps", "S")
 LITERALS = st.one_of(
@@ -474,16 +498,33 @@ def test_mutated_spec_entry_never_escapes_main(data):
         MUTATED_MAPS[:-1] if drop_antipode else MUTATED_MAPS))]
     row = mat[data.draw(st.integers(0, len(mat) - 1))]
     row[data.draw(st.integers(0, len(row) - 1))] = data.draw(LITERALS)
+    not_hopf = fails_the_entry_check(doc)
     with tempfile.TemporaryDirectory() as tmp:
         spec = Path(tmp) / "mutated.json"
         spec.write_text(json.dumps(doc))
         for command in HANDLERS:
-            assert_exits_cleanly(command, spec)
+            code, lines = assert_exits_cleanly(command, spec)
+            if not_hopf and command in ENTRY_CHECKED:
+                assert code == 1 and lines[0].startswith("error[NotHopf]: "), (
+                    command, lines)
+
+
+def fails_the_entry_check(doc):
+    """Whether the spec's datum parses and fails check_hopf, or, without S,
+    check_bialgebra."""
+    try:
+        datum, _ = datum_from_spec(json.loads(json.dumps(doc)))
+    except SchemaError:
+        return False
+    if isinstance(datum, HopfAlgebraData):
+        return not check_hopf(datum).passed
+    return not check_bialgebra(datum).passed
 
 
 def assert_exits_cleanly(command, spec):
     """main on the spec ends with exit 0 or 1 and a report or a structured
-    error, or with exit 2 and a one-line usage error: never an exception."""
+    error, or with exit 2 and a one-line usage error: never an exception.
+    Returns the exit code and the stderr lines."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main([command, str(spec)])
@@ -492,7 +533,7 @@ def assert_exits_cleanly(command, spec):
     if code == 2:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert out.getvalue() == ""
-        return
+        return code, lines
     payload = json.loads(out.getvalue())
     if lines[0].startswith("error["):
         assert code == 1 and len(lines) == 1
@@ -502,6 +543,7 @@ def assert_exits_cleanly(command, spec):
         assert lines[0] == "error[%s]: %s" % (error["code"], error["message"])
     else:
         assert payload["status"] == ("pass" if code == 0 else "fail")
+    return code, lines
 
 
 @given(st.data())

@@ -10,7 +10,7 @@ from bhl.coend import (CoendResult, Diagram, _block_spaces, compute_coend,
 from bhl.comodcat import direct_sum_comodule, regular_comodule, unit_comodule
 from bhl.exactalg import (Matrix, NoSolutionError, QuotientPresentation,
                           _null_space)
-from bhl.gradedcat import GradedMorphism, GradedObject, braiding, identity_mor
+from bhl.gradedcat import GradedObject, braiding, identity_mor
 from bhl.reconstruct import (
     CrossCheckMismatchError, NotIsoError, Reconstruction, canonical_comparison,
     extract_antipode, extract_coproduct, extract_counit, extract_product,
@@ -131,14 +131,12 @@ def test_a_constraint_the_read_off_map_fails_raises(extract, monkeypatch):
     D = res.diagram
     one = D.index(D.derived(unit_comodule))
     two = D.hopf.carrier.ctx.field.scalar(2)
-    pi = CoendResult.pi
+    pi_matrix = CoendResult.pi_matrix
 
     def doubled(self, i):
-        p = pi(self, i)
-        if i != one:
-            return p
-        return GradedMorphism(p.source, p.target, p.matrix.scale(two))
+        p = pi_matrix(self, i)
+        return p.scale(two) if i == one else p
 
-    monkeypatch.setattr(CoendResult, "pi", doubled)
+    monkeypatch.setattr(CoendResult, "pi_matrix", doubled)
     with pytest.raises(NoSolutionError, match="constraints are inconsistent"):
         extract(res)

@@ -4,7 +4,8 @@ instead of rebuilding them.  Each relation of a base diagram is reduced
 once, however many enlargements of it are computed, and the enlargements
 resume from the base's reduced rows on the cofree blocks instead of
 re-adding them.  A coend keeps its projection and free coordinates, and
-no copy derived from them."""
+no copy derived from them.  Each Hopf input is checked once, at the CLI's
+entry check or by `check-hopf` itself, and never again by the catalog."""
 
 import re
 import sys
@@ -13,6 +14,7 @@ from collections import Counter
 
 import pytest
 
+import bhl.braidedhopf
 import bhl.cli
 import bhl.coend
 import bhl.comodcat
@@ -56,7 +58,7 @@ def assert_no_repeats(counts):
 
 def test_reconstruct_builds_each_block_once(calls):
     H = build("taft:2")
-    calls.clear()  # the catalog's own checks are not under test
+    calls.clear()  # count the reconstruction alone
     assert reconstruct(H).passed
     assert_no_repeats(calls)
 
@@ -164,3 +166,27 @@ def test_coend_retains_little_beyond_its_projection():
         tracemalloc.stop()
     assert res.certificate is not None
     assert retained < 1e6, retained
+
+
+@pytest.mark.parametrize("args, checks", [
+    (["check-hopf", "--builtin", "taft:4"], 1),
+    (["antipode", "--builtin", "sweedler"], 0),
+    # the entry check and quotient_is_hopf
+    (["verify-reconstruction", "--builtin", "taft:3"], 2),
+])
+def test_each_hopf_datum_is_checked_once(args, checks, monkeypatch, tmp_path):
+    """`check_hopf` runs once per Hopf datum a command must prove: the
+    catalog checks none of its entries (taft:4 is built from
+    nichols_cyclic:4), and no command checks its input twice."""
+    check_hopf, calls = bhl.braidedhopf.check_hopf, []
+
+    def counting(H):
+        calls.append(H)
+        return check_hopf(H)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "bhl" and getattr(mod, "check_hopf",
+                                                   None) is check_hopf:
+            monkeypatch.setattr(mod, "check_hopf", counting)
+    assert bhl.cli.main(args + ["--out", str(tmp_path / "r.json")]) == 0
+    assert len(calls) == checks
