@@ -147,7 +147,9 @@ BUILTIN_NAMES = [
 
 def build(name):
     """Build a catalog entry from its name, e.g. 'taft:2' or 'sweedler'."""
-    base, _, arg = name.partition(":")
+    base, colon, arg = name.partition(":")
+    if base in ("sweedler", "exterior_line") and colon:
+        raise ValueError("builtin %r takes no argument, got %r" % (base, name))
     if base == "group_algebra":
         if not arg:
             raise ValueError("group_algebra needs invariant factors, e.g. group_algebra:2")

@@ -540,6 +540,10 @@ def _load_input(args):
     except json.JSONDecodeError as exc:
         raise SchemaError("parse error at line %d column %d: %s"
                           % (exc.lineno, exc.colno, exc.msg)) from None
+    except UnicodeDecodeError as exc:
+        raise SchemaError("spec file is not UTF-8: %s" % exc) from None
+    except (ValueError, RecursionError) as exc:  # an over-long int, deep nesting
+        raise SchemaError("parse error: %s" % exc) from None
     datum, objects = datum_from_spec(doc)
     desc = {"file": os.path.basename(args.spec)}
     return datum, doc, objects, desc, hashlib.sha256(raw).hexdigest()

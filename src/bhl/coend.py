@@ -58,16 +58,18 @@ dimension).  The certificate checks
   `cofree_degree`), any other by the product, `is_colinear`.
 
 With rank P = n, (a) and (b) give span R = ker P exactly.  Its canonical
-presentation, the one elimination gives, is read off P: coordinate j is
-free iff P e_j is independent of the columns after j, and the projection is
-P_F^-1 P (the reduced relation of any other coordinate p is then
-e_p - sum_k proj[k][p] e_(free k), which is not stored).  If rank P < n,
-if a premise of (a) or of the lemma fails, if a streamed map is not
+presentation, the one exact elimination of the relations would give, is
+read off P: coordinate j is free iff P e_j is independent of the columns
+after j, and the projection is P_F^-1 P (the reduced relation of any other
+coordinate p is then e_p - sum_k proj[k][p] e_(free k), which is not
+stored).  The certificate is the only way a coend is computed.  If rank
+P < n, if a premise of (a) or of the lemma fails, if a streamed map is not
 colinear, or if the relations supported on T fall short of |T| - n (a
-non-Hopf input, a diagram too small to cut H out), every relation column is
-eliminated exactly instead, so every output, error paths included, is as
-elimination gives it.  The reduced rows are canonical, so the stream
-order changes no output.
+non-Hopf input, a diagram too small to cut H out), CoendNotCertifiedError
+names the premise and its witness.  Every input of the command line is
+proved Hopf before its diagram is built, and the stock diagrams have a
+cofree block at every degree, so their coends are certified.  The
+presentation is read off P alone, so the stream order changes no output.
 
 An enlargement certifies itself from its own candidate:
 `Diagram.enlarged` only appends blocks and gluings, so the base's offsets
@@ -80,8 +82,7 @@ import copy
 from bisect import bisect_right
 
 from .exactalg import (EngineError, InvalidStructureError, Matrix,
-                       QuotientPresentation, SparseEliminator, _null_space,
-                       require)
+                       QuotientPresentation, SparseEliminator, require)
 from .gradedcat import (GradedMorphism, GradedObject, dual_object,
                         line_object, tensor_obj)
 from .comodcat import (Comodule, FlagReport, act, cofree_degree,
@@ -91,6 +92,14 @@ from .comodcat import (Comodule, FlagReport, act, cofree_degree,
 
 class PiNotSurjectiveError(EngineError):
     code = "PiNotSurjective"
+
+
+class CoendNotCertifiedError(EngineError):
+    """A premise of the certificate fails (see the module docstring)."""
+    code = "CoendNotCertified"
+
+    def __init__(self, premise):
+        super().__init__("coend not certified: " + premise)
 
 
 class Diagram:
@@ -231,18 +240,15 @@ def _block_at(offsets, p):
 
 
 def _hom_pairs(diagram):
-    """Ordered block pairs whose dinaturality relations are imposed: every
-    source, targets no larger than the Hopf algebra itself (maps out of big
-    blocks are what absorb them; maps into them add nothing new).  Pairs
-    with a cofree target, whose hom bases need no elimination, come first."""
+    """Ordered block pairs whose dinaturality families the residual report
+    names: every source, targets no larger than the Hopf algebra itself
+    (maps out of big blocks are what absorb them; maps into them add
+    nothing new).  Pairs with a cofree target come first, and the
+    certificate streams the pairs between cofree blocks in this order."""
     n = diagram.hopf.carrier.dim
     targets = [bi for bi, B in enumerate(diagram.blocks) if B.carrier.dim <= n]
     targets.sort(key=lambda bi: cofree_degree(diagram.blocks[bi]) is None)
     return [(ai, bi) for bi in targets for ai in range(len(diagram.blocks))]
-
-
-class _NotColinear(Exception):
-    """A hom-basis element that the certificate was to use is not colinear."""
 
 
 def _is_cofree_formula(f, k, A, B_degree):
@@ -261,62 +267,59 @@ def _is_cofree_formula(f, k, A, B_degree):
                                    for h in range(A.hopf.carrier.dim)]
 
 
-def _relation_columns(diagram, offsets, blocks_done=0,
-                      balance_done=0, colinear=False, within=None):
-    """Yield ("family-name", column-dict) for every relation that the
-    prefix of `blocks_done` blocks and `balance_done` gluings lacks, in a
-    fixed deterministic order: balancing, then dinaturality in `_hom_pairs`
-    order; within a pair the columns run over the hom basis, then a, then
-    b.  With `within`, a collection of block indices, only the families
-    between two blocks of it are yielded.  With `colinear`, each hom-basis
-    map is checked to be colinear before its first column is yielded, and
-    _NotColinear is raised if not: a map into a cofree block by comparing
-    it with the formula map, any other by `is_colinear`."""
+def _relation_columns(diagram, offsets, cofree, blocks_done=0,
+                      balance_done=0):
+    """Yield ("family-name", column-dict) for every relation between two
+    cofree blocks -- `cofree` maps their indices to their degrees -- that
+    the prefix of `blocks_done` blocks and `balance_done` gluings lacks, in
+    a fixed deterministic order: balancing, then dinaturality in
+    `_hom_pairs` order; within a pair the columns run over the hom basis,
+    then a, then b.  Each hom-basis map is checked to be colinear before
+    its first column is yielded, by comparing it with the formula map, or
+    else by `is_colinear`; CoendNotCertifiedError names its family if it
+    is not."""
     blocks = diagram.blocks
     one = diagram.hopf.carrier.ctx.field.one
     neg_one = -one
-
-    def wanted(i, j):
-        return within is None or (i in within and j in within)
-
     for k in range(balance_done, len(diagram.balance)):
         ci, wi = diagram.balance[k]
-        if not wanted(ci, wi):
+        if ci not in cofree or wi not in cofree:
             continue
         n = blocks[wi].carrier.dim
-        require(blocks[ci].carrier.dim == n,
-                "a glued block must have its anchor's dimension")
         offC, offW = offsets[ci], offsets[wi]
         name = "balancing[%d]" % k
         for b in range(n):
             for a in range(n):
                 yield name, {offC + b * n + a: one, offW + b * n + a: neg_one}
-    for ai, bi in _hom_pairs(diagram):
-        if (ai < blocks_done and bi < blocks_done) or not wanted(ai, bi):
-            continue
-        A, B = blocks[ai], blocks[bi]
-        dA, dB = A.carrier.dim, B.carrier.dim
-        offA, offB = offsets[ai], offsets[bi]
-        name = "dinaturality[%d->%d]" % (ai, bi)
-        degree = cofree_degree(B) if colinear else None
-        for k, f in enumerate(diagram.hom_basis(ai, bi)):
-            if colinear and not ((degree is not None
-                                  and _is_cofree_formula(f, k, A, degree))
-                                 or is_colinear(f, A, B)):
-                raise _NotColinear(name)
-            f_cols = f.matrix.transpose().data
-            neg_rows = [{j: -v for j, v in row.items()}
-                        for row in f.matrix.data]
-            for a in range(dA):
-                for b in range(dB):
-                    col = {offB + i * dB + b: v for i, v in f_cols[a].items()}
-                    for j, v in neg_rows[b].items():
-                        c = offA + a * dA + j
-                        col[c] = col[c] + v if c in col else v
-                    if ai == bi:  # only then can the two sums cancel
-                        col = {c: v for c, v in col.items() if v}
-                    if col:
-                        yield name, col
+    # the cofree pairs of `_hom_pairs`, in its order: every cofree block
+    # has H's dimension, and cofree targets come first there
+    for bi, degree in cofree.items():
+        for ai in cofree:
+            if ai < blocks_done and bi < blocks_done:
+                continue
+            A, B = blocks[ai], blocks[bi]
+            dA, dB = A.carrier.dim, B.carrier.dim
+            offA, offB = offsets[ai], offsets[bi]
+            name = "dinaturality[%d->%d]" % (ai, bi)
+            for k, f in enumerate(diagram.hom_basis(ai, bi)):
+                if not (_is_cofree_formula(f, k, A, degree)
+                        or is_colinear(f, A, B)):
+                    raise CoendNotCertifiedError(
+                        "%s uses a map that is not colinear" % name)
+                f_cols = f.matrix.transpose().data
+                neg_rows = [{j: -v for j, v in row.items()}
+                            for row in f.matrix.data]
+                for a in range(dA):
+                    for b in range(dB):
+                        col = {offB + i * dB + b: v
+                               for i, v in f_cols[a].items()}
+                        for j, v in neg_rows[b].items():
+                            c = offA + a * dA + j
+                            col[c] = col[c] + v if c in col else v
+                        if ai == bi:  # only then can the two sums cancel
+                            col = {c: v for c, v in col.items() if v}
+                        if col:
+                            yield name, col
 
 
 class CoendResult:
@@ -325,14 +328,12 @@ class CoendResult:
     `quotient` is a graded object (basis c0, c1, ... with the degrees of the
     free ambient coordinates); `pi(i)` is the universal projection from
     block i's F(B) (x) *F(B) as a morphism of the graded category.
-    `certificate` holds, when the presentation was certified (see the
-    module docstring), the reduced rows {pivot: row} of the relations
-    supported on the cofree blocks, from which `enlarged` resumes; None
-    when the presentation was eliminated.
+    `certificate` holds the reduced rows {pivot: row} of the relations
+    supported on the cofree blocks that certified the presentation (see the
+    module docstring), from which `enlarged` resumes.
     """
 
-    def __init__(self, diagram, offsets, presentation, quotient,
-                 certificate=None):
+    def __init__(self, diagram, offsets, presentation, quotient, certificate):
         self.diagram = diagram
         self.offsets = offsets
         self.presentation = presentation
@@ -346,12 +347,9 @@ class CoendResult:
     def enlarged(self, *extra):
         """compute_coend(self.diagram.enlarged(*extra)), certified from the
         enlargement's own candidate.  The elimination on the cofree blocks
-        resumes from the base's certificate rows, and only the columns the
-        enlargement adds are streamed.  Without a base certificate the
-        enlargement is certified, or else eliminated, from scratch."""
-        big = self.diagram.enlarged(*extra)
-        layout = _block_spaces(big)
-        return _certified(big, *layout, base=self) or _eliminated(big, *layout)
+        resumes from this coend's certificate rows, and only the columns
+        the enlargement adds are streamed."""
+        return _certify(self.diagram.enlarged(*extra), base=self)
 
     def pi(self, i):
         """The universal map F(B) (x) *F(B) -> quotient of block i."""
@@ -379,44 +377,19 @@ class CoendResult:
 
     def residual_report(self):
         """Every relation column must project to zero, and the presentation
-        identities must hold.  Under a certificate the lemma proved it for
-        every dinaturality pair and balancing gluing (no hom basis is
-        needed); otherwise every column is re-streamed through the
-        projection."""
-        if self.certificate is not None:
-            checks = [("dinaturality[%d->%d]" % pair, True)
-                      for pair in _hom_pairs(self.diagram)]
-            checks += [("balancing[%d]" % k, True)
-                       for k in range(len(self.diagram.balance))]
-        else:
-            P_cols = self.presentation.projection.transpose().data
-            streamed, bad = set(), set()
-            for name, col in _relation_columns(self.diagram, self.offsets):
-                streamed.add(name)
-                if name not in bad and not _kills(P_cols, col):
-                    bad.add(name)
-            # each family once, balancing first, then in `_hom_pairs` order
-            names = ["balancing[%d]" % k
-                     for k in range(len(self.diagram.balance))]
-            names += ["dinaturality[%d->%d]" % pair
-                      for pair in _hom_pairs(self.diagram)]
-            checks = [(name, name not in bad) for name in names
-                      if name in streamed]
+        identities must hold.  The certificate's lemma proved the first for
+        every dinaturality pair and balancing gluing, so only the
+        presentation is checked here."""
+        checks = [("dinaturality[%d->%d]" % pair, True)
+                  for pair in _hom_pairs(self.diagram)]
+        checks += [("balancing[%d]" % k, True)
+                   for k in range(len(self.diagram.balance))]
         try:
             self.presentation.verify()
             checks.append(("presentation", True))
         except InvalidStructureError:
             checks.append(("presentation", False))
         return FlagReport(checks)
-
-
-def _kills(cols, col):
-    """Whether the map given by its columns `cols` sends col to zero."""
-    image = {}
-    for k, v in col.items():
-        for q, p in cols[k].items():
-            image[q] = image[q] + p * v if q in image else p * v
-    return not any(image.values())
 
 
 def _candidate(diagram, offsets, total):
@@ -436,7 +409,8 @@ def _candidate(diagram, offsets, total):
 def _canonical_projection(field, P, n):
     """(F, the rows of P_F^-1 P) for F the coordinates j whose column P e_j
     is independent of the later columns -- the free coordinates of the
-    canonical presentation of ker P -- or None if rank P < n."""
+    canonical presentation of ker P.  CoendNotCertifiedError if rank
+    P < n."""
     elim = SparseEliminator(field)
     free = []
     for j in range(len(P) - 1, -1, -1):
@@ -445,7 +419,8 @@ def _canonical_projection(field, P, n):
             if len(free) == n:
                 break
     if len(free) < n:
-        return None
+        raise CoendNotCertifiedError("rank P is %d, below dim H = %d"
+                                     % (len(free), n))
     free.reverse()
     rows = [{} for _ in range(n)]
     for k, j in enumerate(free):
@@ -455,34 +430,36 @@ def _canonical_projection(field, P, n):
     return free, (inv * Matrix.from_rows(field, P, n).transpose()).data
 
 
-def _lemma_holds(diagram, offsets, P):
+def _check_lemma(diagram, offsets, P):
     """The premises under which P kills every relation: block B's columns
     of P are psi_bar of B's coaction, and each glued block's coaction
-    matrix is its anchor's."""
+    matrix is its anchor's.  CoendNotCertifiedError names the first block
+    that fails."""
     blocks = diagram.blocks
-    for B, off in zip(blocks, offsets):
-        d = B.carrier.dim
-        nnz = 0
-        for row, entries in enumerate(B.coaction.matrix.data):
-            h, k = divmod(row, d)
-            for c, v in entries.items():
-                x = P[off + c * d + k].get(h)
-                if x is None or x != v:
-                    return False
-            nnz += len(entries)
-        if sum(map(len, P[off:off + d * d])) != nnz:
-            return False
-    return all(blocks[ci].coaction.matrix == blocks[wi].coaction.matrix
-               for ci, wi in diagram.balance)
+    for bi, (B, off) in enumerate(zip(blocks, offsets)):
+        d, rho = B.carrier.dim, B.coaction.matrix.data
+        # the block's columns of P hold the coaction's nonzeros, and no more
+        if (sum(map(len, P[off:off + d * d])) != sum(map(len, rho))
+                or any(P[off + c * d + row % d].get(row // d) != v
+                       for row, entries in enumerate(rho)
+                       for c, v in entries.items())):
+            raise CoendNotCertifiedError(
+                "block %d's columns of P are not psi_bar of its coaction"
+                % bi)
+    for ci, wi in diagram.balance:
+        if blocks[ci].coaction.matrix != blocks[wi].coaction.matrix:
+            raise CoendNotCertifiedError(
+                "glued block %d coacts unlike its anchor %d" % (ci, wi))
 
 
-def _counit_lemma_holds(diagram, cofree):
-    """Whether the counit lemma of the module docstring covers every block
+def _check_counit_lemma(diagram, cofree):
+    """That the counit lemma of the module docstring covers every block
     that is not cofree: each degree d of its basis vectors is the degree of
     a cofree block, and the hom basis into the first such block is the
     formula basis, one map per basis vector of degree d.  (A cofree block
     has H's dimension, so every pair into it is in `_hom_pairs`.)
-    `cofree` maps each cofree block's index to its degree."""
+    `cofree` maps each cofree block's index to its degree;
+    CoendNotCertifiedError names the first block the lemma misses."""
     first = {}
     for bi, d in cofree.items():
         first.setdefault(d, bi)
@@ -492,66 +469,49 @@ def _counit_lemma_holds(diagram, cofree):
         V = A.carrier
         for d in dict.fromkeys(V.degree(a) for a in range(V.dim)):
             if d not in first:
-                return False
+                raise CoendNotCertifiedError(
+                    "block %d has basis vectors of degree %s, and no cofree "
+                    "block has that degree" % (ai, list(d)))
             basis = diagram.hom_basis(ai, first[d])
             if (len(basis) != sum(V.degree(a) == d for a in range(V.dim))
                     or not all(_is_cofree_formula(f, k, A, d)
                                for k, f in enumerate(basis))):
-                return False
-    return True
+                raise CoendNotCertifiedError(
+                    "the hom basis from block %d into cofree block %d is "
+                    "not the formula basis" % (ai, first[d]))
 
 
-def _certified(diagram, offsets, total, base=None):
-    """The coend certified from the candidate, or None.  `base` is the
-    coend of a diagram that this one enlarges: with a certificate, its
-    relations are not streamed again (see `CoendResult.enlarged`)."""
-    field = diagram.hopf.carrier.ctx.field
+def _certify(diagram, base=None):
+    """The coend certified from the candidate; CoendNotCertifiedError names
+    the premise that fails.  `base` is the coend of a diagram that this one
+    enlarges: its relations are not streamed again (see
+    `CoendResult.enlarged`)."""
+    offsets, total = _block_spaces(diagram)
+    ctx = diagram.hopf.carrier.ctx
     n = diagram.hopf.carrier.dim
     P = _candidate(diagram, offsets, total)
-    if not _lemma_holds(diagram, offsets, P):
-        return None
-    found = _canonical_projection(field, P, n)
+    _check_lemma(diagram, offsets, P)
+    free, projection = _canonical_projection(ctx.field, P, n)
     del P  # not needed by the presentation: lower its peak memory
-    if found is None:
-        return None
     cofree = {bi: d for bi, d in ((bi, cofree_degree(B))
                                   for bi, B in enumerate(diagram.blocks))
               if d is not None}
-    if not _counit_lemma_holds(diagram, cofree):
-        return None
+    _check_counit_lemma(diagram, cofree)
 
-    elim, prefix = SparseEliminator(field), ()
-    if base is not None and base.certificate is not None:
+    elim, prefix = SparseEliminator(ctx.field), ()
+    if base is not None:
         elim.rows = dict(base.certificate)
         prefix = (len(base.diagram.blocks), len(base.diagram.balance))
     target = sum(diagram.blocks[bi].carrier.dim ** 2 for bi in cofree) - n
     if elim.rank < target:
-        try:
-            for _, col in _relation_columns(diagram, offsets, *prefix,
-                                            colinear=True, within=cofree):
-                if elim.add(col) and elim.rank >= target:
-                    break
-        except _NotColinear:
-            return None
+        for _, col in _relation_columns(diagram, offsets, cofree, *prefix):
+            if elim.add(col) and elim.rank >= target:
+                break
     if elim.rank < target:
-        return None
-    return _result(diagram, offsets, total, *found, elim.rows)
+        raise CoendNotCertifiedError(
+            "the relations on the cofree blocks reach rank %d, and "
+            "|T| - n = %d is needed" % (elim.rank, target))
 
-
-def _eliminated(diagram, offsets, total):
-    """The coend by exact elimination of every relation column."""
-    field = diagram.hopf.carrier.ctx.field
-    elim = SparseEliminator(field)
-    for _, col in _relation_columns(diagram, offsets):
-        elim.add(col)
-    return _result(diagram, offsets, total,
-                   *_null_space(field, total, elim.rref_rows()))
-
-
-def _result(diagram, offsets, total, free, projection, certificate=None):
-    """The CoendResult of the projection with the sparse rows `projection`,
-    the identity on the coordinates `free`."""
-    ctx = diagram.hopf.carrier.ctx
     pres = QuotientPresentation(
         total, free, Matrix.from_rows(ctx.field, projection, total))
 
@@ -563,16 +523,15 @@ def _result(diagram, offsets, total, free, projection, certificate=None):
 
     quotient = GradedObject(ctx, [("c%d" % k, coord_degree(p))
                                   for k, p in enumerate(free)])
-    return CoendResult(diagram, offsets, pres, quotient, certificate)
+    return CoendResult(diagram, offsets, pres, quotient, elim.rows)
 
 
 def compute_coend(diagram):
-    """The canonical quotient: certified from the matrix-coefficient
-    candidate when the certificate holds, else by eliminating every
-    relation column (see the module docstring).  For an enlargement of a
-    diagram with a known coend, use its `enlarged`."""
-    layout = _block_spaces(diagram)
-    return _certified(diagram, *layout) or _eliminated(diagram, *layout)
+    """The canonical quotient, certified from the matrix-coefficient
+    candidate (see the module docstring); CoendNotCertifiedError names the
+    premise that fails.  For an enlargement of a diagram with a known
+    coend, use its `enlarged`."""
+    return _certify(diagram)
 
 
 def check_stability(small, big):

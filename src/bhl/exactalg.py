@@ -812,11 +812,12 @@ def _null_space(field, ncols, rref_rows):
 
 class QuotientPresentation:
     """An ambient space modulo a subspace, given by its projection: the
-    identity on the free coordinates, one per quotient basis vector.  That
-    is all there is to check.  The relation of each other coordinate p is
-    e_p - sum_k projection[k][p] e_(free k), so these N - q relations are
-    reduced (only p's has an entry at p), killed by the projection, and
-    span its kernel."""
+    identity on the free coordinates, one per quotient basis vector.  The
+    coend's is read off its certified candidate P as P_F^-1 P (see
+    `coend`), and that identity is all there is to check.  The relation of
+    each other coordinate p is e_p - sum_k projection[k][p] e_(free k), so
+    these N - q relations are reduced (only p's has an entry at p), killed
+    by the projection, and span its kernel."""
 
     def __init__(self, ambient_dim, free, projection):
         self.ambient_dim = ambient_dim

@@ -11,10 +11,12 @@ and `hom_basis_by_elimination`, the oracle for the hom bases that
 the oracle for `QuotientPresentation.verify`, which reads the projection at
 the free coordinates instead of forming the product P * E_free.  `parse_scalar_by_fractions` and
 `format_scalar_by_fractions` read and write scalar literals with
-`fractions.Fraction`, the oracle for the int-only `parse_scalar` and
+`fractions.Fraction` (held to the int digit limit), the oracle for the int-only `parse_scalar` and
 `format_scalar`.  `solve_product_constraints` solves sum_t A_t X B_t = C
 for an unknown map X by eliminating one equation per entry, the oracle for
-`read_off` and `solve_antipode`.  `kron` is the Kronecker product entry by
+`read_off` and `solve_antipode`.  `coend_by_elimination` divides every
+relation column of a coend diagram out by exact elimination, the oracle
+for the certified `compute_coend`.  `kron` is the Kronecker product entry by
 entry, and the `*_by_kron` functions state the axiom residuals, induced
 braidings, comodule coactions and the coproduct's constraint as products of
 Kronecker products: the oracles for `exactalg.whiskered` and the chains of
@@ -25,13 +27,16 @@ the seeded spec files.
 """
 
 import importlib.util
+import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 from bhl.comodcat import (FlagReport, act, comodule_tensor, trivial_comodule,
                           unit_comodule)
-from bhl.exactalg import (Matrix, NonUniqueError, NoSolutionError, Scalar,
-                          SparseEliminator, _null_space, require)
+from bhl.exactalg import (Matrix, NonUniqueError, NoSolutionError,
+                          QuotientPresentation, Scalar, SparseEliminator,
+                          _null_space, require)
 from bhl.braidedhopf import CheckReport
 from bhl.gradedcat import (GradedMorphism, braiding, braiding_inverse,
                            identity_mor, left_dual, phi_left, tensor_obj,
@@ -363,6 +368,48 @@ def solve_product_constraints(field, constraint_groups, shape):
     return Matrix.from_rows(field, out, c)
 
 
+def coend_by_elimination(diagram):
+    """The canonical presentation of the coend of `diagram`, by exact
+    elimination of every relation column as the `bhl.coend` module
+    docstring defines them, and the projection read off the null space of
+    the reduced relations.  Block B's coordinates (i, j) of F(B) (x) *F(B)
+    follow those of the blocks before it.  Dinaturality gives, for every
+    map f: A -> B of an eliminated hom basis between any two blocks and
+    every basis pair (a, b), the column
+    sum_i f[i,a] e_(B,(i,b)) - sum_j f[b,j] e_(A,(a,j)); balancing gives
+    e_(C,p) - e_(W,p) at every coordinate p of a block C glued onto its
+    anchor W."""
+    blocks = diagram.blocks
+    field = diagram.hopf.carrier.ctx.field
+    offsets, total = [], 0
+    for B in blocks:
+        offsets.append(total)
+        total += B.carrier.dim ** 2
+    elim = SparseEliminator(field)
+    for ci, wi in diagram.balance:
+        for p in range(blocks[wi].carrier.dim ** 2):
+            elim.add({offsets[ci] + p: field.one, offsets[wi] + p: -field.one})
+    for ai, A in enumerate(blocks):
+        for bi, B in enumerate(blocks):
+            dA, dB = A.carrier.dim, B.carrier.dim
+            for f in hom_basis_by_elimination(A, B):
+                entries = list(f.matrix.items())  # (row, column, value)
+                for a in range(dA):
+                    for b in range(dB):
+                        col = {}
+                        for i, j, v in entries:
+                            if j == a:
+                                p = offsets[bi] + i * dB + b
+                                col[p] = col.get(p, field.zero) + v
+                            if i == b:
+                                p = offsets[ai] + a * dA + j
+                                col[p] = col.get(p, field.zero) - v
+                        elim.add(col)
+    free, projection = _null_space(field, total, elim.rref_rows())
+    return QuotientPresentation(total, free,
+                                Matrix.from_rows(field, projection, total))
+
+
 def rational_matrix(field, rows):
     """The matrix over `field` with the given rational entries, row by row."""
     return Matrix(field, [[field.scalar(v) for v in row] for row in rows])
@@ -393,8 +440,25 @@ def format_scalar_by_fractions(s):
     return out
 
 
+def fraction_within_digit_limit(literal):
+    """Fraction(literal), but a literal whose exponent plus its mantissa
+    digits exceeds `sys.get_int_max_str_digits()` is refused with
+    ValueError, as an int literal of that many digits is."""
+    match = re.fullmatch(r"\s*[+-]?([0-9_.]*)[eE][+-]?([0-9_]+)\s*", literal)
+    limit = sys.get_int_max_str_digits()
+    if match and limit:
+        mantissa, exponent = match.groups()
+        digits = int(exponent.replace("_", "")) + sum(
+            ch.isdigit() for ch in mantissa)
+        if digits > limit:
+            raise ValueError("exponent literal %r exceeds the %d-digit limit"
+                             % (literal, limit))
+    return Fraction(literal)
+
+
 def parse_scalar_by_fractions(field, text):
-    """parse_scalar with every coefficient read by Fraction(literal)."""
+    """parse_scalar with every coefficient read by Fraction(literal), held
+    to the int digit limit (`fraction_within_digit_limit`)."""
     text = text.replace(" ", "")
     if not text:
         raise ValueError("empty scalar literal")
@@ -420,7 +484,7 @@ def parse_scalar_by_fractions(field, text):
             head, _, tail = term.partition("z")
             if head.endswith("*"):
                 head = head[:-1]
-            coef = Fraction(head) if head else Fraction(1)
+            coef = fraction_within_digit_limit(head) if head else Fraction(1)
             if tail.startswith("^"):
                 power = int(tail[1:])
             elif tail == "":
@@ -428,7 +492,7 @@ def parse_scalar_by_fractions(field, text):
             else:
                 raise ValueError("bad scalar term %r" % term)
         else:
-            coef = Fraction(term)
+            coef = fraction_within_digit_limit(term)
             power = 0
         coef *= sign
         if 0 <= power < field.degree:

@@ -22,6 +22,7 @@ from bhl.braidedhopf import HopfAlgebraData, check_bialgebra, check_hopf
 from bhl.catalog import build
 from bhl.cli import (HANDLERS, SchemaError, canonical_json, datum_from_spec,
                      hopf_to_spec, matrix_to_spec, main)
+from bhl.exactalg import EngineError
 
 
 def run_cli(args, tmp_path=None, out_name=None):
@@ -467,6 +468,39 @@ def test_builtin_reference_spec_feeds_yd_check(tmp_path):
     assert payload["dimensions"] == {"hopf": 2}
 
 
+# raw spec-file bytes that are no JSON document main can read
+UNREADABLE_SPECS = {
+    "not_utf8": (b"\xff\xfe{}", "spec file is not UTF-8"),
+    "int_over_digit_limit": (b'{"hopf": ' + b"1" * 5000 + b"}",
+                             "Exceeds the limit"),
+    "nested_past_recursion_limit": (b"[" * 100000 + b"]" * 100000,
+                                    "maximum recursion depth"),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(UNREADABLE_SPECS))
+def test_unreadable_spec_file_is_usage_error(bad, tmp_path, capsys):
+    raw, reason = UNREADABLE_SPECS[bad]
+    spec = tmp_path / "bad.json"
+    spec.write_bytes(raw)
+    assert main(["check-hopf", str(spec)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    assert reason in err
+
+
+@pytest.mark.parametrize("name", ["sweedler:3", "sweedler:", "exterior_line:x"])
+def test_builtin_without_parameters_refuses_an_argument(name, tmp_path, capsys):
+    # as an unknown builtin is, by --builtin and by a spec's reference
+    spec = tmp_path / "ref.json"
+    spec.write_text(canonical_json({"hopf": {"builtin": name}}))
+    for args in (["--builtin", name], [str(spec)]):
+        assert main(["check-hopf"] + args) == 2
+        err = capsys.readouterr().err
+        assert err == "error: builtin %r takes no argument, got %r\n" % (
+            name.partition(":")[0], name), err
+
+
 def test_builtin_reference_to_unknown_name_is_usage_error(tmp_path, capsys):
     spec = tmp_path / "ref.json"
     spec.write_text(canonical_json({"hopf": {"builtin": "nope"}}))
@@ -484,6 +518,8 @@ LITERALS = st.one_of(
     st.sampled_from(["0", "1", "-1", "2", "-1/3", "z", "z^3", "1/0", "x",
                      "", "1e400"]),
     st.integers(-3, 3))
+# 0xff starts no UTF-8 sequence
+RAW_BYTES = st.one_of(st.just(b"\xff"), st.binary(min_size=1, max_size=1))
 
 
 @given(st.data())
@@ -498,10 +534,14 @@ def test_mutated_spec_entry_never_escapes_main(data):
         MUTATED_MAPS[:-1] if drop_antipode else MUTATED_MAPS))]
     row = mat[data.draw(st.integers(0, len(mat) - 1))]
     row[data.draw(st.integers(0, len(row) - 1))] = data.draw(LITERALS)
-    not_hopf = fails_the_entry_check(doc)
+    raw = json.dumps(doc).encode()
+    if data.draw(st.booleans()):  # and one raw byte, maybe no UTF-8
+        k = data.draw(st.integers(0, len(raw) - 1))
+        raw = raw[:k] + data.draw(RAW_BYTES) + raw[k + 1:]
+    not_hopf = fails_the_entry_check(raw)
     with tempfile.TemporaryDirectory() as tmp:
         spec = Path(tmp) / "mutated.json"
-        spec.write_text(json.dumps(doc))
+        spec.write_bytes(raw)
         for command in HANDLERS:
             code, lines = assert_exits_cleanly(command, spec)
             if not_hopf and command in ENTRY_CHECKED:
@@ -509,12 +549,12 @@ def test_mutated_spec_entry_never_escapes_main(data):
                     command, lines)
 
 
-def fails_the_entry_check(doc):
-    """Whether the spec's datum parses and fails check_hopf, or, without S,
-    check_bialgebra."""
+def fails_the_entry_check(raw):
+    """Whether the spec bytes' datum parses and fails check_hopf, or,
+    without S, check_bialgebra."""
     try:
-        datum, _ = datum_from_spec(json.loads(json.dumps(doc)))
-    except SchemaError:
+        datum, _ = datum_from_spec(json.loads(raw.decode("utf-8")))
+    except (SchemaError, ValueError, EngineError):
         return False
     if isinstance(datum, HopfAlgebraData):
         return not check_hopf(datum).passed

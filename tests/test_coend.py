@@ -1,17 +1,23 @@
 """Coend quotients: dimensions, grading, surjectivity, stability."""
 
+import io
+import json
 import re
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+import bhl.cli
 import bhl.coend
 import bhl.comodcat
 from bhl.catalog import BUILTIN_NAMES, build, exterior_line, group_algebra, sweedler
 from bhl.braidedhopf import HopfAlgebraData
+from bhl.cli import canonical_json, hopf_to_spec
 from bhl.coend import (
-    CoendResult, Diagram, PiNotSurjectiveError, check_stability, compute_coend,
-    default_diagram, reconstruction_diagram, _block_spaces,
-    _candidate, _counit_lemma_holds, _eliminated, _relation_columns,
+    CoendNotCertifiedError, CoendResult, Diagram, PiNotSurjectiveError,
+    check_stability, compute_coend, default_diagram, reconstruction_diagram,
+    _block_spaces, _candidate, _check_counit_lemma, _hom_pairs,
+    _relation_columns,
 )
 from bhl.comodcat import (
     act, cofree_degree, comodule_dual, comodule_tensor, direct_sum_comodule,
@@ -21,8 +27,9 @@ from bhl.exactalg import (InvalidStructureError, Matrix, QuotientPresentation,
                           SparseEliminator, _null_space)
 from bhl.gradedcat import (GradedMorphism, GradedObject, identity_mor,
                            left_dual, line_object, tensor_obj, unit_object)
-from oracles import (hom_basis_by_elimination, is_comodule_morphism,
-                     prebalancing, psi_bar, rational_matrix)
+from oracles import (coend_by_elimination, hom_basis_by_elimination,
+                     is_comodule_morphism, prebalancing, psi_bar,
+                     rational_matrix)
 
 
 def test_coend_dim_equals_hopf_dim_on_all_builtins():
@@ -141,12 +148,17 @@ def assert_same_coend(a, b):
     assert a.quotient == b.quotient
 
 
-def eliminated(diagram):
-    return _eliminated(diagram, *_block_spaces(diagram))
+def assert_is_the_eliminated_coend(res):
+    """res's presentation is the one exact elimination of every relation
+    column of its diagram gives."""
+    pres = coend_by_elimination(res.diagram)
+    assert res.presentation.free == pres.free
+    assert res.presentation.projection == pres.projection
 
 
 @pytest.mark.parametrize("name, probes", [(name, ()) for name in BUILTIN_NAMES]
-                         + [("exterior_line", ((1,),))])
+                         + [("exterior_line", ((1,),)),
+                            ("nichols_cyclic:5", ())])
 def test_resumed_enlargement_equals_from_scratch(name, probes):
     # the certified presentations, of the base and of each enlargement
     # resumed from it, are the ones exact elimination gives
@@ -154,12 +166,10 @@ def test_resumed_enlargement_equals_from_scratch(name, probes):
     base = default_diagram(H, [H.carrier.ctx.group.element(d)
                                for d in probes])
     small = compute_coend(base)
-    assert small.certificate is not None
-    assert_same_coend(small, eliminated(base))
+    assert_is_the_eliminated_coend(small)
     for block in stability_blocks(base):
         big = small.enlarged(block)
-        assert big.certificate is not None
-        assert_same_coend(big, eliminated(big.diagram))
+        assert_is_the_eliminated_coend(big)
         assert_same_coend(big, compute_coend(big.diagram))
 
 
@@ -193,8 +203,8 @@ def cofree_blocks(diagram):
                                   "taft:2"])
 def test_resumed_enlargement_starts_from_the_base_rows(name, monkeypatch):
     # the enlargement resumes from the base's reduced rows on the cofree
-    # blocks and streams only its own new cofree columns; without the
-    # base's rows it streams every cofree column again, to the same result
+    # blocks and streams only its own new cofree columns; certified from
+    # scratch it streams every cofree column again, to the same result
     base = default_diagram(build(name))
     small = compute_coend(base)
     streamed = []
@@ -210,20 +220,15 @@ def test_resumed_enlargement_starts_from_the_base_rows(name, monkeypatch):
         del streamed[:]
         big = small.enlarged(block)
         resumed = [family for family, _ in streamed]
-        assert big.certificate is not None
         assert all(big.certificate[p] is row
                    for p, row in small.certificate.items())
         new = len(base.blocks)
         assert all(max(int(x) for x in re.findall(r"\d+", family)) >= new
                    for family in resumed)
         assert bool(resumed) == (new in cofree_blocks(big.diagram))
-        assert_same_coend(big, compute_coend(big.diagram))
-        cert, small.certificate = small.certificate, None
         del streamed[:]
-        again = small.enlarged(block)
-        small.certificate = cert
+        again = compute_coend(big.diagram)
         assert len(streamed) > len(resumed)
-        assert again.certificate is not None
         assert_same_coend(again, big)
 
 
@@ -239,9 +244,7 @@ def test_certificate_checks_cofree_maps_by_formula(name, monkeypatch):
         return is_colinear(f, A, B)
 
     monkeypatch.setattr(bhl.coend, "is_colinear", counting)
-    D = reconstruction_diagram(build(name))
-    res = compute_coend(D)
-    assert res.certificate is not None
+    compute_coend(reconstruction_diagram(build(name)))
     assert checked == []
 
 
@@ -274,8 +277,7 @@ def test_colinear_map_off_the_formula_is_checked_by_product():
         patch.setattr(bhl.coend, "is_colinear", counting)
         res = compute_coend(D)
     assert checked
-    assert res.certificate is not None
-    assert_same_coend(res, eliminated(D))
+    assert_is_the_eliminated_coend(res)
 
 
 def test_candidate_is_psi_bar_of_each_coaction():
@@ -295,8 +297,9 @@ def test_candidate_is_psi_bar_of_each_coaction():
             assert got == want, name
 
 
-def test_wrong_candidate_falls_back_to_elimination(monkeypatch):
-    D = default_diagram(sweedler())
+def plant_wrong_candidate(patch):
+    """An extra entry in the candidate's column at coordinate 1 of the
+    regular block: P is no longer psi_bar of its coaction."""
     candidate = bhl.coend._candidate
 
     def planted(diagram, offsets, total):
@@ -306,39 +309,49 @@ def test_wrong_candidate_falls_back_to_elimination(monkeypatch):
         col[0] = col[0] + one if 0 in col else one
         return P
 
-    monkeypatch.setattr(bhl.coend, "_candidate", planted)
-    res = compute_coend(D)
-    assert res.certificate is None
-    assert_same_coend(res, eliminated(D))
-    assert res.dim == 4
+    patch.setattr(bhl.coend, "_candidate", planted)
 
 
-def test_relation_the_candidate_does_not_kill_falls_back(monkeypatch):
-    # a planted non-colinear map E_00 (1 -> 1, x -> 0) among the regular
-    # block's endomorphisms: its dinaturality columns are not relations,
-    # and P does not kill them.  The stream reaches that pair first, after
-    # balancing, so the certificate's colinearity check must refuse it.
-    H = exterior_line()
-    D = default_diagram(H)
+def test_wrong_candidate_is_not_certified(monkeypatch):
+    D = default_diagram(sweedler())
+    plant_wrong_candidate(monkeypatch)
+    with pytest.raises(CoendNotCertifiedError,
+                       match="block %d's columns of P are not psi_bar"
+                       % D.regular) as err:
+        compute_coend(D)
+    assert err.value.code == "CoendNotCertified"
+
+
+def plant_non_colinear_endomorphism(patch, H):
+    """E_00 (1 -> 1, x -> 0) appended to the hom basis of the regular
+    block of exterior_line into itself: its dinaturality columns are not
+    relations, and P does not kill them."""
     field = H.carrier.ctx.field
-    reg = D.blocks[D.regular]
+    reg = regular_comodule(H)
     planted = GradedMorphism(H.carrier, H.carrier,
                              Matrix.from_dict(field, 2, 2, {(0, 0): field.one}))
-    assert not is_comodule_morphism(planted, reg, reg)
     hom_space = bhl.coend.hom_space
 
     def with_planted(A, B):
         basis = hom_space(A, B)
         return basis + [planted] if A == B == reg else basis
 
-    monkeypatch.setattr(bhl.coend, "hom_space", with_planted)
-    res = compute_coend(D)
-    assert res.certificate is None
-    assert res.dim == H.carrier.dim - 1
-    assert_same_coend(res, eliminated(D))
-    planted_family = "dinaturality[%d->%d]" % (D.regular, D.regular)
-    assert planted_family in [name for name, _ in
-                              res.residual_report().checks]
+    patch.setattr(bhl.coend, "hom_space", with_planted)
+    return planted
+
+
+def test_relation_the_candidate_does_not_kill_is_not_certified(monkeypatch):
+    # the stream reaches the regular block's endomorphisms first, after
+    # balancing, so the certificate's colinearity check must refuse them
+    H = exterior_line()
+    D = default_diagram(H)
+    planted = plant_non_colinear_endomorphism(monkeypatch, H)
+    reg = D.blocks[D.regular]
+    assert not is_comodule_morphism(planted, reg, reg)
+    with pytest.raises(CoendNotCertifiedError, match=re.escape(
+            "dinaturality[%d->%d] uses a map that is not colinear"
+            % (D.regular, D.regular))):
+        compute_coend(D)
 
 
 def span_rank(maps):
@@ -385,20 +398,29 @@ def test_certified_coend_eliminates_no_hom_space(name, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(bhl.comodcat, "SparseEliminator", Counting)
         res = compute_coend(D)
-    assert res.certificate is not None
     assert eliminators == []
-    assert_same_coend(res, eliminated(D))
+    assert_is_the_eliminated_coend(res)
 
 
 def test_certificate_streams_balancing_then_cofree_and_stops_at_the_bound(
         monkeypatch):
-    # the certificate streams only the relations between cofree blocks, in
-    # the fallback stream's order (balancing first), and stops as soon as
-    # their rank reaches |T| - n; it keeps the reduced rows it reached
+    # the certificate streams only the relations between cofree blocks:
+    # balancing first, then the cofree pairs in `_hom_pairs` order, and
+    # stops as soon as their rank reaches |T| - n; it keeps the reduced
+    # rows it reached
     D = default_diagram(build("nichols_cyclic:3"))
     offsets, total = _block_spaces(D)
     T = cofree_blocks(D)
-    full = list(_relation_columns(D, offsets))
+    on_T = list(_relation_columns(D, offsets, T))
+    families = list(dict.fromkeys(name for name, _ in on_T))
+    want = (["balancing[%d]" % k for k, (ci, wi) in enumerate(D.balance)
+             if ci in T and wi in T]
+            + ["dinaturality[%d->%d]" % (ai, bi) for ai, bi in _hom_pairs(D)
+               if ai in T and bi in T])
+    # only the endomorphism families, of the identity, have no nonzero column
+    assert families == [family for family in want if family in families]
+    assert set(want) - set(families) == {"dinaturality[%d->%d]" % (bi, bi)
+                                         for bi in T}
     streamed = []
 
     def recording(*args, **kwargs):
@@ -408,14 +430,6 @@ def test_certificate_streams_balancing_then_cofree_and_stops_at_the_bound(
 
     monkeypatch.setattr(bhl.coend, "_relation_columns", recording)
     res = compute_coend(D)
-    assert res.certificate is not None
-
-    def blocks_of(family):
-        ids = [int(x) for x in re.findall(r"\d+", family)]
-        return D.balance[ids[0]] if family.startswith("balancing") else ids
-
-    on_T = [(name, col) for name, col in full
-            if set(blocks_of(name)) <= set(T)]
     assert streamed == on_T[:len(streamed)]
     assert len(streamed) < len(on_T)
     assert streamed[0][0].startswith("balancing")
@@ -434,62 +448,95 @@ def test_counit_lemma_covers_every_builtin(name):
     # each of their coends is certified
     H = build(name)
     for D in (default_diagram(H), reconstruction_diagram(H)):
-        assert _counit_lemma_holds(D, cofree_blocks(D))
+        _check_counit_lemma(D, cofree_blocks(D))
         res = compute_coend(D)
-        assert res.certificate is not None
         for block in stability_blocks(D):
             big = res.enlarged(block)
-            assert _counit_lemma_holds(big.diagram, cofree_blocks(big.diagram))
-            assert big.certificate is not None
+            _check_counit_lemma(big.diagram, cofree_blocks(big.diagram))
 
 
-def test_block_of_a_degree_no_cofree_block_has_falls_back():
-    # exterior_line's regular block and its tensor square, with no action
-    # and no balancing: the square has basis vectors of degree 1, and the
-    # only cofree block, the regular one, has degree 0, so the lemma does
-    # not cover the square and the coend is eliminated
-    H = exterior_line()
+def without_a_cofree_block_of_degree_1(H, probes=()):
+    """exterior_line's regular block and its tensor square, with no action
+    and no balancing: the square has basis vectors of degree 1, and the
+    only cofree block, the regular one, has degree 0."""
     reg = regular_comodule(H)
-    D = Diagram(H, [reg, comodule_tensor(reg, reg)])
+    return Diagram(H, [reg, comodule_tensor(reg, reg)])
+
+
+def test_block_of_a_degree_no_cofree_block_has_is_not_certified():
+    # the counit lemma does not cover the square
+    H = exterior_line()
+    D = without_a_cofree_block_of_degree_1(H)
     T = cofree_blocks(D)
     V = D.blocks[1].carrier
     assert set(T.values()) == {H.carrier.ctx.group.zero}
-    assert {V.degree(i) for i in range(V.dim)} - set(T.values())
-    assert not _counit_lemma_holds(D, T)
-    res = compute_coend(D)
-    assert res.certificate is None
-    assert_same_coend(res, eliminated(D))
+    assert {V.degree(i) for i in range(V.dim)} - set(T.values()) == {(1,)}
+    message = re.escape("block 1 has basis vectors of degree [1], and no "
+                        "cofree block has that degree")
+    with pytest.raises(CoendNotCertifiedError, match=message):
+        _check_counit_lemma(D, T)
+    with pytest.raises(CoendNotCertifiedError, match=message):
+        compute_coend(D)
 
 
-def test_glued_block_with_another_coaction_falls_back():
+def glue_dual_onto_regular(D):
+    """Glue the dual block onto the regular one, which coacts otherwise;
+    the dual block's index."""
+    dual = D.index(D.derived(comodule_dual, D.regular))
+    D.balance.append((dual, D.regular))
+    return dual
+
+
+def test_glued_block_with_another_coaction_is_not_certified():
     # gluing the dual block onto the regular one breaks the lemma's premise
     # that a glued block coacts as its anchor does
-    H = sweedler()
-    D = reconstruction_diagram(H)
-    dual = D.index(D.derived(comodule_dual, D.regular))
+    D = reconstruction_diagram(sweedler())
+    dual = glue_dual_onto_regular(D)
     assert D.blocks[dual].coaction.matrix != D.blocks[D.regular].coaction.matrix
-    D.balance.append((dual, D.regular))
-    res = compute_coend(D)
-    assert res.certificate is None
-    assert_same_coend(res, eliminated(D))
+    with pytest.raises(CoendNotCertifiedError,
+                       match="glued block %d coacts unlike its anchor %d"
+                       % (dual, D.regular)):
+        compute_coend(D)
 
 
-def test_relations_one_short_of_the_kernel_fall_back(monkeypatch):
-    # without one balancing family the relations span a hyperplane of
-    # ker P: P kills them all, and only the exact rank bound can tell
-    H = exterior_line()
-    D = default_diagram(H)
+def plant_missing_balancing(patch):
+    """The relation stream without the family balancing[0]."""
     relation_columns = bhl.coend._relation_columns
 
     def without_balancing_0(*args, **kwargs):
         return ((name, col) for name, col in relation_columns(*args, **kwargs)
                 if name != "balancing[0]")
 
-    monkeypatch.setattr(bhl.coend, "_relation_columns", without_balancing_0)
-    res = compute_coend(D)
-    assert res.certificate is None
-    assert res.dim == H.carrier.dim + 1
-    assert_same_coend(res, eliminated(D))
+    patch.setattr(bhl.coend, "_relation_columns", without_balancing_0)
+
+
+def test_relations_one_short_of_the_kernel_are_not_certified(monkeypatch):
+    # without one balancing family the relations span a hyperplane of
+    # ker P: P kills them all, and only the exact rank bound can tell
+    D = default_diagram(exterior_line())
+    T = cofree_blocks(D)
+    assert sum(D.blocks[bi].carrier.dim ** 2 for bi in T) - 2 == 10
+    plant_missing_balancing(monkeypatch)
+    with pytest.raises(CoendNotCertifiedError, match=re.escape(
+            "the relations on the cofree blocks reach rank 8, and "
+            "|T| - n = 10 is needed")):
+        compute_coend(D)
+
+
+def left_unit_coproduct(H):
+    """H with the coproduct x |-> 1 (x) x: it fails the right counit law,
+    and the candidate of any diagram over it has rank 1."""
+    V = H.carrier
+    delta = GradedMorphism.from_dict(V, tensor_obj(V, V), {
+        (k, k): V.ctx.field.one for k in range(V.dim)})
+    return HopfAlgebraData(V, H.m, H.u, delta, H.eps, H.S)
+
+
+def test_candidate_of_rank_below_dim_h_is_not_certified():
+    D = default_diagram(left_unit_coproduct(group_algebra(2)))
+    with pytest.raises(CoendNotCertifiedError,
+                       match="rank P is 1, below dim H = 2"):
+        compute_coend(D)
 
 
 def rescaled_sweedler():
@@ -508,11 +555,8 @@ def rescaled_sweedler():
 def test_relation_columns_with_denominators_are_certified():
     # exact elimination on the cofree blocks needs no care for the
     # denominators 3 of the rescaled basis
-    H = rescaled_sweedler()
-    D = default_diagram(H)
-    res = compute_coend(D)
-    assert res.certificate is not None
-    assert_same_coend(res, eliminated(D))
+    assert_is_the_eliminated_coend(compute_coend(default_diagram(
+        rescaled_sweedler())))
 
 
 def test_pi_not_surjective_guard():
@@ -526,7 +570,7 @@ def test_pi_not_surjective_guard():
     free, proj = _null_space(field, total, rows)
     pres = QuotientPresentation(total, free, Matrix.from_rows(field, proj, total))
     quotient = GradedObject(H.carrier.ctx, [("c0", ())])
-    res = CoendResult(D, offsets, pres, quotient)
+    res = CoendResult(D, offsets, pres, quotient, {})
     with pytest.raises(PiNotSurjectiveError) as err:
         res.check_regular_surjective()
     assert err.value.code == "PiNotSurjective"
@@ -547,14 +591,94 @@ def test_unit_block_class_matches_unit_of_regular_block():
         [pi_reg.matrix[i, 0] for i in range(q)]
 
 
+# each premise of the certificate, planted to fail under one command:
+# premise -> plant(monkeypatch, tmp_path) -> (main's arguments, message)
+def _cli_rank(patch, tmp_path):
+    spec = tmp_path / "left-unit.json"
+    spec.write_text(canonical_json(hopf_to_spec(
+        left_unit_coproduct(group_algebra(2)))))
+    patch.setattr(bhl.cli, "ensure_hopf", lambda datum: datum)
+    return [str(spec)], "rank P is 1, below dim H = 2"
+
+
+def _cli_candidate(patch, tmp_path):
+    plant_wrong_candidate(patch)
+    return (["--builtin", "sweedler"],
+            "block 0's columns of P are not psi_bar of its coaction")
+
+
+def _cli_glued(patch, tmp_path):
+    diagram = bhl.coend.reconstruction_diagram
+
+    def glued(H, probes=()):
+        D = diagram(H, probes)
+        glue_dual_onto_regular(D)
+        return D
+
+    patch.setattr(bhl.coend, "reconstruction_diagram", glued)
+    D = glued(sweedler())
+    return (["--builtin", "sweedler"],
+            "glued block %d coacts unlike its anchor 0" % D.balance[-1][0])
+
+
+def _cli_degree(patch, tmp_path):
+    patch.setattr(bhl.coend, "reconstruction_diagram",
+                  without_a_cofree_block_of_degree_1)
+    return (["--builtin", "exterior_line"], "block 1 has basis vectors of "
+            "degree [1], and no cofree block has that degree")
+
+
+def _cli_colinear(patch, tmp_path):
+    plant_non_colinear_endomorphism(patch, exterior_line())
+    return (["--builtin", "exterior_line"],
+            "dinaturality[0->0] uses a map that is not colinear")
+
+
+def _cli_short(patch, tmp_path):
+    plant_missing_balancing(patch)
+    # `stability` computes the coend of the default diagram first
+    return (["--builtin", "exterior_line"], "the relations on the cofree "
+            "blocks reach rank 8, and |T| - n = 10 is needed")
+
+
+PREMISE_PLANTS = {
+    "rank": ("verify-reconstruction", _cli_rank),
+    "candidate": ("reconstruct", _cli_candidate),
+    "glued": ("verify-reconstruction", _cli_glued),
+    "degree": ("verify-reconstruction", _cli_degree),
+    "colinear": ("reconstruct", _cli_colinear),
+    "short": ("stability", _cli_short),
+}
+
+
+@pytest.mark.parametrize("premise", sorted(PREMISE_PLANTS))
+def test_uncertified_coend_reaches_main_as_a_structured_error(
+        premise, monkeypatch, tmp_path):
+    command, plant = PREMISE_PLANTS[premise]
+    args, premise_message = plant(monkeypatch, tmp_path)
+    message = "coend not certified: " + premise_message
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = bhl.cli.main([command] + args)
+    assert code == 1
+    assert json.loads(out.getvalue()) == {
+        "command": command, "status": "error",
+        "error": {"code": "CoendNotCertified", "message": message}}
+    assert err.getvalue() == "error[CoendNotCertified]: %s\n" % message
+
+
 def test_balancing_is_what_cuts_the_dimension():
     # dropping the balancing gluings (same blocks, no identifications)
-    # inflates the quotient on graded examples
+    # inflates the quotient on graded examples, past what the certificate
+    # can cut out
     for H, inflated in ((exterior_line(), 4), (build("nichols_cyclic:3"), 9)):
         D = default_diagram(H)
         assert compute_coend(D).dim == H.carrier.dim
-        stripped = compute_coend(Diagram(H, D.blocks))
-        assert stripped.dim == inflated
+        stripped = Diagram(H, D.blocks)
+        assert coend_by_elimination(stripped).quotient_dim == inflated
+        with pytest.raises(CoendNotCertifiedError,
+                           match="relations on the cofree blocks reach"):
+            compute_coend(stripped)
 
 
 def test_prebalancing_unit_is_identity():

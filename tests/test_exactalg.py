@@ -565,16 +565,20 @@ def _outcome(fn, *args):
         return type(exc)
 
 
+def assert_reads_as_fractions_do(F, text):
+    got = _outcome(parse_scalar, F, text)
+    assert got == _outcome(parse_scalar_by_fractions, F, text), text
+    if isinstance(got, Scalar):
+        assert format_scalar(got) == format_scalar_by_fractions(got)
+
+
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_scalar_literals_read_and_write_as_fractions_do(data):
     F = data.draw(st.sampled_from([CycloField(1), CycloField(5), CycloField(12)]))
     terms = data.draw(st.lists(_TERM, min_size=1, max_size=3))
-    text = "".join(sign + coef + z for sign, coef, z in terms)
-    got = _outcome(parse_scalar, F, text)
-    assert got == _outcome(parse_scalar_by_fractions, F, text), text
-    if isinstance(got, Scalar):
-        assert format_scalar(got) == format_scalar_by_fractions(got)
+    assert_reads_as_fractions_do(
+        F, "".join(sign + coef + z for sign, coef, z in terms))
     coeffs = data.draw(st.lists(_RATIONALS, min_size=F.degree,
                                 max_size=F.degree))
     s = Scalar(F, coeffs)
@@ -590,6 +594,14 @@ def test_exponent_literals_keep_the_int_digit_limit():
                  "1_0e4400"]:
         with pytest.raises(ValueError, match="Exceeds the limit"):
             parse_scalar(F, text)
+
+
+@pytest.mark.parametrize("text", [
+    # drawn terms "0e0" and "500_0" join into one exponent literal past the
+    # limit, which the engine and the oracle both refuse
+    "0e0500_0", "1e5000", "-1e5000*z", "1_0e4400", "1e4299", "0e4300"])
+def test_exponent_literals_read_as_fractions_do(text):
+    assert_reads_as_fractions_do(CycloField(5), text)
 
 
 def test_exponent_literals_under_the_digit_limit_still_parse():

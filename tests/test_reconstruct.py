@@ -94,7 +94,7 @@ def test_not_iso_guard():
     free, proj = _null_space(field, total, rows)
     pres = QuotientPresentation(total, free, Matrix.from_rows(field, proj, total))
     quotient = GradedObject(H.carrier.ctx, [("c0", ())])
-    res = CoendResult(D, offsets, pres, quotient)
+    res = CoendResult(D, offsets, pres, quotient, {})
     with pytest.raises(NotIsoError) as err:
         canonical_comparison(res)
     assert err.value.code == "NotIso"
