@@ -145,6 +145,16 @@ BUILTIN_NAMES = [
 ]
 
 
+def _parameter(name, text):
+    """The int that `text` spells in canonical decimal: ASCII digits with
+    no sign, space, underscore or leading zero, so that an entry has one
+    name (and one report digest)."""
+    if not (text.isascii() and text.isdigit() and text == str(int(text))):
+        raise ValueError("builtin %r: parameter %r is not a canonical "
+                         "decimal integer" % (name, text))
+    return int(text)
+
+
 def build(name):
     """Build a catalog entry from its name, e.g. 'taft:2' or 'sweedler'."""
     base, colon, arg = name.partition(":")
@@ -153,13 +163,14 @@ def build(name):
     if base == "group_algebra":
         if not arg:
             raise ValueError("group_algebra needs invariant factors, e.g. group_algebra:2")
-        return group_algebra(AbelianGroup([int(x) for x in arg.split(",")]))
+        return group_algebra(AbelianGroup([_parameter(name, x)
+                                           for x in arg.split(",")]))
     if base == "sweedler":
         return sweedler()
     if base == "exterior_line":
         return exterior_line()
     if base == "nichols_cyclic":
-        return nichols_cyclic(int(arg or 0))
+        return nichols_cyclic(_parameter(name, arg))
     if base == "taft":
-        return taft(int(arg or 0))
+        return taft(_parameter(name, arg))
     raise ValueError("unknown builtin %r" % name)

@@ -1,20 +1,18 @@
 """Command-line front end for the exact Hopf-algebra engine.
 
-Subcommands
------------
-check-hopf             axiom suite on a builtin or spec-file Hopf datum
-antipode               solve for the antipode by convolution inversion
-yd-check               Yetter-Drinfeld axioms and braiding relations
-bosonize               bosonization of a braided Hopf algebra, with maps
-reconstruct            coend reconstruction, emitting the rebuilt datum
-verify-reconstruction  full reconstruction verification report
-stability              coend dimension under independent diagram enlargements
+The commands are the keys of ``HANDLERS``; ``bhl --help`` lists them with
+their one-line help.
 
-Input is either ``--builtin NAME`` (see ``bhl.catalog.BUILTIN_NAMES``) or a
-JSON spec file giving the ambient category (field / group / bicharacter),
+Input is either ``--builtin NAME`` (see ``bhl.catalog.BUILTIN_NAMES``; a
+parameter is spelled in canonical decimal, as in ``taft:2``) or a JSON spec
+file giving the ambient category (field / group / bicharacter),
 named graded objects, a Hopf datum (a builtin reference or explicit
 structure matrices with entries like ``"1/2"`` or ``"2*z^3-1"``), and
 optional Yetter-Drinfeld modules.
+
+Options may come before or after the command.  ``--probes`` adds balancing
+probe degrees to the diagram of ``reconstruct``, ``verify-reconstruction``
+and ``stability``; the other commands refuse it as a usage error.
 
 Reports are canonical JSON: sorted keys, two-space indent, LF endings, and
 no volatile fields (timing appears only in the human summary), so equal
@@ -478,6 +476,9 @@ HANDLERS = {
     "stability": cmd_stability,
 }
 
+# the commands that read --probes; the others refuse it
+PROBES_READ_BY = ("reconstruct", "verify-reconstruction", "stability")
+
 _HELP = {
     "check-hopf": "run the exact axiom suite on a Hopf datum",
     "antipode": "solve for the antipode by convolution inversion",
@@ -492,20 +493,24 @@ _HELP = {
 def build_parser():
     p = argparse.ArgumentParser(
         prog="bhl",
+        usage="%(prog)s COMMAND [SPECFILE | --builtin NAME] [--probes LIST] "
+              "[--out PATH]",
         description="exact checks and coend reconstruction for Hopf "
-                    "algebras in braided graded categories")
-    sub = p.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    for name in HANDLERS:
-        sp = sub.add_parser(name, help=_HELP[name])
-        sp.add_argument("spec", nargs="?", metavar="SPECFILE",
-                        help="JSON spec file describing the input")
-        sp.add_argument("--builtin", metavar="NAME",
-                        help="catalog entry, e.g. sweedler or taft:2")
-        sp.add_argument("--probes", default="", metavar="LIST",
-                        help="extra probe degrees, comma-separated "
-                             "(coordinates colon-separated)")
-        sp.add_argument("--out", metavar="PATH",
-                        help="write the JSON report here instead of stdout")
+                    "algebras\nin braided graded categories",
+        epilog="commands:\n" + "".join("  %-23s %s\n" % item
+                                       for item in _HELP.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    p.add_argument("command", choices=HANDLERS, metavar="COMMAND",
+                   help="one of the commands listed below")
+    p.add_argument("spec", nargs="?", metavar="SPECFILE",
+                   help="JSON spec file describing the input")
+    p.add_argument("--builtin", metavar="NAME",
+                   help="catalog entry, e.g. sweedler or taft:2")
+    p.add_argument("--probes", metavar="LIST",
+                   help="extra probe degrees, comma-separated (coordinates "
+                        "colon-separated); only for " + ", ".join(PROBES_READ_BY))
+    p.add_argument("--out", metavar="PATH",
+                   help="write the JSON report here instead of stdout")
     return p
 
 
@@ -586,7 +591,11 @@ def _silence_stdout():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    # intermixed: options may come before COMMAND, and SPECFILE after them
+    args = parser.parse_intermixed_args(argv)
+    if args.probes is not None and args.command not in PROBES_READ_BY:
+        parser.error("%s does not take --probes" % args.command)
     started = time.monotonic()
     try:
         try:

@@ -37,8 +37,7 @@ dimension).  The certificate checks
   a the sum  sum_b eps(h_b) col(f, a, b)  of its columns is a relation.  Its
   part in A's block is  - sum_j sum_b eps(h_b) rho_A[(b, a'), j] e_(a, j),
   which is -e_(a, a') by A's counit axiom (eps (x) id) rho_A = id (a block
-  is a comodule: checked by `Comodule.__init__` if it came from outside,
-  by the theorem its `comodcat` constructor names if it was built from a
+  is a comodule by the theorem its `comodcat` constructor names, over a
   checked Hopf algebra); the rest lies in B's block, in T.
   So if every degree of every basis vector of a block in S is the degree of
   some cofree block, these sums restrict to S as a signed permutation:

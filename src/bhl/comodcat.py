@@ -15,14 +15,13 @@ sum_b eps(h_b) rho_A[(b, a), j] = [j = a], so the eps-weighted sum of the
 rows of (id (x) E_a) rho_A is the unit row e_a: the coend's certificate
 rests on this (see `coend`).
 
-A comodule that enters from outside, `Comodule(hopf, carrier, coaction)`,
-has its axioms checked exactly at construction by `exactalg.whiskered`
-products, with no Kronecker product.  The constructions here -- the
-regular and trivial comodules, tensor products, duals, the action and
-direct sums -- are comodules by theorem once H is a Hopf algebra (the CLI
-checks that once, at its entry) and their operands are comodules, so they
-are built without a check; each names the premise it rests on.  Their
-coactions are chains of whiskered maps (`gradedcat.chain`).
+`Comodule(hopf, carrier, coaction)` stores its data and checks nothing.
+Every comodule the engine builds -- the regular and trivial comodules,
+tensor products, duals, the action and direct sums -- is a comodule by
+theorem once H is a Hopf algebra (the CLI checks that once, at its entry)
+and its operands are comodules; each constructor names the premise it
+rests on.  Their coactions are chains of whiskered maps
+(`gradedcat.chain`).
 """
 
 from collections import defaultdict
@@ -38,34 +37,14 @@ class Comodule:
 
     `hopf` may be any structure with carrier/delta/eps (coalgebra data is
     enough for hom spaces; tensor and dual need the full Hopf structure).
-    Comodule axioms are verified exactly at construction; the constructions
-    of this module, whose axioms follow from their premises, use
-    `_derived` instead.
+    Nothing is checked here: whoever builds a comodule names the theorem
+    that makes it one.
     """
 
     def __init__(self, hopf, carrier, coaction):
-        H = hopf.carrier
-        require(coaction.source == carrier, "coaction source mismatch")
-        require(coaction.target == tensor_obj(H, carrier),
-                "coaction target mismatch")
-        rho, d = coaction.matrix, carrier.dim
-        require(whiskered(1, hopf.delta.matrix, d, rho)
-                == whiskered(H.dim, rho, 1, rho),
-                "coaction is not coassociative")
-        require(whiskered(1, hopf.eps.matrix, d, rho)
-                == Matrix.identity(rho.field, d),
-                "coaction violates the counit")
         self.hopf = hopf
         self.carrier = carrier
         self.coaction = coaction
-
-    @classmethod
-    def _derived(cls, hopf, carrier, coaction):
-        """A comodule whose axioms follow, by a theorem its caller names,
-        from premises already checked; built without a check."""
-        B = cls.__new__(cls)
-        B.hopf, B.carrier, B.coaction = hopf, carrier, coaction
-        return B
 
     def _key(self):
         return (self.hopf, self.carrier, self.coaction)
@@ -83,14 +62,13 @@ class Comodule:
 def regular_comodule(H):
     """H coacting on itself by the coproduct: a comodule by H's coalgebra
     axioms (coassociativity and the counit)."""
-    return Comodule._derived(H, H.carrier, H.delta)
+    return Comodule(H, H.carrier, H.delta)
 
 
 def trivial_comodule(H, V):
     """V with coaction u (x) id: a comodule because Delta u = u (x) u and
     eps u = 1 (H's unit_compat and unit_counit)."""
-    return Comodule._derived(H, V, chain(V, tensor_obj(H.carrier, V),
-                                         (1, H.u, V.dim)))
+    return Comodule(H, V, chain(V, tensor_obj(H.carrier, V), (1, H.u, V.dim)))
 
 
 def unit_comodule(H):
@@ -109,7 +87,7 @@ def comodule_tensor(A, B):
     n, dV, dW = H.dim, V.dim, W.dim
     carrier = tensor_obj(V, W)
     # (m (x) id (x) id) (id (x) c_{V,H} (x) id) (rho_A (x) rho_B)
-    return Comodule._derived(Hd, carrier, chain(
+    return Comodule(Hd, carrier, chain(
         carrier, tensor_obj(H, carrier), (dV, B.coaction, 1),
         (1, A.coaction, n * dW), (n, braiding(V, H), dW), (1, Hd.m, dV * dW)))
 
@@ -125,7 +103,7 @@ def comodule_dual(A):
     d = left_dual(V)
     D, k = d.space, d.space.dim
     # (((S (x) id) c_{*V,H}) (x) ev) (id (x) rho (x) id) (coev (x) id)
-    return Comodule._derived(Hd, D, chain(
+    return Comodule(Hd, D, chain(
         D, tensor_obj(H, D), (1, d.coev, k), (k, A.coaction, k),
         (k * H.dim, d.ev, 1), (1, braiding(D, H), 1), (1, Hd.S, k)))
 
@@ -134,8 +112,7 @@ def act(B, X):
     """The right action of the ambient category: B (x) X with X inert, a
     comodule by B's own axioms (its coaction is rho_B (x) id)."""
     require(isinstance(X, GradedObject), "an action must be by a graded object")
-    return Comodule._derived(B.hopf, tensor_obj(B.carrier, X),
-                             act_coaction(B, X))
+    return Comodule(B.hopf, tensor_obj(B.carrier, X), act_coaction(B, X))
 
 
 def act_coaction(B, X):
@@ -163,7 +140,7 @@ def direct_sum_comodule(A, B):
         rows[h * n + dA + w] = {dA + c: x for c, x in row.items()}
     rho = GradedMorphism(carrier, tensor_obj(Hd.carrier, carrier),
                          Matrix.from_rows(field, rows, n))
-    return Comodule._derived(Hd, carrier, rho)
+    return Comodule(Hd, carrier, rho)
 
 
 def cofree_degree(B):

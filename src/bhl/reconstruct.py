@@ -188,8 +188,8 @@ def comodule_over_quotient(res, quotient_hopf, B):
     """The image of a block under the equivalence: same carrier, coaction
     rho = psi(pi_B) curried out of the block projection.
 
-    Built without a check, for a block B of dimension at most dim H whose
-    projection pinned quotient_hopf's counit and coproduct: its premises are
+    A comodule for a block B of dimension at most dim H whose projection
+    pinned quotient_hopf's counit and coproduct: its premises are
     eps . pi_B = ev_{F(B)} and Delta . pi_B = (pi_B (x) pi_B)(id (x) coev (x)
     id), which `extract_counit` and `extract_coproduct` verify exactly
     (`read_off` checks X . B_t = C_t for every constraint t) before
@@ -197,7 +197,7 @@ def comodule_over_quotient(res, quotient_hopf, B):
     identity and (Delta (x) id) rho = (id (x) rho) rho both read
     sum_k pi_B[q1, (v, k)] pi_B[q2, (k, w)] at ((q1, q2, w), v)."""
     rho = psi(res.pi(res.diagram.index(B)), B.carrier, B.carrier)
-    return Comodule._derived(quotient_hopf, B.carrier, rho)
+    return Comodule(quotient_hopf, B.carrier, rho)
 
 
 class Reconstruction:

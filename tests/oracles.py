@@ -148,8 +148,9 @@ def braid_relation_by_kron(c, V):
 
 def check_comodule_by_kron(C):
     """The comodule axioms of C, each side a product of Kronecker products:
-    the oracle for the constructions that `comodcat` and
-    `reconstruct.comodule_over_quotient` build without a check."""
+    the oracle for the comodules that `comodcat` and
+    `reconstruct.comodule_over_quotient` build (`Comodule` checks
+    nothing)."""
     Hd, rho, iV = C.hopf, C.coaction, identity_mor(C.carrier)
     return CheckReport([
         ("coassociativity", tensor(Hd.delta, iV) * rho

@@ -380,6 +380,68 @@ def test_bad_probe_rejected(capsys):
     assert "probe" in capsys.readouterr().err
 
 
+def parser_error(argv, capsys):
+    """The exit code and stderr lines of main on a command line that
+    argparse refuses."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code, capsys.readouterr().err.splitlines()
+
+
+@pytest.mark.parametrize("command", ["check-hopf", "antipode", "yd-check",
+                                     "bosonize"])
+def test_probes_is_a_usage_error_where_it_is_not_read(command, capsys):
+    code, lines = parser_error([command, "--builtin", "sweedler",
+                                "--probes", "1"], capsys)
+    assert code == 2
+    assert lines[-1] == "bhl: error: %s does not take --probes" % command
+
+
+def test_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    for command in HANDLERS:
+        assert any(line.split()[:1] == [command] for line in lines), command
+
+
+@pytest.mark.parametrize("argv", [[], ["nope", "--builtin", "sweedler"],
+                                  ["--builtin", "sweedler"]])
+def test_unknown_or_missing_command_is_a_usage_error(argv, capsys):
+    code, lines = parser_error(argv, capsys)
+    assert code == 2
+    assert len(lines) == 2 and lines[0].startswith("usage: bhl "), lines
+    assert lines[1].startswith("bhl: error: argument COMMAND: invalid choice"
+                               if argv[:1] == ["nope"] else
+                               "bhl: error: the following arguments are "
+                               "required: COMMAND"), lines
+
+
+@pytest.mark.parametrize("order", [
+    ["--out", "--probes", "COMMAND", "INPUT"],
+    ["--probes", "COMMAND", "--out", "INPUT"],
+    ["COMMAND", "--out", "--probes", "INPUT"],
+    ["--probes", "--out", "COMMAND", "INPUT"],
+])
+@pytest.mark.parametrize("use_spec", [True, False])
+def test_options_parse_the_same_before_and_after_the_command(order, use_spec,
+                                                             tmp_path):
+    spec = tmp_path / "ref.json"
+    spec.write_text(canonical_json({"hopf": {"builtin": "exterior_line"}}))
+    words = {"COMMAND": ["verify-reconstruction"], "--probes": ["--probes", "1"],
+             "INPUT": [str(spec)] if use_spec
+             else ["--builtin", "exterior_line"]}
+    reports = []
+    for k, layout in enumerate((["COMMAND", "INPUT", "--probes", "--out"],
+                                order)):
+        words["--out"] = ["--out", str(tmp_path / ("r%d.json" % k))]
+        assert main([w for word in layout for w in words[word]]) == 0
+        reports.append((tmp_path / ("r%d.json" % k)).read_bytes())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["dimensions"]["blocks"] > 0
+
+
 # (spec entry to replace in the exterior_line spec, bad value)
 BAD_SPEC_ENTRIES = {
     "entry_divides_by_zero": (("hopf", "m", 0, 0), "1/0"),
@@ -487,6 +549,22 @@ def test_unreadable_spec_file_is_usage_error(bad, tmp_path, capsys):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
     assert reason in err
+
+
+@pytest.mark.parametrize("name", [
+    "taft:02", "taft:0_2", "taft: 2", "taft:2 ", "taft:+2", "taft:", "taft",
+    "taft:\u00b2", "nichols_cyclic:03", "group_algebra:+2",
+    "group_algebra:2,03", "group_algebra:2, 3", "group_algebra:2,"])
+def test_builtin_parameter_must_be_canonical_decimal(name, tmp_path, capsys):
+    # int() read most of these as the canonical spelling, so taft:02 ran
+    # taft:2 under another report digest; each entry now has one name
+    spec = tmp_path / "ref.json"
+    spec.write_text(canonical_json({"hopf": {"builtin": name}}))
+    for args in (["--builtin", name], [str(spec)]):
+        assert main(["check-hopf"] + args) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert "is not a canonical decimal integer" in err, err
 
 
 @pytest.mark.parametrize("name", ["sweedler:3", "sweedler:", "exterior_line:x"])
