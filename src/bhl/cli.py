@@ -12,7 +12,8 @@ optional Yetter-Drinfeld modules.
 
 Options may come before or after the command.  ``--probes`` adds balancing
 probe degrees to the diagram of ``reconstruct``, ``verify-reconstruction``
-and ``stability``; the other commands refuse it as a usage error.
+and ``stability``, and the report's inputs record them; the other commands
+refuse it as a usage error.
 
 Reports are canonical JSON: sorted keys, two-space indent, LF endings, and
 no volatile fields (timing appears only in the human summary), so equal
@@ -316,22 +317,27 @@ def ensure_hopf(datum):
                            datum.eps, S)
 
 
-def _parse_probes(spec, group):
-    if not spec:
-        return ()
-    out = []
-    for item in spec.split(","):
-        item = item.strip()
-        if not item:
-            continue
+def _read_probes(args, datum, inputs):
+    """Parse a given --probes list into args.probes, degrees reduced in the
+    datum's group, and record them in `inputs`.  A coordinate must be
+    spelled as str() writes its int: canonical decimal, optional "-"."""
+    if args.probes is None:
+        return
+    group, out = datum.carrier.ctx.group, []
+    for item in args.probes.split(","):
+        parts = item.split(":")
         try:
-            parts = tuple(int(x) for x in item.split(":"))
-        except ValueError:
-            raise SchemaError("bad probe %r" % item) from None
+            degree = [int(x) for x in parts]
+        except ValueError:  # no int literal, or more digits than int() reads
+            degree = []
+        _require(list(map(str, degree)) == parts,
+                 "bad probe %r: coordinates must be canonical decimal "
+                 "integers" % item)
         _require(len(parts) == group.rank,
                  "probe %r must have %d coordinate(s)" % (item, group.rank))
-        out.append(group.element(parts))
-    return tuple(out)
+        out.append(group.element(degree))
+    args.probes = tuple(out)
+    inputs["probes"] = [list(d) for d in out]
 
 
 # ---------------------------------------------------------------------------
@@ -411,8 +417,7 @@ def _run_reconstruction(datum, args, emit_datum):
     from .coend import reconstruction_diagram
     from .reconstruct import reconstruct
     H = ensure_hopf(datum)
-    probes = _parse_probes(args.probes, H.carrier.ctx.group)
-    r = reconstruct(H, diagram=reconstruction_diagram(H, probes))
+    r = reconstruct(H, diagram=reconstruction_diagram(H, args.probes or ()))
     body = {
         "dimensions": {
             "hopf": H.carrier.dim,
@@ -442,8 +447,7 @@ def cmd_stability(datum, args, doc, objects):
                            unit_comodule)
     H = ensure_hopf(datum)
     ctx = H.carrier.ctx
-    probes = _parse_probes(args.probes, ctx.group)
-    base = default_diagram(H, probes)
+    base = default_diagram(H, args.probes or ())
     small = compute_coend(base)
     small.check_regular_surjective()
     reg, one = base.regular, base.index(base.derived(unit_comodule))
@@ -534,6 +538,7 @@ def _load_input(args):
         except ValueError as exc:
             raise SchemaError(str(exc)) from None
         desc = {"builtin": args.builtin}
+        _read_probes(args, datum, desc)
         digest = hashlib.sha256(canonical_json(desc).encode()).hexdigest()
         return datum, None, {}, desc, digest
     if not args.spec:
@@ -551,6 +556,7 @@ def _load_input(args):
         raise SchemaError("parse error: %s" % exc) from None
     datum, objects = datum_from_spec(doc)
     desc = {"file": os.path.basename(args.spec)}
+    _read_probes(args, datum, desc)
     return datum, doc, objects, desc, hashlib.sha256(raw).hexdigest()
 
 

@@ -68,7 +68,7 @@ def test_criterion_3_reconstructed_structure_matches(reconstructions):
         assert Q.m == h * H.m * (hinv @ hinv), name
         assert Q.u == h * H.u, name
         assert Q.S == h * H.S * hinv, name
-        # the dual-block route (already cross-checked inside reconstruct)
+        # the dual-block route, which reconstruct proves by transport only,
         # agrees with an independently solved convolution inverse
         S_conv = solve_antipode(
             BialgebraData(Q.carrier, Q.m, Q.u, Q.delta, Q.eps))

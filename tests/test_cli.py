@@ -2,9 +2,11 @@
 codes, error codes, and byte-identical reports."""
 
 import hashlib
+import importlib
 import io
 import json
 import os
+import pkgutil
 import re
 import shutil
 import subprocess
@@ -374,10 +376,71 @@ def test_bad_threads_value_rejected(monkeypatch, capsys):
     assert "BHL_THREADS" in capsys.readouterr().err
 
 
+def _engine_error_codes():
+    """The code of every EngineError subclass that a bhl module defines."""
+    for info in pkgutil.iter_modules(bhl.__path__):
+        if info.name != "__main__":  # it runs the CLI when imported
+            importlib.import_module("bhl." + info.name)
+    codes, todo = set(), [EngineError]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if sub.__module__.split(".")[0] == "bhl":
+                codes.add(sub.code)
+    return codes
+
+
+def test_readme_lists_every_error_code():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    listed = re.search(r"machine-readable codes\s*\(([^)]*)\)", readme)
+    assert listed, "README.md lists no machine-readable codes"
+    codes = re.findall(r"`(\w+)`", listed.group(1))
+    assert len(codes) == len(set(codes)), codes
+    assert set(codes) == _engine_error_codes()
+
+
 def test_bad_probe_rejected(capsys):
     assert main(["verify-reconstruction", "--builtin", "exterior_line",
                  "--probes", "1:2"]) == 2
     assert "probe" in capsys.readouterr().err
+
+
+def test_probes_enter_the_inputs_and_the_digest(tmp_path):
+    """--probes changes the diagram, so the report records the probe
+    degrees, reduced in the group (4 is 1 in Z/3), and for a builtin they
+    enter the digest."""
+    reports = {}
+    for probes in (None, "1", "4"):
+        extra = [] if probes is None else ["--probes", probes]
+        out = tmp_path / ("r%s.json" % probes)
+        assert main(["verify-reconstruction", "--builtin", "nichols_cyclic:3",
+                     "--out", str(out)] + extra) == 0
+        reports[probes] = out.read_bytes()
+    plain, probed = (json.loads(reports[k]) for k in (None, "1"))
+    assert plain["inputs"] == {"builtin": "nichols_cyclic:3"}
+    assert probed["inputs"] == {"builtin": "nichols_cyclic:3",
+                                "probes": [[1]]}
+    assert probed["digest"] != plain["digest"]
+    assert probed["dimensions"]["blocks"] > plain["dimensions"]["blocks"]
+    assert reports["1"] == reports["4"]
+
+
+@pytest.mark.parametrize("probes", [
+    "1_0", " +1", "+1", "01", "-0", "1 ", "\u0661", "1,,2", "", "-", "1:",
+    pytest.param("1" * 5000, id="past_the_int_digit_limit")])
+def test_probe_coordinates_must_be_canonical_decimal(probes, capsys):
+    assert main(["verify-reconstruction", "--builtin", "nichols_cyclic:3",
+                 "--probes=" + probes]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: bad probe"), lines
+
+
+def test_negative_probe_coordinates_are_read():
+    assert main(["verify-reconstruction", "--builtin", "nichols_cyclic:3",
+                 "--probes=-1,2"]) == 0
 
 
 def parser_error(argv, capsys):

@@ -1,20 +1,26 @@
 """Structure extraction from the coend: counit, coproduct, product, unit,
-antipode (two routes), comparison isomorphism, equivalence samples."""
+antipode, comparison isomorphism, equivalence samples; the quotient proved
+Hopf by transport along the comparison, with the full axiom check as the
+diagnosis when the comparison is not a Hopf morphism."""
+
+import json
 
 import pytest
 
-from bhl.braidedhopf import BialgebraData, check_hopf, solve_antipode
+import bhl.reconstruct
+from bhl.braidedhopf import (BialgebraData, check_hopf, check_hopf_morphism,
+                             solve_antipode)
 from bhl.catalog import BUILTIN_NAMES, build, group_algebra, sweedler
+from bhl.cli import main
 from bhl.coend import (CoendResult, Diagram, _block_spaces, compute_coend,
                        reconstruction_diagram)
 from bhl.comodcat import direct_sum_comodule, regular_comodule, unit_comodule
 from bhl.exactalg import (Matrix, NoSolutionError, QuotientPresentation,
                           _null_space)
-from bhl.gradedcat import GradedObject, braiding, identity_mor
+from bhl.gradedcat import GradedMorphism, GradedObject, identity_mor
 from bhl.reconstruct import (
-    CrossCheckMismatchError, NotIsoError, Reconstruction, canonical_comparison,
-    extract_antipode, extract_coproduct, extract_counit, extract_product,
-    reconstruct,
+    NotIsoError, Reconstruction, canonical_comparison, extract_antipode,
+    extract_coproduct, extract_counit, extract_product, reconstruct,
 )
 
 
@@ -68,20 +74,62 @@ def test_antipode_cross_check_is_independent():
     assert S_conv == Q.S
 
 
-def test_antipode_cross_check_mismatch_detected():
-    # feeding the co-opposite bialgebra makes the convolution route return
-    # the inverse antipode; on Sweedler's algebra S^2 != id, so the two
-    # routes must disagree
-    H = sweedler()
-    res = compute_coend(reconstruction_diagram(H))
-    flip = braiding(H.carrier, H.carrier)
-    cop = BialgebraData(H.carrier, H.m, H.u, flip * H.delta, H.eps)
-    # sanity: the co-opposite really is a bialgebra with the inverse antipode
-    S_cop = solve_antipode(cop)
-    assert S_cop != H.S and S_cop * H.S == identity_mor(H.carrier)
-    with pytest.raises(CrossCheckMismatchError) as err:
-        extract_antipode(res, cop)
-    assert err.value.code == "CrossCheckMismatch"
+def flags(r):
+    return dict(r.checks.checks)
+
+
+@pytest.fixture
+def wrong_antipode(monkeypatch):
+    """Plant S^-1, the antipode of the co-opposite, as Q's antipode.  On
+    Sweedler's algebra S^2 != id, so it is not Q's antipode."""
+    extract = bhl.reconstruct.extract_antipode
+
+    def inverse(res):
+        S = extract(res)
+        S_inv = S.inverse()
+        assert S_inv != S and S * S_inv == identity_mor(S.source)
+        return S_inv
+
+    monkeypatch.setattr(bhl.reconstruct, "extract_antipode", inverse)
+
+
+def test_a_wrong_antipode_fails_the_comparison_and_the_diagnosis(
+        wrong_antipode):
+    r = reconstruct(sweedler())
+    assert not flags(r)["comparison_is_hopf_morphism"]
+    assert not flags(r)["quotient_is_hopf"]
+    assert check_hopf_morphism(r.comparison, r.hopf,
+                               r.quotient_hopf).failures() == [
+        "respects_antipode"]
+
+
+def test_a_wrong_antipode_fails_the_cli_report(wrong_antipode, tmp_path,
+                                               capsys):
+    out = tmp_path / "r.json"
+    assert main(["verify-reconstruction", "--builtin", "sweedler",
+                 "--out", str(out)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads(out.read_text())
+    assert report["status"] == "fail"
+    failed = {c["name"] for c in report["checks"] if c["status"] == "fail"}
+    assert failed == {"quotient_is_hopf", "comparison_is_hopf_morphism"}
+
+
+def test_a_comparison_that_is_not_a_morphism_leaves_the_quotient_hopf(
+        monkeypatch):
+    # 2h is bijective and degree-preserving but breaks respects_m; the
+    # quotient itself is untouched, so the diagnosis must find it Hopf
+    compare = bhl.reconstruct.canonical_comparison
+
+    def doubled(res):
+        h = compare(res)
+        two = h.source.ctx.field.scalar(2)
+        return GradedMorphism(h.source, h.target, h.matrix.scale(two))
+
+    monkeypatch.setattr(bhl.reconstruct, "canonical_comparison", doubled)
+    r = reconstruct(sweedler())
+    assert not flags(r)["comparison_is_hopf_morphism"]
+    assert flags(r)["quotient_is_hopf"]
 
 
 def test_not_iso_guard():
