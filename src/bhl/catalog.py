@@ -11,7 +11,7 @@ algebra, taft(2) relabelled.  Building the same name twice gives equal
 data.
 """
 
-from .exactalg import CycloField
+from .exactalg import CycloField, canonical_int
 from .braidedhopf import (HopfAlgebraData, YDModuleData, bosonize_with_maps,
                           _group_algebra_on)
 from .gradedcat import (AbelianGroup, Bicharacter, Context, GradedMorphism,
@@ -146,13 +146,14 @@ BUILTIN_NAMES = [
 
 
 def _parameter(name, text):
-    """The int that `text` spells in canonical decimal: ASCII digits with
-    no sign, space, underscore or leading zero, so that an entry has one
-    name (and one report digest)."""
-    if not (text.isascii() and text.isdigit() and text == str(int(text))):
+    """The int that `text` spells in canonical decimal (no sign: see
+    `canonical_int`), so that an entry has one name (and one report
+    digest)."""
+    value = canonical_int(text)
+    if value is None:
         raise ValueError("builtin %r: parameter %r is not a canonical "
                          "decimal integer" % (name, text))
-    return int(text)
+    return value
 
 
 def build(name):

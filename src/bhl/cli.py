@@ -17,7 +17,20 @@ refuse it as a usage error.
 
 Reports are canonical JSON: sorted keys, two-space indent, LF endings, and
 no volatile fields (timing appears only in the human summary), so equal
-inputs yield byte-identical report files.
+inputs yield byte-identical report files.  The digest is the sha256 of a
+spec file's bytes, or of the canonical JSON of the inputs for a builtin;
+with ``--probes``, a spec file's digest is that of the canonical JSON of
+its sha256 and the probe degrees, so it covers what the report's inputs
+record.
+
+Each command runs in a process of its own, so this module imports only the
+layers every command needs (`exactalg`, `gradedcat`, `braidedhopf`).  The
+catalog is imported only when an input names a builtin, and `coend`,
+`comodcat` and `reconstruct` only by the commands that run them.
+``python -m bhl`` and ``python -m bhl.cli`` end by `exit_after_flush`:
+once stdout and stderr are flushed, ``os._exit`` skips the interpreter's
+teardown.  The ``bhl`` console script calls `main` and keeps the
+interpreter's normal exit, as in-process callers of `main` do.
 
 Each input is verified once, here at the boundary (`ensure_hopf`): before
 ``yd-check``, ``bosonize``, ``reconstruct``, ``verify-reconstruction`` and
@@ -30,7 +43,9 @@ commands build from a checked input (comodules, their tensor products,
 duals and sums) holds by theorem and is not checked again.
 
 The ``BHL_THREADS`` environment variable is validated but reserved: when
-set it must be a positive integer (anything else is a usage error), yet it
+set it must be a positive integer in canonical decimal, the one spelling
+that builtin parameters and probe coordinates accept too (``02``, ``+3``,
+`` 2`` and ``1_0`` are usage errors, as is anything else), yet it
 drives no parallelism -- the engine runs in one thread -- and never affects
 results.  Exit status: 0 all checks pass, 1 a check failed or a
 computation error was reported (among them ``NotHopf``, an input that
@@ -50,17 +65,18 @@ from .braidedhopf import (
     check_hopf, check_hopf_morphism, check_yd, solve_antipode, yd_braiding,
     yd_braiding_inverse,
 )
-from .catalog import build, yd_samples
 from .exactalg import (CycloField, EngineError, InvalidStructureError,
-                       Matrix, format_scalar, parse_scalar)
+                       Matrix, canonical_int, format_scalar, parse_scalar)
 from .gradedcat import (AbelianGroup, Bicharacter, Context, GradedMorphism,
                         GradedObject, identity_mor, line_object, tensor_obj,
                         unit_object)
 
-# The coend and reconstruction modules are imported by the commands that
-# use them: each command is a process of its own, and loading them (a
-# compile, when bytecode is not cached) costs the axiom commands several
-# milliseconds of start-up for nothing.
+# The catalog is imported only where an input names a builtin, and the
+# coend and reconstruction modules only by the commands that use them: each
+# command is a process of its own, and loading a module it does not run (a
+# compile, when bytecode is not cached) costs its start-up for nothing.  A
+# function-local import reads the module's attribute at each call, so a
+# caller that rebinds `bhl.catalog.build` is still heard.
 
 
 class SchemaError(ValueError):
@@ -195,6 +211,7 @@ def datum_from_spec(doc):
     block = doc.get("hopf")
     _require(isinstance(block, dict), "missing hopf block")
     if "builtin" in block:
+        from .catalog import build
         try:
             datum = build(str(block["builtin"]))
         except ValueError as exc:
@@ -320,17 +337,14 @@ def ensure_hopf(datum):
 def _read_probes(args, datum, inputs):
     """Parse a given --probes list into args.probes, degrees reduced in the
     datum's group, and record them in `inputs`.  A coordinate must be
-    spelled as str() writes its int: canonical decimal, optional "-"."""
+    spelled as str() writes its int (`canonical_int`, signed)."""
     if args.probes is None:
         return
     group, out = datum.carrier.ctx.group, []
     for item in args.probes.split(","):
         parts = item.split(":")
-        try:
-            degree = [int(x) for x in parts]
-        except ValueError:  # no int literal, or more digits than int() reads
-            degree = []
-        _require(list(map(str, degree)) == parts,
+        degree = [canonical_int(x, signed=True) for x in parts]
+        _require(None not in degree,
                  "bad probe %r: coordinates must be canonical decimal "
                  "integers" % item)
         _require(len(parts) == group.rank,
@@ -373,6 +387,7 @@ def cmd_yd_check(datum, args, doc, objects):
     H = ensure_hopf(datum)
     mods = yd_from_spec(doc, H, objects) if doc else []
     if not mods:
+        from .catalog import yd_samples
         mods = yd_samples(H)
     rows, all_ok = [], True
     for name, yd in mods:
@@ -522,25 +537,27 @@ def _threads_from_env():
     raw = os.environ.get("BHL_THREADS")
     if raw is None:
         return
-    try:
-        val = int(raw)
-    except ValueError:
-        val = 0
-    _require(val >= 1, "BHL_THREADS must be a positive integer, got %r" % raw)
+    val = canonical_int(raw)
+    _require(val is not None and val >= 1,
+             "BHL_THREADS must be a positive integer, got %r" % raw)
+
+
+def _digest(description):
+    return hashlib.sha256(canonical_json(description).encode()).hexdigest()
 
 
 def _load_input(args):
     if args.builtin and args.spec:
         raise SchemaError("give either --builtin or a spec file, not both")
     if args.builtin:
+        from .catalog import build
         try:
             datum = build(args.builtin)
         except ValueError as exc:
             raise SchemaError(str(exc)) from None
         desc = {"builtin": args.builtin}
         _read_probes(args, datum, desc)
-        digest = hashlib.sha256(canonical_json(desc).encode()).hexdigest()
-        return datum, None, {}, desc, digest
+        return datum, None, {}, desc, _digest(desc)
     if not args.spec:
         raise SchemaError("provide --builtin NAME or a spec file path")
     with open(args.spec, "rb") as fh:
@@ -557,7 +574,10 @@ def _load_input(args):
     datum, objects = datum_from_spec(doc)
     desc = {"file": os.path.basename(args.spec)}
     _read_probes(args, datum, desc)
-    return datum, doc, objects, desc, hashlib.sha256(raw).hexdigest()
+    digest = hashlib.sha256(raw).hexdigest()
+    if "probes" in desc:  # they change the diagram, so the digest covers them
+        digest = _digest({"sha256": digest, "probes": desc["probes"]})
+    return datum, doc, objects, desc, digest
 
 
 def _emit(payload, out_path):
@@ -631,5 +651,23 @@ def main(argv=None):
         return 2
 
 
+def exit_after_flush(code):
+    """End the process with `code` as soon as stdout and stderr are
+    flushed, skipping the interpreter's teardown of every module and
+    object, which costs a short command more than its engine work.
+
+    That is safe because nothing in bhl registers an atexit handler,
+    starts a thread or leaves a file open: every report goes through
+    `_emit` (a closed file, or a flushed stdout) and `_summary` (flushed).
+    Keep it so.  If a flush fails (say, stdout is a closed pipe), the
+    process ends by sys.exit as before."""
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (AttributeError, OSError, ValueError):  # no stream, or a closed one
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    exit_after_flush(main())

@@ -382,6 +382,22 @@ def _digits(text):
     return text.isascii() and text.isdigit()
 
 
+def canonical_int(text, signed=False):
+    """The int that `text` spells as str() writes one -- ASCII digits with
+    no sign, space, underscore or leading zero, plus, when `signed`, an
+    optional "-" -- or None for any other spelling, or for more digits
+    than int() reads.  Every integer the command line reads goes through
+    here, so that each value has one spelling."""
+    body = text[1:] if signed and text[:1] == "-" else text
+    if not _digits(body):
+        return None
+    try:
+        value = int(text)
+    except ValueError:  # past the interpreter's int digit limit
+        return None
+    return value if str(value) == text else None
+
+
 def _check_exponent(body):
     """ValueError, as for an int literal over Python's digit limit, if the
     exponent of the literal `body` plus its mantissa digits exceed it:

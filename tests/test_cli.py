@@ -23,7 +23,7 @@ import bhl
 from bhl.braidedhopf import HopfAlgebraData, check_bialgebra, check_hopf
 from bhl.catalog import build
 from bhl.cli import (HANDLERS, SchemaError, canonical_json, datum_from_spec,
-                     hopf_to_spec, matrix_to_spec, main)
+                     exit_after_flush, hopf_to_spec, matrix_to_spec, main)
 from bhl.exactalg import EngineError
 
 
@@ -376,6 +376,19 @@ def test_bad_threads_value_rejected(monkeypatch, capsys):
     assert "BHL_THREADS" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("threads", ["1_0", " 2", "2 ", "+3", "\u0663", "02",
+                                     "-1"])
+def test_threads_must_be_canonical_decimal(threads, monkeypatch, capsys):
+    # int() read all but the last as a positive count, so BHL_THREADS had
+    # many spellings; it is read as builtin parameters and probes are
+    monkeypatch.setenv("BHL_THREADS", threads)
+    assert main(["check-hopf", "--builtin", "group_algebra:2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: BHL_THREADS must be a positive integer, "
+                            "got %r\n" % threads)
+
+
 def _engine_error_codes():
     """The code of every EngineError subclass that a bhl module defines."""
     for info in pkgutil.iter_modules(bhl.__path__):
@@ -441,6 +454,24 @@ def test_probe_coordinates_must_be_canonical_decimal(probes, capsys):
 def test_negative_probe_coordinates_are_read():
     assert main(["verify-reconstruction", "--builtin", "nichols_cyclic:3",
                  "--probes=-1,2"]) == 0
+
+
+def test_a_spec_files_digest_covers_its_probes(tmp_path):
+    """Without --probes a spec file's digest is the file's sha256 (which
+    perfbench and test_golden check); with them it covers the probe
+    degrees that the report's inputs record, as a builtin's digest does."""
+    spec = tmp_path / "ref.json"
+    spec.write_text(canonical_json({"hopf": {"builtin": "nichols_cyclic:3"}}))
+    digests = {}
+    for probes in (None, "1", "4", "2"):
+        extra = [] if probes is None else ["--probes", probes]
+        out = tmp_path / ("r%s.json" % probes)
+        assert main(["verify-reconstruction", str(spec), "--out", str(out)]
+                    + extra) == 0
+        digests[probes] = json.loads(out.read_text())["digest"]
+    assert digests[None] == hashlib.sha256(spec.read_bytes()).hexdigest()
+    assert digests["1"] == digests["4"]  # one degree of Z/3
+    assert len({digests[None], digests["1"], digests["2"]}) == 3
 
 
 def parser_error(argv, capsys):
@@ -617,7 +648,8 @@ def test_unreadable_spec_file_is_usage_error(bad, tmp_path, capsys):
 @pytest.mark.parametrize("name", [
     "taft:02", "taft:0_2", "taft: 2", "taft:2 ", "taft:+2", "taft:", "taft",
     "taft:\u00b2", "nichols_cyclic:03", "group_algebra:+2",
-    "group_algebra:2,03", "group_algebra:2, 3", "group_algebra:2,"])
+    "group_algebra:2,03", "group_algebra:2, 3", "group_algebra:2,",
+    pytest.param("taft:" + "1" * 5000, id="past_the_int_digit_limit")])
 def test_builtin_parameter_must_be_canonical_decimal(name, tmp_path, capsys):
     # int() read most of these as the canonical spelling, so taft:02 ran
     # taft:2 under another report digest; each entry now has one name
@@ -798,17 +830,47 @@ def test_installed_bhl_script_matches_entry_point():
     assert installed.stdout == declared.stdout
 
 
+def run_python(code, *args):
+    """`python -c code args...` with this process's bhl importable."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(bhl.__file__).resolve().parent.parent)
+    return subprocess.run([sys.executable, "-c", code] + list(args),
+                          capture_output=True, text=True, timeout=60, env=env)
+
+
 def test_importing_the_cli_leaves_fractions_out():
     # scalars are parsed and formatted with ints; fractions (and the
     # decimal module it imports) would add to every command's start-up
-    code = ("import sys, bhl.cli; "
-            "print(sorted({'fractions', 'decimal'} & set(sys.modules)))")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(Path(bhl.__file__).resolve().parent.parent)
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=60, env=env)
+    proc = run_python("import sys, bhl.cli; print(sorted(set(sys.modules) & "
+                      "{'fractions', 'decimal'}))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_importing_the_cli_loads_no_command_module():
+    # the catalog, coend, comodule and reconstruction modules load only in
+    # the commands that use them
+    proc = run_python("import sys, bhl.cli; print(sorted(set(sys.modules) & "
+                      "{'bhl.catalog', 'bhl.coend', 'bhl.comodcat', "
+                      "'bhl.reconstruct'}))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command", ["check-hopf", "antipode"])
+def test_only_a_builtin_input_loads_the_catalog(command, tmp_path):
+    explicit, reference = tmp_path / "ga3.json", tmp_path / "ref.json"
+    explicit.write_text(canonical_json(hopf_to_spec(build("group_algebra:3"))))
+    reference.write_text(canonical_json({"hopf": {"builtin": "sweedler"}}))
+    code = ("import sys, bhl.cli\n"
+            "code = bhl.cli.main(sys.argv[1:])\n"
+            "print(code, 'bhl.catalog' in sys.modules)")
+    out = str(tmp_path / "report.json")
+    for args, loads in (([str(explicit)], False), ([str(reference)], True),
+                        (["--builtin", "sweedler"], True)):
+        proc = run_python(code, command, *args, "--out", out)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 %s" % loads, args
 
 
 def test_python_m_bhl_runs_the_cli():
@@ -870,6 +932,74 @@ def test_optimized_interpreter_reproduces_the_golden_report(tmp_path):
                                "nichols_cyclic:3", "--out", str(out)])
     assert proc.returncode == want["exit"], proc.stderr.decode()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == want["sha256"]
+
+
+# ---------------------------------------------------------------------------
+# process exit
+# ---------------------------------------------------------------------------
+
+def exit_path(case, spec):
+    """(argv, exit code) of one way a command ends; it may write `spec`."""
+    if case == "pass":
+        return ["check-hopf", "--builtin", "sweedler"], 0
+    if case == "fail":
+        return ["yd-check", "--builtin", "sweedler"], 1
+    if case == "not_hopf":  # m(1 (x) g) = 2g
+        doc = hopf_to_spec(build("sweedler"))
+        doc["hopf"]["m"][1][1] = "2"
+        spec.write_text(canonical_json(doc))
+        return ["yd-check", str(spec)], 1
+    spec.write_text('{"hopf": 3}')  # a usage error
+    return ["check-hopf", str(spec)], 2
+
+
+def without_elapsed(text):
+    return re.sub(rb"\(\d+\.\d+s\)", b"(s)", text)
+
+
+@pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
+@pytest.mark.parametrize("case", ["pass", "fail", "not_hopf", "bad_spec"])
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+@pytest.mark.parametrize("module", ["bhl", "bhl.cli"])
+def test_a_command_process_ends_as_main_returns(module, flags, case, out,
+                                                tmp_path, capsys):
+    """python -m bhl[.cli] ends by os._exit once its output is flushed:
+    its exit code, stdout, stderr and report equal those of main() run
+    in-process, on a pass, a failed check, NotHopf and a usage error."""
+    args, want = exit_path(case, tmp_path / "spec.json")
+    reports = [tmp_path / "in-process.json", tmp_path / "child.json"]
+    assert main(args + ["--out", str(reports[0])] if out else args) == want
+    captured = capsys.readouterr()
+    assert ("error[NotHopf]: " in captured.err) == (case == "not_hopf")
+    proc = run_module(flags, args + ["--out", str(reports[1])] if out
+                      else args, module=module)
+    assert proc.returncode == want, proc.stderr.decode()
+    assert (without_elapsed(proc.stdout)
+            == without_elapsed(captured.out.encode()))
+    assert (without_elapsed(proc.stderr).splitlines()
+            == without_elapsed(captured.err.encode()).splitlines())
+    assert [r.read_bytes() if r.exists() else None for r in reports] == (
+        [reports[0].read_bytes()] * 2 if want < 2 and out else [None, None])
+
+
+def test_exit_after_flush_ends_by_os_exit(monkeypatch):
+    exits = []
+    monkeypatch.setattr(os, "_exit", exits.append)
+    exit_after_flush(1)  # os._exit itself never returns
+    assert exits == [1]
+
+
+def test_exit_after_flush_falls_back_to_sys_exit(monkeypatch):
+    class ClosedPipe(io.StringIO):
+        def flush(self):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    exits = []
+    monkeypatch.setattr(os, "_exit", exits.append)
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    with pytest.raises(SystemExit) as exc:
+        exit_after_flush(2)
+    assert exc.value.code == 2 and exits == []
 
 
 # ---------------------------------------------------------------------------
