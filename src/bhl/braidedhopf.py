@@ -281,6 +281,22 @@ def braid_relation(c, V):
             - chain(VVV, VVV, (d, c, 1), (1, c, d), (d, c, 1)))
 
 
+def yd_samples(H):
+    """Three sample Yetter-Drinfeld structures on the carrier of H itself:
+    trivial action with the regular coaction, trivial with trivial, and the
+    regular action with the trivial coaction.  All three are YD modules
+    precisely when H is commutative and cocommutative, as kG is."""
+    V, VV = H.carrier, tensor_obj(H.carrier, H.carrier)
+    trivial_action = chain(VV, V, (1, H.eps, V.dim))
+    trivial_coaction = chain(V, VV, (1, H.u, V.dim))
+    return [("trivial_action_regular_coaction",
+             YDModuleData(H, V, trivial_action, H.delta)),
+            ("trivial_action_trivial_coaction",
+             YDModuleData(H, V, trivial_action, trivial_coaction)),
+            ("regular_action_trivial_coaction",
+             YDModuleData(H, V, H.m, trivial_coaction))]
+
+
 # ---------------------------------------------------------------------------
 # bosonization
 # ---------------------------------------------------------------------------

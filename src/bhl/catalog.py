@@ -1,21 +1,20 @@
 """Builtin catalog of Hopf algebra examples.
 
 Entries are built by formula and checked nowhere here: an input is checked
-once, where it enters a command (`cli.ensure_hopf`), and the test suite
-proves every entry (`test_all_builtins_pass_axiom_suite`).  The formulas
-are the known ones: kG for a finite abelian group G; the rank-one Nichols
-algebra nichols_cyclic(p), with its antipode S(x^k) = (-1)^k q^(k(k-1)/2)
-x^k; taft(p), its bosonization by Z/p, a Hopf algebra by the
-Radford-Majid theorem; the exterior line, nichols_cyclic(2); and Sweedler's
-algebra, taft(2) relabelled.  Building the same name twice gives equal
-data.
+once, by the command line's entry check (`cli.ensure_hopf`), and the test
+suite proves every entry (`test_all_builtins_pass_axiom_suite`).  The
+formulas are the known ones: kG for a finite abelian group G; the rank-one
+Nichols algebra nichols_cyclic(p), with its antipode
+S(x^k) = (-1)^k q^(k(k-1)/2) x^k; taft(p), its bosonization by Z/p, a Hopf
+algebra by the Radford-Majid theorem; the exterior line,
+nichols_cyclic(2); and Sweedler's algebra, taft(2) relabelled.  Building
+the same name twice gives equal data.
 """
 
 from .exactalg import CycloField, canonical_int
-from .braidedhopf import (HopfAlgebraData, YDModuleData, bosonize_with_maps,
-                          _group_algebra_on)
+from .braidedhopf import HopfAlgebraData, bosonize_with_maps, _group_algebra_on
 from .gradedcat import (AbelianGroup, Bicharacter, Context, GradedMorphism,
-                        GradedObject, chain, tensor_obj, unit_object)
+                        GradedObject, tensor_obj, unit_object)
 
 
 def group_algebra(group):
@@ -114,25 +113,6 @@ def exterior_line():
     vector spaces (Z/2-grading, sign braiding): x^2 = 0,
     Delta x = x (x) 1 + 1 (x) x, S(x) = -x.  It is nichols_cyclic(2)."""
     return nichols_cyclic(2)
-
-
-def yd_samples(H):
-    """Three sample Yetter-Drinfeld structures on the carrier of H itself:
-    trivial action with the regular coaction, trivial with trivial, and the
-    regular action with the trivial coaction.  The trio satisfies the YD
-    compatibility precisely when H is commutative and cocommutative, so all
-    three pass for group algebras."""
-    V, VV = H.carrier, tensor_obj(H.carrier, H.carrier)
-    trivial_action = chain(VV, V, (1, H.eps, V.dim))
-    trivial_coaction = chain(V, VV, (1, H.u, V.dim))
-    return [
-        ("trivial_action_regular_coaction",
-         YDModuleData(H, H.carrier, trivial_action, H.delta)),
-        ("trivial_action_trivial_coaction",
-         YDModuleData(H, H.carrier, trivial_action, trivial_coaction)),
-        ("regular_action_trivial_coaction",
-         YDModuleData(H, H.carrier, H.m, trivial_coaction)),
-    ]
 
 
 BUILTIN_NAMES = [

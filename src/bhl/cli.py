@@ -25,21 +25,21 @@ record.
 
 Each command runs in a process of its own, so this module imports only the
 layers every command needs (`exactalg`, `gradedcat`, `braidedhopf`).  The
-catalog is imported only when an input names a builtin, and `coend`,
-`comodcat` and `reconstruct` only by the commands that run them.
+catalog loads only at `_builtin`, when an input names a builtin, and
+`coend`, `comodcat` and `reconstruct` only in the commands that run them.
 ``python -m bhl`` and ``python -m bhl.cli`` end by `exit_after_flush`:
 once stdout and stderr are flushed, ``os._exit`` skips the interpreter's
 teardown.  The ``bhl`` console script calls `main` and keeps the
 interpreter's normal exit, as in-process callers of `main` do.
 
-Each input is verified once, here at the boundary (`ensure_hopf`): before
-``yd-check``, ``bosonize``, ``reconstruct``, ``verify-reconstruction`` and
-``stability`` use a datum, its Hopf axioms are checked (a datum without S
-is checked as a bialgebra and S is solved for), and a datum that fails
-ends with ``error[NotHopf]``.  ``check-hopf`` reports the axioms itself and
-``antipode`` solves for S itself, so neither runs the entry check.  The
-catalog builds its entries by formula and checks nothing, and what the
-commands build from a checked input (comodules, their tensor products,
+Each input is verified once, in `main`, as soon as it is loaded: for the
+commands of ``ENTRY_CHECKED`` it must pass `ensure_hopf` (its Hopf axioms
+are checked; a datum without S is checked as a bialgebra and S is solved
+for), and a datum that fails ends with ``error[NotHopf]``.  No command
+checks its input itself: ``check-hopf`` reports the axioms and
+``antipode`` solves for S, so neither runs the entry check.  The catalog
+builds its entries by formula and checks nothing, and what the commands
+build from a checked input (comodules, their tensor products,
 duals and sums) holds by theorem and is not checked again.
 
 The ``BHL_THREADS`` environment variable is validated but reserved: when
@@ -63,18 +63,17 @@ from .braidedhopf import (
     BialgebraData, CheckReport, HopfAlgebraData, YDModuleData,
     antipode_residual, bosonize_with_maps, braid_relation, check_bialgebra,
     check_hopf, check_hopf_morphism, check_yd, solve_antipode, yd_braiding,
-    yd_braiding_inverse,
+    yd_braiding_inverse, yd_samples,
 )
 from .exactalg import (CycloField, EngineError, InvalidStructureError,
                        Matrix, canonical_int, format_scalar, parse_scalar)
 from .gradedcat import (AbelianGroup, Bicharacter, Context, GradedMorphism,
-                        GradedObject, identity_mor, line_object, tensor_obj,
-                        unit_object)
+                        GradedObject, identity_mor, tensor_obj, unit_object)
 
-# The catalog is imported only where an input names a builtin, and the
-# coend and reconstruction modules only by the commands that use them: each
-# command is a process of its own, and loading a module it does not run (a
-# compile, when bytecode is not cached) costs its start-up for nothing.  A
+# The catalog is imported at one site, `_builtin`, and the coend and
+# reconstruction modules only by the commands that use them: each command is
+# a process of its own, and loading a module it does not run (a compile,
+# when bytecode is not cached) costs its start-up for nothing.  A
 # function-local import reads the module's attribute at each call, so a
 # caller that rebinds `bhl.catalog.build` is still heard.
 
@@ -204,6 +203,16 @@ def morphism_from_spec(field, doc, source, target, what):
         raise SchemaError("%s is not degree-preserving" % what) from None
 
 
+def _builtin(name):
+    """The catalog entry `name`, for ``--builtin`` and ``hopf.builtin``
+    alike; a name the catalog refuses is a SchemaError."""
+    from .catalog import build
+    try:
+        return build(name)
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from None
+
+
 def datum_from_spec(doc):
     """The Hopf (or bialgebra) datum of a spec document plus its named
     objects.  A ``hopf.builtin`` reference supplies its own context."""
@@ -211,11 +220,7 @@ def datum_from_spec(doc):
     block = doc.get("hopf")
     _require(isinstance(block, dict), "missing hopf block")
     if "builtin" in block:
-        from .catalog import build
-        try:
-            datum = build(str(block["builtin"]))
-        except ValueError as exc:
-            raise SchemaError(str(exc)) from None
+        datum = _builtin(str(block["builtin"]))
         return datum, objects_from_spec(datum.carrier.ctx, doc)
     ctx = context_from_spec(doc)
     objects = objects_from_spec(ctx, doc)
@@ -383,12 +388,8 @@ def cmd_antipode(datum, args, doc, objects):
              "antipode": matrix_to_spec(S.matrix), "checks": checks}, ok)
 
 
-def cmd_yd_check(datum, args, doc, objects):
-    H = ensure_hopf(datum)
-    mods = yd_from_spec(doc, H, objects) if doc else []
-    if not mods:
-        from .catalog import yd_samples
-        mods = yd_samples(H)
+def cmd_yd_check(H, args, doc, objects):
+    mods = (yd_from_spec(doc, H, objects) if doc else []) or yd_samples(H)
     rows, all_ok = [], True
     for name, yd in mods:
         rep = check_yd(yd)
@@ -406,8 +407,7 @@ def cmd_yd_check(datum, args, doc, objects):
     return ({"dimensions": {"hopf": H.carrier.dim}, "modules": rows}, all_ok)
 
 
-def cmd_bosonize(datum, args, doc, objects):
-    R = ensure_hopf(datum)
+def cmd_bosonize(R, args, doc, objects):
     bos = bosonize_with_maps(R)
     checks = checks_from_residuals(check_hopf(bos.hopf), "hopf:")
     checks += checks_from_residuals(
@@ -428,10 +428,9 @@ def cmd_bosonize(datum, args, doc, objects):
              "checks": checks}, ok)
 
 
-def _run_reconstruction(datum, args, emit_datum):
+def _run_reconstruction(H, args, emit_datum):
     from .coend import reconstruction_diagram
     from .reconstruct import reconstruct
-    H = ensure_hopf(datum)
     r = reconstruct(H, diagram=reconstruction_diagram(H, args.probes or ()))
     body = {
         "dimensions": {
@@ -448,32 +447,22 @@ def _run_reconstruction(datum, args, emit_datum):
     return body, r.passed
 
 
-def cmd_reconstruct(datum, args, doc, objects):
-    return _run_reconstruction(datum, args, emit_datum=True)
+def cmd_reconstruct(H, args, doc, objects):
+    return _run_reconstruction(H, args, emit_datum=True)
 
 
-def cmd_verify_reconstruction(datum, args, doc, objects):
-    return _run_reconstruction(datum, args, emit_datum=False)
+def cmd_verify_reconstruction(H, args, doc, objects):
+    return _run_reconstruction(H, args, emit_datum=False)
 
 
-def cmd_stability(datum, args, doc, objects):
-    from .coend import check_stability, compute_coend, default_diagram
-    from .comodcat import (act, comodule_dual, direct_sum_comodule,
-                           unit_comodule)
-    H = ensure_hopf(datum)
-    ctx = H.carrier.ctx
+def cmd_stability(H, args, doc, objects):
+    from .coend import (check_stability, compute_coend, default_diagram,
+                        stability_blocks)
     base = default_diagram(H, args.probes or ())
     small = compute_coend(base)
     small.check_regular_surjective()
-    reg, one = base.regular, base.index(base.derived(unit_comodule))
-    enlargements = [
-        ("action_line_block",
-         base.derived(act, reg, line_object(ctx, "s", ctx.group.zero))),
-        ("direct_sum_block", base.derived(direct_sum_comodule, reg, one)),
-        ("dual_block", base.derived(comodule_dual, reg)),
-    ]
     rows, all_ok = [], True
-    for name, block in enlargements:
+    for name, block in stability_blocks(base):
         big = small.enlarged(block)
         rep = check_stability(small, big)
         ok = rep.passed and big.dim == H.carrier.dim
@@ -497,6 +486,9 @@ HANDLERS = {
 
 # the commands that read --probes; the others refuse it
 PROBES_READ_BY = ("reconstruct", "verify-reconstruction", "stability")
+# the commands whose input `main` passes through `ensure_hopf` first
+ENTRY_CHECKED = ("yd-check", "bosonize", "reconstruct",
+                 "verify-reconstruction", "stability")
 
 _HELP = {
     "check-hopf": "run the exact axiom suite on a Hopf datum",
@@ -550,11 +542,7 @@ def _load_input(args):
     if args.builtin and args.spec:
         raise SchemaError("give either --builtin or a spec file, not both")
     if args.builtin:
-        from .catalog import build
-        try:
-            datum = build(args.builtin)
-        except ValueError as exc:
-            raise SchemaError(str(exc)) from None
+        datum = _builtin(args.builtin)
         desc = {"builtin": args.builtin}
         _read_probes(args, datum, desc)
         return datum, None, {}, desc, _digest(desc)
@@ -627,6 +615,8 @@ def main(argv=None):
         try:
             _threads_from_env()
             datum, doc, objects, desc, digest = _load_input(args)
+            if args.command in ENTRY_CHECKED:
+                datum = ensure_hopf(datum)
             body, passed = HANDLERS[args.command](datum, args, doc, objects)
         except EngineError as exc:
             payload = {"command": args.command,

@@ -85,8 +85,8 @@ from .exactalg import (EngineError, InvalidStructureError, Matrix,
 from .gradedcat import (GradedMorphism, GradedObject, dual_object,
                         line_object, tensor_obj)
 from .comodcat import (Comodule, FlagReport, act, cofree_degree,
-                       comodule_dual, comodule_tensor, hom_space,
-                       is_colinear, regular_comodule, unit_comodule)
+                       comodule_dual, comodule_tensor, direct_sum_comodule,
+                       hom_space, is_colinear, regular_comodule, unit_comodule)
 
 
 class PiNotSurjectiveError(EngineError):
@@ -221,6 +221,18 @@ def reconstruction_diagram(H, probes=()):
     block the antipode extraction needs)."""
     base = default_diagram(H, probes)
     return base.enlarged(base.derived(comodule_dual, base.regular))
+
+
+def stability_blocks(base):
+    """The enlargements `bhl stability` checks, as (name, block): the
+    regular block acted on by a degree-zero line, its sum with the unit
+    block, and its dual."""
+    ctx = base.hopf.carrier.ctx
+    reg, one = base.regular, base.index(base.derived(unit_comodule))
+    line = line_object(ctx, "s", ctx.group.zero)
+    return [("action_line_block", base.derived(act, reg, line)),
+            ("direct_sum_block", base.derived(direct_sum_comodule, reg, one)),
+            ("dual_block", base.derived(comodule_dual, reg))]
 
 
 def _block_spaces(diagram):

@@ -446,9 +446,9 @@ def parse_scalar(field, text):
         raise ValueError("empty scalar literal")
     coeffs = {}  # power of z -> (numerator, denominator), summed
     # split into signed terms
-    terms, cur, depth = [], "", 0
+    terms, cur = [], ""
     for ch in text:
-        if ch in "+-" and cur and cur[-1] not in "+-*/^" and depth == 0:
+        if ch in "+-" and cur and cur[-1] not in "+-*/^":
             terms.append(cur)
             cur = ch
         else:

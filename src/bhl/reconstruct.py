@@ -235,7 +235,7 @@ def reconstruct(H, diagram=None):
 
     The quotient Q is proved Hopf once, by transport of structure along the
     comparison h: H -> Q, from three premises: H is Hopf (it passed
-    `cli.ensure_hopf`, the caller's duty); h is bijective and
+    `cli.ensure_hopf`, `cli.main`'s entry check); h is bijective and
     degree-preserving (`canonical_comparison`, NotIso otherwise); and h
     carries m, u, Delta, eps and S of H to Q's (`check_hopf_morphism`,
     reported as comparison_is_hopf_morphism).  In Vect_G^chi every

@@ -10,8 +10,8 @@ import pytest
 
 from bhl.braidedhopf import (BialgebraData, bosonize_with_maps, check_hopf,
                              check_hopf_morphism, solve_antipode, yd_braiding,
-                             yd_braiding_inverse)
-from bhl.catalog import BUILTIN_NAMES, build, yd_samples
+                             yd_braiding_inverse, yd_samples)
+from bhl.catalog import BUILTIN_NAMES, build
 from bhl.cli import main
 from bhl.coend import check_stability, compute_coend, default_diagram
 from bhl.comodcat import (act, comodule_dual, direct_sum_comodule, hom_space,

@@ -6,10 +6,10 @@ from bhl.braidedhopf import (
     BialgebraData, CheckReport, HopfAlgebraData, SingularAntipodeError,
     YDModuleData, bosonize_with_maps, check_bialgebra, check_hopf,
     check_hopf_morphism, check_yd, solve_antipode, yd_braiding,
-    yd_braiding_inverse,
+    yd_braiding_inverse, yd_samples,
 )
 from bhl.catalog import (BUILTIN_NAMES, build, exterior_line, group_algebra,
-                         sweedler, yd_samples)
+                         sweedler)
 from bhl.exactalg import (CycloField, InvalidStructureError, Matrix,
                           NonUniqueError, NoSolutionError)
 from bhl.gradedcat import (

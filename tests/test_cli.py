@@ -239,16 +239,51 @@ def broken_unit_law_spec(tmp_path):
     return spec
 
 
+def count_entry_checks(monkeypatch):
+    """The inputs main passes to `bhl.cli.ensure_hopf`, as a list that
+    grows with each call."""
+    calls, check = [], bhl.cli.ensure_hopf
+
+    def counted(datum):
+        calls.append(datum)
+        return check(datum)
+
+    monkeypatch.setattr(bhl.cli, "ensure_hopf", counted)
+    return calls
+
+
 @pytest.mark.parametrize("command", ["reconstruct", "verify-reconstruction",
                                      "yd-check", "bosonize", "stability"])
-def test_broken_unit_law_is_an_invalid_structure(command, tmp_path, capsys):
-    # every entry-checked command fails the same way; without the entry
-    # check, stability passed this spec, yd-check failed a module, bosonize
-    # ended in NoSolution and the reconstructions in InvalidStructure
+def test_broken_unit_law_is_an_invalid_structure(command, tmp_path, capsys,
+                                                 monkeypatch):
+    # every entry-checked command fails the same way, at its one entry
+    # check; without it, stability passed this spec, yd-check failed a
+    # module, bosonize ended in NoSolution and the reconstructions in
+    # InvalidStructure
+    calls = count_entry_checks(monkeypatch)
     assert_not_hopf(command, broken_unit_law_spec(tmp_path),
                     "not a Hopf algebra: associativity, unit_left, "
                     "antipode_left, antipode_right fail; associativity at row "
                     "1, col 1: -2", tmp_path, capsys)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", sorted(HANDLERS))
+@pytest.mark.parametrize("use_spec", [False, True], ids=["builtin", "spec"])
+def test_main_runs_the_entry_check_once(command, use_spec, tmp_path,
+                                        monkeypatch):
+    # main checks the input once, for exactly the commands that need a Hopf
+    # input; no command checks it again
+    if use_spec:
+        spec = tmp_path / "ga2.json"
+        spec.write_text(canonical_json(hopf_to_spec(build("group_algebra:2"))))
+        args = [str(spec)]
+    else:
+        args = ["--builtin", "group_algebra:2"]
+    calls = count_entry_checks(monkeypatch)
+    code, payload = run_cli([command] + args, tmp_path, "r.json")
+    assert code == 0 and payload["status"] == "pass"
+    assert len(calls) == (1 if command in ENTRY_CHECKED else 0)
 
 
 def test_non_hopf_spec_without_antipode_fails_its_bialgebra_check(tmp_path,
@@ -857,20 +892,29 @@ def test_importing_the_cli_loads_no_command_module():
     assert proc.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("command", ["check-hopf", "antipode"])
+@pytest.mark.parametrize("command", ["check-hopf", "antipode", "yd-check"])
 def test_only_a_builtin_input_loads_the_catalog(command, tmp_path):
-    explicit, reference = tmp_path / "ga3.json", tmp_path / "ref.json"
+    # yd-check's sample modules live beside YDModuleData, so a spec with or
+    # without yd_modules loads no catalog; sweedler fails yd-check's samples
+    # and the swap module fails its YD compatibility, so those exit 1
+    explicit, with_yd = tmp_path / "ga3.json", tmp_path / "yd.json"
+    reference = tmp_path / "ref.json"
     explicit.write_text(canonical_json(hopf_to_spec(build("group_algebra:3"))))
+    with_yd.write_text(canonical_json(yd_module_spec()))
     reference.write_text(canonical_json({"hopf": {"builtin": "sweedler"}}))
     code = ("import sys, bhl.cli\n"
             "code = bhl.cli.main(sys.argv[1:])\n"
             "print(code, 'bhl.catalog' in sys.modules)")
     out = str(tmp_path / "report.json")
-    for args, loads in (([str(explicit)], False), ([str(reference)], True),
-                        (["--builtin", "sweedler"], True)):
+    fails = command == "yd-check"
+    for args, loads, exit_code in (
+            ([str(explicit)], False, 0), ([str(with_yd)], False, int(fails)),
+            ([str(reference)], True, int(fails)),
+            (["--builtin", "sweedler"], True, int(fails))):
         proc = run_python(code, command, *args, "--out", out)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "0 %s" % loads, args
+        assert proc.stdout.splitlines()[-1] == "%d %s" % (exit_code, loads), \
+            args
 
 
 def test_python_m_bhl_runs_the_cli():

@@ -16,7 +16,7 @@ from bhl.cli import canonical_json, hopf_to_spec
 from bhl.coend import (
     CoendNotCertifiedError, CoendResult, Diagram, PiNotSurjectiveError,
     check_stability, compute_coend, default_diagram, reconstruction_diagram,
-    _block_spaces, _candidate, _check_counit_lemma, _hom_pairs,
+    stability_blocks, _block_spaces, _candidate, _check_counit_lemma, _hom_pairs,
     _relation_columns,
 )
 from bhl.comodcat import (
@@ -133,15 +133,6 @@ def test_stability_under_enlargements():
 STOCK = list(BUILTIN_NAMES) + ["nichols_cyclic:5"]
 
 
-def stability_blocks(base):
-    """The three enlargement blocks that `bhl stability` checks."""
-    ctx = base.hopf.carrier.ctx
-    reg, one = base.regular, base.index(base.derived(unit_comodule))
-    return [base.derived(act, reg, line_object(ctx, "s", ctx.group.zero)),
-            base.derived(direct_sum_comodule, reg, one),
-            base.derived(comodule_dual, reg)]
-
-
 def assert_same_coend(a, b):
     for attr in ("projection", "free"):
         assert getattr(a.presentation, attr) == getattr(b.presentation, attr)
@@ -167,7 +158,7 @@ def test_resumed_enlargement_equals_from_scratch(name, probes):
                                for d in probes])
     small = compute_coend(base)
     assert_is_the_eliminated_coend(small)
-    for block in stability_blocks(base):
+    for _, block in stability_blocks(base):
         big = small.enlarged(block)
         assert_is_the_eliminated_coend(big)
         assert_same_coend(big, compute_coend(big.diagram))
@@ -216,7 +207,7 @@ def test_resumed_enlargement_starts_from_the_base_rows(name, monkeypatch):
             yield item
 
     monkeypatch.setattr(bhl.coend, "_relation_columns", recording)
-    for block in stability_blocks(base):
+    for _, block in stability_blocks(base):
         del streamed[:]
         big = small.enlarged(block)
         resumed = [family for family, _ in streamed]
@@ -450,7 +441,7 @@ def test_counit_lemma_covers_every_builtin(name):
     for D in (default_diagram(H), reconstruction_diagram(H)):
         _check_counit_lemma(D, cofree_blocks(D))
         res = compute_coend(D)
-        for block in stability_blocks(D):
+        for _, block in stability_blocks(D):
             big = res.enlarged(block)
             _check_counit_lemma(big.diagram, cofree_blocks(big.diagram))
 

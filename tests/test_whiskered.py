@@ -19,8 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bhl.braidedhopf import (HopfAlgebraData, braid_relation, check_hopf,
-                             check_yd, yd_braiding, yd_braiding_inverse)
-from bhl.catalog import BUILTIN_NAMES, build, yd_samples
+                             check_yd, yd_braiding, yd_braiding_inverse,
+                             yd_samples)
+from bhl.catalog import BUILTIN_NAMES, build
 from bhl.cli import main
 from bhl.coend import compute_coend, default_diagram
 from bhl.comodcat import (comodule_dual, comodule_tensor, regular_comodule,
