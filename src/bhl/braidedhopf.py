@@ -15,9 +15,9 @@ from collections import namedtuple
 
 from .exactalg import (Matrix, NoSolutionError, EngineError, read_off,
                        require)
-from .gradedcat import (AbelianGroup, Bicharacter, Context, GradedMorphism,
-                        GradedObject, braiding, braiding_inverse, chain,
-                        identity_mor, tensor_obj, unit_object)
+from .gradedcat import (Context, GradedMorphism, GradedObject, braiding,
+                        braiding_inverse, chain, identity_mor, tensor_obj,
+                        unit_object)
 
 
 class SingularAntipodeError(EngineError):
@@ -320,8 +320,7 @@ def bosonize_with_maps(R):
     ctx = R.carrier.ctx
     group = ctx.group
     field = ctx.field
-    triv_group = AbelianGroup([])
-    tctx = Context(field, triv_group, Bicharacter.trivial(triv_group))
+    tctx = Context.trivial(field)
     els = group.elements()
     gidx = {g: k for k, g in enumerate(els)}
     nR, nG = R.carrier.dim, len(els)

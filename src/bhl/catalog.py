@@ -21,7 +21,7 @@ def group_algebra(group):
     """The group Hopf algebra kG of a finite abelian group, trivially braided."""
     if isinstance(group, int):
         group = AbelianGroup([group])
-    return _group_algebra_on(Context.trivial(CycloField(1)), group)
+    return _group_algebra_on(Context.trivial(), group)
 
 
 def gaussian_binomial(field, n, k, q):

@@ -87,6 +87,13 @@ def _require(cond, msg):
         raise SchemaError(msg)
 
 
+def _entry(doc, key, default):
+    """doc[key], or default if the key is absent or null: a falsy value of
+    another type is not taken for an absent one."""
+    value = doc.get(key)
+    return default if value is None else value
+
+
 def _is_int(x):
     """A JSON integer (JSON true/false load as bool, which is not one)."""
     return isinstance(x, int) and not isinstance(x, bool)
@@ -104,9 +111,9 @@ def context_from_spec(doc):
     _require(_is_int(order) and order >= 1,
              "field.cyclotomic_order must be a positive integer")
     field = CycloField(order)
-    gspec = doc.get("group") or {"invariant_factors": []}
+    gspec = _entry(doc, "group", {})
     _require(isinstance(gspec, dict), "group must be an object")
-    factors = gspec.get("invariant_factors") or []
+    factors = _entry(gspec, "invariant_factors", [])
     _require(isinstance(factors, list)
              and all(_is_int(n) and n >= 1 for n in factors),
              "group.invariant_factors must be positive integers")
@@ -167,7 +174,7 @@ def object_from_spec(ctx, name, doc):
 
 def objects_from_spec(ctx, doc):
     """The named graded objects of a spec document."""
-    specs = doc.get("objects") or {}
+    specs = _entry(doc, "objects", {})
     _require(isinstance(specs, dict), "objects must map names to objects")
     return {name: object_from_spec(ctx, name, od)
             for name, od in specs.items()}
@@ -262,7 +269,7 @@ def hopf_to_spec(H):
 def yd_from_spec(doc, hopf, objects):
     mods = []
     field = hopf.carrier.ctx.field
-    specs = doc.get("yd_modules") or []
+    specs = _entry(doc, "yd_modules", [])
     _require(isinstance(specs, list), "yd_modules must be a list")
     for k, md in enumerate(specs):
         _require(isinstance(md, dict), "yd_modules entries must be objects")

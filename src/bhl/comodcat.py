@@ -26,8 +26,7 @@ rests on.  Their coactions are chains of whiskered maps
 
 from collections import defaultdict
 
-from .exactalg import (Matrix, SparseEliminator, _null_space, require,
-                       whiskered)
+from .exactalg import Matrix, SparseEliminator, _null_space, require
 from .gradedcat import (GradedMorphism, GradedObject, braiding, chain,
                         direct_sum_obj, left_dual, tensor_obj, unit_object)
 
@@ -212,12 +211,6 @@ def hom_space(A, B):
             mat[i][j] = v
         out.append(GradedMorphism(VA, VB, Matrix.from_rows(field, mat, dA)))
     return out
-
-
-def is_colinear(f, A, B):
-    """Whether f: F(A) -> F(B) is colinear: rho_B f = (id (x) f) rho_A."""
-    return B.coaction.matrix * f.matrix == whiskered(
-        A.hopf.carrier.dim, f.matrix, 1, A.coaction.matrix)
 
 
 class FlagReport:

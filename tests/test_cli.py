@@ -643,6 +643,46 @@ def test_malformed_spec_shape_exits_2_without_traceback(bad, tmp_path):
     assert "Traceback" not in err
 
 
+def optional_entry_spec(key, value):
+    """A one-dimensional spec with `key` set to value: group keys on an
+    explicit datum, the others on a builtin reference."""
+    if key in ("group", "invariant_factors"):
+        doc = hopf_to_spec(build("group_algebra:1"))
+        holder = doc["group"] if key == "invariant_factors" else doc
+    else:
+        doc = holder = {"hopf": {"builtin": "group_algebra:1"}}
+    holder[key] = value
+    return doc
+
+
+# each optional key with the JSON type it takes
+OPTIONAL_ENTRIES = {"group": dict, "invariant_factors": list,
+                    "objects": dict, "yd_modules": list}
+
+
+FALSY_ENTRIES = [(key, value) for key, kind in sorted(OPTIONAL_ENTRIES.items())
+                 for value in ([], {}, 0, "", False)
+                 if not isinstance(value, kind)]
+
+
+@pytest.mark.parametrize("key, value", FALSY_ENTRIES, ids=[
+    "%s=%s" % (key, json.dumps(value)) for key, value in FALSY_ENTRIES])
+def test_falsy_optional_entry_of_the_wrong_type_exits_2(key, value, tmp_path,
+                                                         capsys):
+    spec = tmp_path / "falsy.json"
+    spec.write_text(json.dumps(optional_entry_spec(key, value)))
+    assert main(["yd-check", str(spec)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
+@pytest.mark.parametrize("key", sorted(OPTIONAL_ENTRIES))
+def test_null_optional_entry_reads_as_absent(key, tmp_path):
+    spec = tmp_path / "null.json"
+    spec.write_text(json.dumps(optional_entry_spec(key, None)))
+    assert run_cli(["yd-check", str(spec)], tmp_path, "r.json")[0] == 0
+
+
 def test_builtin_reference_spec_feeds_yd_check(tmp_path):
     # the sign representation of Z/2 in degree zero is a YD module over kZ/2
     doc = {"hopf": {"builtin": "group_algebra:2"},

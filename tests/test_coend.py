@@ -16,7 +16,7 @@ from bhl.cli import canonical_json, hopf_to_spec
 from bhl.coend import (
     CoendNotCertifiedError, CoendResult, Diagram, PiNotSurjectiveError,
     check_stability, compute_coend, default_diagram, reconstruction_diagram,
-    stability_blocks, _block_spaces, _candidate, _check_counit_lemma, _hom_pairs,
+    stability_blocks, _block_spaces, _candidate, _check_counit_lemma,
     _relation_columns,
 )
 from bhl.comodcat import (
@@ -223,54 +223,6 @@ def test_resumed_enlargement_starts_from_the_base_rows(name, monkeypatch):
         assert_same_coend(again, big)
 
 
-@pytest.mark.parametrize("name", STOCK)
-def test_certificate_checks_cofree_maps_by_formula(name, monkeypatch):
-    # every map the stream uses goes into a cofree block, so none needs
-    # the product check
-    checked = []
-    is_colinear = bhl.coend.is_colinear
-
-    def counting(f, A, B):
-        checked.append(f)
-        return is_colinear(f, A, B)
-
-    monkeypatch.setattr(bhl.coend, "is_colinear", counting)
-    compute_coend(reconstruction_diagram(build(name)))
-    assert checked == []
-
-
-def test_colinear_map_off_the_formula_is_checked_by_product():
-    # twice each formula map from a cofree block into the regular block is
-    # colinear but not the formula map: the stream between cofree blocks
-    # must accept it by is_colinear (the lemma's maps, from the other
-    # blocks, stay formula maps)
-    H = exterior_line()
-    D = default_diagram(H)
-    reg = D.blocks[D.regular]
-    two = H.carrier.ctx.field.scalar(2)
-    hom_space = bhl.coend.hom_space
-    checked = []
-    is_colinear = bhl.coend.is_colinear
-
-    def doubled(A, B):
-        basis = hom_space(A, B)
-        if B != reg or cofree_degree(A) is None:
-            return basis
-        return [GradedMorphism(f.source, f.target, f.matrix.scale(two))
-                for f in basis]
-
-    def counting(f, A, B):
-        checked.append(f)
-        return is_colinear(f, A, B)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(bhl.coend, "hom_space", doubled)
-        patch.setattr(bhl.coend, "is_colinear", counting)
-        res = compute_coend(D)
-    assert checked
-    assert_is_the_eliminated_coend(res)
-
-
 def test_candidate_is_psi_bar_of_each_coaction():
     for name in ("group_algebra:2", "sweedler", "exterior_line",
                  "nichols_cyclic:3"):
@@ -286,63 +238,6 @@ def test_candidate_is_psi_bar_of_each_coaction():
                                      if h in col} for h in range(want.rows)],
                                    want.cols)
             assert got == want, name
-
-
-def plant_wrong_candidate(patch):
-    """An extra entry in the candidate's column at coordinate 1 of the
-    regular block: P is no longer psi_bar of its coaction."""
-    candidate = bhl.coend._candidate
-
-    def planted(diagram, offsets, total):
-        P = candidate(diagram, offsets, total)
-        col = P[offsets[diagram.regular] + 1]
-        one = diagram.hopf.carrier.ctx.field.one
-        col[0] = col[0] + one if 0 in col else one
-        return P
-
-    patch.setattr(bhl.coend, "_candidate", planted)
-
-
-def test_wrong_candidate_is_not_certified(monkeypatch):
-    D = default_diagram(sweedler())
-    plant_wrong_candidate(monkeypatch)
-    with pytest.raises(CoendNotCertifiedError,
-                       match="block %d's columns of P are not psi_bar"
-                       % D.regular) as err:
-        compute_coend(D)
-    assert err.value.code == "CoendNotCertified"
-
-
-def plant_non_colinear_endomorphism(patch, H):
-    """E_00 (1 -> 1, x -> 0) appended to the hom basis of the regular
-    block of exterior_line into itself: its dinaturality columns are not
-    relations, and P does not kill them."""
-    field = H.carrier.ctx.field
-    reg = regular_comodule(H)
-    planted = GradedMorphism(H.carrier, H.carrier,
-                             Matrix.from_dict(field, 2, 2, {(0, 0): field.one}))
-    hom_space = bhl.coend.hom_space
-
-    def with_planted(A, B):
-        basis = hom_space(A, B)
-        return basis + [planted] if A == B == reg else basis
-
-    patch.setattr(bhl.coend, "hom_space", with_planted)
-    return planted
-
-
-def test_relation_the_candidate_does_not_kill_is_not_certified(monkeypatch):
-    # the stream reaches the regular block's endomorphisms first, after
-    # balancing, so the certificate's colinearity check must refuse them
-    H = exterior_line()
-    D = default_diagram(H)
-    planted = plant_non_colinear_endomorphism(monkeypatch, H)
-    reg = D.blocks[D.regular]
-    assert not is_comodule_morphism(planted, reg, reg)
-    with pytest.raises(CoendNotCertifiedError, match=re.escape(
-            "dinaturality[%d->%d] uses a map that is not colinear"
-            % (D.regular, D.regular))):
-        compute_coend(D)
 
 
 def span_rank(maps):
@@ -393,11 +288,32 @@ def test_certified_coend_eliminates_no_hom_space(name, monkeypatch):
     assert_is_the_eliminated_coend(res)
 
 
+@pytest.mark.parametrize("name", STOCK)
+def test_certificate_builds_no_hom_basis_out_of_a_non_cofree_block(
+        name, monkeypatch):
+    # the counit lemma reads degrees only and the stream runs between
+    # cofree blocks, on the stock diagram and on each of its enlargements
+    sources = []
+    hom_space = bhl.coend.hom_space
+
+    def recording(A, B):
+        sources.append(A)
+        return hom_space(A, B)
+
+    monkeypatch.setattr(bhl.coend, "hom_space", recording)
+    base = default_diagram(build(name))
+    for D in [base] + [base.enlarged(block)
+                       for _, block in stability_blocks(base)]:
+        compute_coend(D)
+    assert sources
+    assert [A for A in sources if cofree_degree(A) is None] == []
+
+
 def test_certificate_streams_balancing_then_cofree_and_stops_at_the_bound(
         monkeypatch):
     # the certificate streams only the relations between cofree blocks:
-    # balancing first, then the cofree pairs in `_hom_pairs` order, and
-    # stops as soon as their rank reaches |T| - n; it keeps the reduced
+    # balancing first, then the cofree pairs by target and then by source,
+    # and stops as soon as their rank reaches |T| - n; it keeps the reduced
     # rows it reached
     D = default_diagram(build("nichols_cyclic:3"))
     offsets, total = _block_spaces(D)
@@ -406,8 +322,7 @@ def test_certificate_streams_balancing_then_cofree_and_stops_at_the_bound(
     families = list(dict.fromkeys(name for name, _ in on_T))
     want = (["balancing[%d]" % k for k, (ci, wi) in enumerate(D.balance)
              if ci in T and wi in T]
-            + ["dinaturality[%d->%d]" % (ai, bi) for ai, bi in _hom_pairs(D)
-               if ai in T and bi in T])
+            + ["dinaturality[%d->%d]" % (ai, bi) for bi in T for ai in T])
     # only the endomorphism families, of the identity, have no nonzero column
     assert families == [family for family in want if family in families]
     assert set(want) - set(families) == {"dinaturality[%d->%d]" % (bi, bi)
@@ -592,12 +507,6 @@ def _cli_rank(patch, tmp_path):
     return [str(spec)], "rank P is 1, below dim H = 2"
 
 
-def _cli_candidate(patch, tmp_path):
-    plant_wrong_candidate(patch)
-    return (["--builtin", "sweedler"],
-            "block 0's columns of P are not psi_bar of its coaction")
-
-
 def _cli_glued(patch, tmp_path):
     diagram = bhl.coend.reconstruction_diagram
 
@@ -619,12 +528,6 @@ def _cli_degree(patch, tmp_path):
             "degree [1], and no cofree block has that degree")
 
 
-def _cli_colinear(patch, tmp_path):
-    plant_non_colinear_endomorphism(patch, exterior_line())
-    return (["--builtin", "exterior_line"],
-            "dinaturality[0->0] uses a map that is not colinear")
-
-
 def _cli_short(patch, tmp_path):
     plant_missing_balancing(patch)
     # `stability` computes the coend of the default diagram first
@@ -634,10 +537,8 @@ def _cli_short(patch, tmp_path):
 
 PREMISE_PLANTS = {
     "rank": ("verify-reconstruction", _cli_rank),
-    "candidate": ("reconstruct", _cli_candidate),
     "glued": ("verify-reconstruction", _cli_glued),
     "degree": ("verify-reconstruction", _cli_degree),
-    "colinear": ("reconstruct", _cli_colinear),
     "short": ("stability", _cli_short),
 }
 

@@ -5,7 +5,7 @@ import pytest
 from bhl.catalog import exterior_line, group_algebra, sweedler
 from bhl.comodcat import (
     Comodule, act, comodule_dual, comodule_tensor, direct_sum_comodule,
-    hom_space, is_colinear, regular_comodule, trivial_comodule, unit_comodule,
+    hom_space, regular_comodule, trivial_comodule, unit_comodule,
 )
 from bhl.exactalg import InvalidStructureError, Matrix
 from bhl.gradedcat import (
@@ -254,17 +254,3 @@ def test_mismatched_operands_raise_under_optimization():
             op(A, B)
     with pytest.raises(InvalidStructureError):
         act(A, A)
-
-
-def test_is_colinear_agrees_with_the_dense_residual():
-    for H in (sweedler(), exterior_line()):
-        R = regular_comodule(H)
-        T = comodule_tensor(R, R)
-        maps = hom_space(T, R) + [H.m, identity_mor(H.carrier)]
-        F = H.carrier.ctx.field
-        maps.append(GradedMorphism(H.carrier, H.carrier, Matrix.from_dict(
-            F, H.carrier.dim, H.carrier.dim, {(0, 0): F.one})))
-        for f in maps:
-            A = T if f.source == T.carrier else R
-            assert is_colinear(f, A, R) == is_comodule_morphism(f, A, R)
-        assert not is_colinear(maps[-1], R, R)
