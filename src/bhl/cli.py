@@ -396,7 +396,8 @@ def cmd_antipode(datum, args, doc, objects):
 
 
 def cmd_yd_check(H, args, doc, objects):
-    mods = (yd_from_spec(doc, H, objects) if doc else []) or yd_samples(H)
+    mods = (yd_samples(H) if _entry(doc or {}, "yd_modules", None) is None
+            else yd_from_spec(doc, H, objects))
     rows, all_ok = [], True
     for name, yd in mods:
         rep = check_yd(yd)

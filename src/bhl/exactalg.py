@@ -637,8 +637,8 @@ class Matrix:
 
     def __matmul__(self, other):
         """Kronecker (tensor) product, row-major on both indices.  The
-        engine forms one, pi_A (x) pi_B in `reconstruct`; every other
-        tensor product of maps is applied by `whiskered`."""
+        engine forms none: every tensor product of maps is applied by
+        `whiskered`."""
         require(other.field is self.field,
                 "Kronecker product of matrices over %r and %r"
                 % (self.field, other.field))

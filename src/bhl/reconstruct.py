@@ -1,157 +1,48 @@
 """Recovering the full Hopf structure on a computed coend quotient.
 
-Every structure map X is pinned by the equations X . B_t = C_t that its
-universal property imposes through the block projections:
+Every structure map X is pinned by the equations X . pi_B = C_B that its
+universal property imposes through the block projections pi_B.  The
+regular block alone fixes X: pi_reg is onto the quotient Q, so
+X . pi_reg = C_reg has at most one solution, and any right inverse of
+pi_reg reads it off.  `reconstruct` takes the comparison h = pi_reg (id (x)
+*eps): H -> Q (`canonical_comparison`, NotIso unless bijective) and its one
+section E = (id (x) *eps) h^-1: Q -> F(reg) (x) *F(reg), so pi_reg E = h h^-1
+= id and X = C_reg E:
 
-* counit:      eps . pi_B             = evaluation on F(B);
-* coproduct:   Delta . pi_B           = (pi_B (x) pi_B) after inserting a
-                                         coevaluation in the middle;
+* counit:      eps   = ev . E;
+* coproduct:   Delta = (pi_reg (x) pi_reg)(id (x) coev (x) id) . E;
 * unit:        the unit block's projection itself;
-* product:     m . (pi_A (x) pi_B)    = pi_{A(x)B} after braiding the dual
-                                         legs together;
-* antipode:    S . pi_B               = the dual block's projection with the
-                                         evaluation/coevaluation zig-zag.
+* product:     m     = pi_{reg(x)reg} (id (x) phi)(id (x) c_{*V,V(x)*V})
+                       . (E (x) E), the dual legs braided together and
+                       merged by the dual-pairing isomorphism;
+* antipode:    S     = the dual block's projection in the evaluation/
+                       coevaluation zig-zag, started from E.
 
-Each map is read off its constraints by `exactalg.read_off`: the columns
-of the B_t, each extended by the same column of C_t, are streamed into one
-eliminator until the B parts reach full rank (the regular block's
-projection, which is in every group, already does after
-`check_regular_surjective`), X is read off the reduced rows, and
-X . B_t == C_t is then verified exactly for every t, so an inconsistent
-system still raises NoSolutionError.  The constraints are stated on
-matrices, with no graded tensor object of a four-fold product: the
-coproduct's (pi (x) pi)(id (x) coev (x) id) is summed entry by entry, the
-other legs are whiskered (`exactalg.whiskered`, `gradedcat.chain`), and
-pi_A (x) pi_B is the engine's one Kronecker product.  Each map read off is
-wrapped as a GradedMorphism, which checks its degrees.
-
-A canonical comparison map from the original Hopf algebra is built from the
-regular block and checked to be an isomorphism of Hopf algebras, which
-proves the quotient Hopf by transport of structure (see `reconstruct`);
-each block becomes a comodule over the quotient, and sample hom spaces on
-both sides are compared dimension by dimension.
+Each leg is whiskered (`exactalg.whiskered`, `gradedcat.chain`), with no
+Kronecker product; the product's last step, pi_{reg(x)reg}, is one matrix
+product.  The other blocks need no equations of their own.  The coend's
+projection is P_F^-1 P (see `coend`), and h = P_F^-1 by H's counit axiom,
+so pi_B = h . psi_bar(rho_B) for every block B.  Once h is checked to be an
+isomorphism of Hopf algebras, which proves the quotient Hopf by transport
+of structure (see `reconstruct`), Q's maps are h's transport of H's, and
+every block's equation is B's comodule axiom carried along h.  Each block
+then becomes a comodule over the quotient, and sample hom spaces on both
+sides are compared dimension by dimension.
 """
-
-from itertools import product
 
 from .braidedhopf import HopfAlgebraData, check_hopf, check_hopf_morphism
 from .coend import compute_coend, reconstruction_diagram
 from .comodcat import (Comodule, FlagReport, act_coaction, comodule_dual,
                        comodule_tensor, hom_space, unit_comodule)
-from .exactalg import (EngineError, InvalidStructureError, Matrix, read_off,
+from .exactalg import (EngineError, InvalidStructureError, Matrix,
                        whiskered)
 from .gradedcat import (GradedMorphism, braiding, braiding_inverse, chain,
                         dual_morphism, dual_object, left_dual, phi_left, psi,
-                        tensor_obj, unit_object)
+                        tensor_obj)
 
 
 class NotIsoError(EngineError):
     code = "NotIso"
-
-
-def _field(res):
-    return res.diagram.hopf.carrier.ctx.field
-
-
-def extract_counit(res):
-    """eps: Q -> 1, pinned by eps . pi_B = ev_{F(B)} over every block; ev is
-    the 1 x d^2 row with ones at (i, i), written down as a matrix."""
-    field = _field(res)
-    dims = [B.carrier.dim for B in res.diagram.blocks]
-    constraints = [(res.pi_matrix(i), Matrix.from_rows(
-        field, [dict.fromkeys(range(0, d * d, d + 1), field.one)], d * d))
-        for i, d in enumerate(dims)]
-    X = read_off(field, constraints, (1, res.dim))
-    return GradedMorphism(res.quotient, unit_object(res.quotient.ctx), X)
-
-
-def _split_along_coev(pi, d):
-    """(pi (x) pi) (id (x) coev (x) id) for the projection pi of a
-    d-dimensional block, entry by entry: row (q1, q2), column (v, w) is
-    sum_k pi[q1, (v, k)] pi[q2, (k, w)]."""
-    q = pi.rows
-    cols = pi.transpose().data
-    rows = [{} for _ in range(q * q)]
-    for v, k, w in product(range(d), repeat=3):
-        vw = v * d + w
-        for q1, x in cols[v * d + k].items():
-            for q2, y in cols[k * d + w].items():
-                row = rows[q1 * q + q2]
-                row[vw] = row[vw] + x * y if vw in row else x * y
-    return Matrix.from_rows(pi.field, [{c: v for c, v in row.items() if v}
-                                       for row in rows], d * d)
-
-
-def extract_coproduct(res):
-    """Delta: Q -> Q (x) Q, from splitting each small block along a
-    coevaluation (the regular block alone already pins the solution)."""
-    H = res.diagram.hopf
-    q = res.dim
-    constraints = []
-    for i, B in enumerate(res.diagram.blocks):
-        if B.carrier.dim > H.carrier.dim:
-            continue
-        pi = res.pi_matrix(i)
-        constraints.append((pi, _split_along_coev(pi, B.carrier.dim)))
-    X = read_off(_field(res), constraints, (q * q, q))
-    QQ = tensor_obj(res.quotient, res.quotient)
-    return GradedMorphism(res.quotient, QQ, X)
-
-
-def extract_unit(res):
-    """u: 1 -> Q is the unit block's projection."""
-    D = res.diagram
-    return res.pi(D.index(D.derived(unit_comodule)))
-
-
-def extract_product(res):
-    """m: Q (x) Q -> Q from the regular/unit block pairs.
-
-    For blocks A, B the product must close the square
-    m . (pi_A (x) pi_B) = pi_{A(x)B} . (braid the dual legs into place),
-    where the two dual legs are merged by the dual-pairing isomorphism.
-    """
-    D, q = res.diagram, res.dim
-    reg, one = D.regular, D.index(D.derived(unit_comodule))
-    constraints = []
-    for a, b in ((reg, reg), (reg, one), (one, reg), (one, one)):
-        VA, VB = D.blocks[a].carrier, D.blocks[b].carrier
-        try:
-            ab = D.index(D.derived(comodule_tensor, a, b))
-        except KeyError:  # m breaks a unit law, say
-            raise InvalidStructureError(
-                "the tensor product of blocks %d and %d is not a block of "
-                "the diagram" % (a, b)) from None
-        # pi_AB (id (x) phi) (id (x) c_{*A,B(x)*B}), whiskered on the
-        # transposes: (X F)^T = F^T X^T
-        dA, dB = VA.dim, VB.dim
-        mid = braiding(dual_object(VA), tensor_obj(VB, dual_object(VB)))
-        rhs = whiskered(dA, mid.matrix.transpose(), 1, whiskered(
-            dA * dB, phi_left(VA, VB).matrix.transpose(), 1,
-            res.pi_matrix(ab).transpose()))
-        constraints.append((res.pi_matrix(a) @ res.pi_matrix(b),
-                            rhs.transpose()))
-    X = read_off(_field(res), constraints, (q, q * q))
-    QQ = tensor_obj(res.quotient, res.quotient)
-    return GradedMorphism(QQ, res.quotient, X)
-
-
-def extract_antipode(res):
-    """S: Q -> Q, pairing the regular block against its dual block with an
-    evaluation/coevaluation zig-zag."""
-    D = res.diagram
-    V = D.hopf.carrier
-    n = V.dim
-    dV = left_dual(V)
-    ddV = left_dual(dV.space)
-    pi_dual = res.pi(D.index(D.derived(comodule_dual, D.regular)))
-    # (ev (x) id) (id (x) c^-1_{*V,Q}) (id (x) pi_dual (x) id) (id (x) coev)
-    target = chain(tensor_obj(V, dV.space), res.quotient, (n * n, ddV.coev, 1),
-                   (n, pi_dual, n), (n, braiding_inverse(dV.space, res.quotient), 1),
-                   (1, dV.ev, res.dim))
-    X = read_off(_field(res), [(res.pi_matrix(D.regular), target.matrix)],
-                 (res.dim, res.dim))
-    return GradedMorphism(res.quotient, res.quotient, X)
 
 
 def canonical_comparison(res):
@@ -169,18 +60,88 @@ def canonical_comparison(res):
     return h
 
 
+def regular_section(res, h):
+    """E = (id (x) *eps) h^-1: Q -> F(reg) (x) *F(reg), a right inverse of
+    the regular block's projection: pi_reg E = h h^-1 = id, by the
+    definition of the comparison h."""
+    V = res.diagram.hopf.carrier
+    return chain(res.quotient, tensor_obj(V, dual_object(V)),
+                 (1, h.inverse(), 1),
+                 (V.dim, dual_morphism(res.diagram.hopf.eps), 1))
+
+
+def extract_counit(res, E):
+    """eps = ev . E, from eps . pi_reg = ev_{F(reg)}."""
+    return left_dual(res.diagram.hopf.carrier).ev * E
+
+
+def extract_coproduct(res, E):
+    """Delta = (pi_reg (x) pi_reg)(id (x) coev (x) id) . E, from splitting
+    the regular block along a coevaluation."""
+    V = res.diagram.hopf.carrier
+    n, q = V.dim, res.dim
+    pi = res.pi(res.diagram.regular)
+    return chain(res.quotient, tensor_obj(res.quotient, res.quotient),
+                 (1, E, 1), (n, left_dual(V).coev, n), (n * n, pi, 1),
+                 (1, pi, q))
+
+
+def extract_unit(res):
+    """u: 1 -> Q is the unit block's projection."""
+    D = res.diagram
+    return res.pi(D.index(D.derived(unit_comodule)))
+
+
+def extract_product(res, E):
+    """m: Q (x) Q -> Q, from the square m . (pi_reg (x) pi_reg) =
+    pi_{reg(x)reg} . (braid the dual legs into place) read through E (x) E.
+
+    The legs are whiskered onto E (x) E as bare matrices: `chain` would
+    label their n^4-dimensional target.  pi_{reg(x)reg} is applied last as
+    one matrix product: whiskering it would build a list per each of its
+    n^4 columns."""
+    D, Q = res.diagram, res.quotient
+    V = D.hopf.carrier
+    n, q = V.dim, res.dim
+    try:
+        ab = D.index(D.derived(comodule_tensor, D.regular, D.regular))
+    except KeyError:
+        raise InvalidStructureError("the tensor square of the regular block "
+                                    "is not a block of the diagram") from None
+    mid = braiding(dual_object(V), tensor_obj(V, dual_object(V)))
+    X = Matrix.identity(Q.ctx.field, q * q)
+    for a, f, b in ((q, E, 1), (1, E, n * n), (n, mid, 1),
+                    (n * n, phi_left(V, V), 1)):
+        X = whiskered(a, f.matrix, b, X)
+    return GradedMorphism(tensor_obj(Q, Q), Q, res.pi_matrix(ab) * X)
+
+
+def extract_antipode(res, E):
+    """S: Q -> Q, pairing the regular block against its dual block with an
+    evaluation/coevaluation zig-zag, started from E."""
+    D = res.diagram
+    V = D.hopf.carrier
+    n = V.dim
+    dV = left_dual(V)
+    ddV = left_dual(dV.space)
+    pi_dual = res.pi(D.index(D.derived(comodule_dual, D.regular)))
+    # (ev (x) id) (id (x) c^-1_{*V,Q}) (id (x) pi_dual (x) id) (id (x) coev) E
+    return chain(res.quotient, res.quotient, (1, E, 1), (n * n, ddV.coev, 1),
+                 (n, pi_dual, n), (n, braiding_inverse(dV.space, res.quotient), 1),
+                 (1, dV.ev, res.dim))
+
+
 def comodule_over_quotient(res, quotient_hopf, B):
     """The image of a block under the equivalence: same carrier, coaction
     rho = psi(pi_B) curried out of the block projection.
 
-    A comodule for a block B of dimension at most dim H whose projection
-    pinned quotient_hopf's counit and coproduct: its premises are
-    eps . pi_B = ev_{F(B)} and Delta . pi_B = (pi_B (x) pi_B)(id (x) coev (x)
-    id), which `extract_counit` and `extract_coproduct` verify exactly
-    (`read_off` checks X . B_t = C_t for every constraint t) before
-    `reconstruct` calls this.  Entry by entry, (eps (x) id) rho is then the
+    Its premises are eps . pi_B = ev_{F(B)} and Delta . pi_B = (pi_B (x)
+    pi_B)(id (x) coev (x) id): entry by entry, (eps (x) id) rho is then the
     identity and (Delta (x) id) rho = (id (x) rho) rho both read
-    sum_k pi_B[q1, (v, k)] pi_B[q2, (k, w)] at ((q1, q2, w), v)."""
+    sum_k pi_B[q1, (v, k)] pi_B[q2, (k, w)] at ((q1, q2, w), v).  Both
+    follow by transport once quotient_hopf's counit and coproduct are h's
+    transport of H's: pi_B = h . psi_bar(rho_B) (see the module docstring),
+    so they are B's comodule axioms carried along h."""
     rho = psi(res.pi(res.diagram.index(B)), B.carrier, B.carrier)
     return Comodule(quotient_hopf, B.carrier, rho)
 
@@ -204,9 +165,9 @@ def verify_equivalence_samples(res, quotient_hopf):
     """Sample checks that block |-> (F(block), curried projection) is an
     equivalence onto comodules over the quotient: hom-space dimensions agree
     pair by pair, every small block becomes a quotient comodule (by the
-    premises `comodule_over_quotient` names, which the extraction verified,
-    so its flag records the block), and the inert right action is carried
-    to the inert right action."""
+    premises `comodule_over_quotient` names, which follow by transport when
+    comparison_is_hopf_morphism passes, so its flag records the block), and
+    the inert right action is carried to the inert right action."""
     D = res.diagram
     reg, one = D.regular, D.index(D.derived(unit_comodule))
     checks = []
@@ -245,14 +206,12 @@ def reconstruct(H, diagram=None):
     when the last premise fails, to report whether Q is Hopf all the same."""
     res = compute_coend(diagram if diagram is not None
                         else reconstruction_diagram(H))
-    res.check_regular_surjective()
-    eps = extract_counit(res)
-    delta = extract_coproduct(res)
-    u = extract_unit(res)
-    m = extract_product(res)
-    S = extract_antipode(res)
-    quotient_hopf = HopfAlgebraData(res.quotient, m, u, delta, eps, S)
     h = canonical_comparison(res)
+    E = regular_section(res, h)
+    quotient_hopf = HopfAlgebraData(
+        res.quotient, extract_product(res, E), extract_unit(res),
+        extract_coproduct(res, E), extract_counit(res, E),
+        extract_antipode(res, E))
     morph_report = check_hopf_morphism(h, H, quotient_hopf)
     checks = [("quotient_is_hopf", morph_report.passed
                or check_hopf(quotient_hopf).passed),

@@ -22,6 +22,11 @@ braidings, comodule coactions and the coproduct's constraint as products of
 Kronecker products: the oracles for `exactalg.whiskered` and the chains of
 `gradedcat.chain` that replace them; `check_comodule_by_kron` states the
 comodule axioms that way, the oracle for the comodules built by theorem.
+`extract_by_read_off` reads the quotient's counit, coproduct, product and
+antipode off the constraints of every block pair that pins them, each
+verified against all of its constraints by `read_off`: the oracle for
+`reconstruct`, which reads each map through one section of the regular
+block's projection.
 `perfbench_module` loads a module of the benchmark, whose generator builds
 the seeded spec files.
 """
@@ -30,17 +35,18 @@ import importlib.util
 import re
 import sys
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
-from bhl.comodcat import (FlagReport, act, comodule_tensor, trivial_comodule,
-                          unit_comodule)
+from bhl.comodcat import (FlagReport, act, comodule_dual, comodule_tensor,
+                          trivial_comodule, unit_comodule)
 from bhl.exactalg import (Matrix, NonUniqueError, NoSolutionError,
                           QuotientPresentation, Scalar, SparseEliminator,
-                          _null_space, require)
+                          _null_space, read_off, require)
 from bhl.braidedhopf import CheckReport
-from bhl.gradedcat import (GradedMorphism, braiding, braiding_inverse,
-                           identity_mor, left_dual, phi_left, tensor_obj,
-                           unit_object)
+from bhl.gradedcat import (GradedMorphism, braiding, braiding_inverse, chain,
+                           dual_object, identity_mor, left_dual, phi_left,
+                           tensor_obj, unit_object)
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -186,6 +192,96 @@ def coproduct_constraint_by_kron(pi, V):
     insert = kron(kron(Matrix.identity(field, V.dim), d.coev.matrix),
                   Matrix.identity(field, d.space.dim))
     return kron(pi, pi) * insert
+
+
+def split_along_coev(pi, d):
+    """(pi (x) pi) (id (x) coev (x) id) for the projection pi of a
+    d-dimensional block, entry by entry: row (q1, q2), column (v, w) is
+    sum_k pi[q1, (v, k)] pi[q2, (k, w)]."""
+    q = pi.rows
+    cols = pi.transpose().data
+    rows = [{} for _ in range(q * q)]
+    for v, k, w in product(range(d), repeat=3):
+        vw = v * d + w
+        for q1, x in cols[v * d + k].items():
+            for q2, y in cols[k * d + w].items():
+                row = rows[q1 * q + q2]
+                row[vw] = row[vw] + x * y if vw in row else x * y
+    return Matrix.from_rows(pi.field, [{c: v for c, v in row.items() if v}
+                                       for row in rows], d * d)
+
+
+def counit_by_read_off(res):
+    """eps: Q -> 1, read off eps . pi_B = ev_{F(B)} over every block; ev is
+    the 1 x d^2 row with ones at (i, i)."""
+    field = res.quotient.ctx.field
+    constraints = []
+    for i, B in enumerate(res.diagram.blocks):
+        d = B.carrier.dim
+        constraints.append((res.pi_matrix(i), Matrix.from_rows(
+            field, [dict.fromkeys(range(0, d * d, d + 1), field.one)], d * d)))
+    return GradedMorphism(res.quotient, unit_object(res.quotient.ctx),
+                          read_off(field, constraints, (1, res.dim)))
+
+
+def coproduct_by_read_off(res):
+    """Delta: Q -> Q (x) Q, read off Delta . pi_B = (pi_B (x) pi_B)(id (x)
+    coev (x) id) over every block of dimension at most dim H."""
+    q = res.dim
+    constraints = []
+    for i, B in enumerate(res.diagram.blocks):
+        if B.carrier.dim <= res.diagram.hopf.carrier.dim:
+            pi = res.pi_matrix(i)
+            constraints.append((pi, split_along_coev(pi, B.carrier.dim)))
+    X = read_off(res.quotient.ctx.field, constraints, (q * q, q))
+    return GradedMorphism(res.quotient, tensor_obj(res.quotient, res.quotient),
+                          X)
+
+
+def product_by_read_off(res):
+    """m: Q (x) Q -> Q, read off m . (pi_A (x) pi_B) = pi_{A(x)B} (id (x)
+    phi)(id (x) c_{*A,B(x)*B}) over the regular/unit block pairs (A, B)."""
+    D, q = res.diagram, res.dim
+    field = res.quotient.ctx.field
+    reg, one = D.regular, D.index(D.derived(unit_comodule))
+    constraints = []
+    for a, b in ((reg, reg), (reg, one), (one, reg), (one, one)):
+        VA, VB = D.blocks[a].carrier, D.blocks[b].carrier
+        ab = D.index(D.derived(comodule_tensor, a, b))
+        mid = braiding(dual_object(VA), tensor_obj(VB, dual_object(VB)))
+        rhs = (res.pi_matrix(ab)
+               * kron(Matrix.identity(field, VA.dim * VB.dim),
+                      phi_left(VA, VB).matrix)
+               * kron(Matrix.identity(field, VA.dim), mid.matrix))
+        constraints.append((kron(res.pi_matrix(a), res.pi_matrix(b)), rhs))
+    QQ = tensor_obj(res.quotient, res.quotient)
+    return GradedMorphism(QQ, res.quotient,
+                          read_off(field, constraints, (q, q * q)))
+
+
+def antipode_by_read_off(res):
+    """S: Q -> Q, read off S . pi_reg = the dual block's projection in the
+    evaluation/coevaluation zig-zag."""
+    D = res.diagram
+    V = D.hopf.carrier
+    n = V.dim
+    dV = left_dual(V)
+    pi_dual = res.pi(D.index(D.derived(comodule_dual, D.regular)))
+    target = chain(tensor_obj(V, dV.space), res.quotient,
+                   (n * n, left_dual(dV.space).coev, 1), (n, pi_dual, n),
+                   (n, braiding_inverse(dV.space, res.quotient), 1),
+                   (1, dV.ev, res.dim))
+    X = read_off(res.quotient.ctx.field,
+                 [(res.pi_matrix(D.regular), target.matrix)],
+                 (res.dim, res.dim))
+    return GradedMorphism(res.quotient, res.quotient, X)
+
+
+def extract_by_read_off(res):
+    """(eps, Delta, m, S) of the coend quotient, each read off the
+    constraints of its blocks and verified against all of them."""
+    return (counit_by_read_off(res), coproduct_by_read_off(res),
+            product_by_read_off(res), antipode_by_read_off(res))
 
 
 def is_comodule_morphism(f, A, B):

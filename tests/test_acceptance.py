@@ -42,16 +42,17 @@ def test_criterion_1_axiom_suite_all_builtins():
 
 def test_criterion_2_coend_dimension_and_comparison():
     from bhl.reconstruct import (canonical_comparison, extract_coproduct,
-                                 extract_counit)
+                                 extract_counit, regular_section)
     for name in BUILTIN_NAMES:
         started = time.monotonic()
         H = build(name)
         res = compute_coend(default_diagram(H))
         assert res.dim == EXPECTED_DIMS[name], name
         res.check_regular_surjective()
-        eps_q = extract_counit(res)
-        delta_q = extract_coproduct(res)
         h = canonical_comparison(res)
+        E = regular_section(res, h)
+        eps_q = extract_counit(res, E)
+        delta_q = extract_coproduct(res, E)
         assert delta_q * h == (h @ h) * H.delta, name
         assert eps_q * h == H.eps, name
         elapsed = time.monotonic() - started

@@ -327,6 +327,22 @@ def test_yd_modules_from_spec_file(tmp_path):
     assert "yd_compat" in failed
 
 
+def test_an_empty_yd_modules_list_checks_no_module(tmp_path):
+    # an optional key takes its default, yd-check's sample modules, only
+    # when it is absent or null
+    doc = hopf_to_spec(build("taft:2"))
+    doc["yd_modules"] = []
+    spec = tmp_path / "no-yd.json"
+    spec.write_text(canonical_json(doc))
+    code, payload = run_cli(["yd-check", str(spec)], tmp_path, "r.json")
+    assert code == 0
+    assert payload["modules"] == []
+    doc["yd_modules"] = None
+    spec.write_text(canonical_json(doc))
+    code, payload = run_cli(["yd-check", str(spec)], tmp_path, "r.json")
+    assert len(payload["modules"]) == 3
+
+
 def test_antipode_nonexistence_error_payload(tmp_path):
     # the monoid bialgebra on {1, m} with m^2 = m has no antipode
     doc = {

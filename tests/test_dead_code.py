@@ -2,7 +2,8 @@
 and class of bhl is referenced from src/ outside its own definition, and so
 is every public method of a src class.  Code that only tests call belongs
 under tests/ (see tests/oracles.py).  And src/ holds no `assert`: the
-checks it runs are the same under `python -O`.
+checks it runs are the same under `python -O`; and no `@` outside a
+`__matmul__` method: the engine forms no Kronecker product.
 
 Methods are matched by name only: a method counts as used when some
 attribute reference in src/ or perfbench/*.py outside its own body, or a
@@ -94,3 +95,18 @@ def test_src_has_no_assert():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert not found, "assert statements in src/: %s" % found
+
+
+def test_src_forms_no_kronecker_product():
+    """Every tensor product of maps in src/ is whiskered: `@` appears only
+    in the body of a `__matmul__` method, which defines it."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        inside = {id(sub) for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "__matmul__" for sub in ast.walk(node)}
+        found += ["%s:%d" % (path.name, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, (ast.BinOp, ast.AugAssign))
+                  and isinstance(node.op, ast.MatMult) and id(node) not in inside]
+    assert not found, "Kronecker products in src/: %s" % found

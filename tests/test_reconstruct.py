@@ -1,7 +1,10 @@
 """Structure extraction from the coend: counit, coproduct, product, unit,
 antipode, comparison isomorphism, equivalence samples; the quotient proved
 Hopf by transport along the comparison, with the full axiom check as the
-diagnosis when the comparison is not a Hopf morphism."""
+diagnosis when the comparison is not a Hopf morphism.  The maps read
+through one section of the regular block's projection are those that the
+constraints of every block pair pin (`oracles.extract_by_read_off`), and
+each block's projection is the comparison after psi_bar of its coaction."""
 
 import json
 
@@ -11,17 +14,18 @@ import bhl.reconstruct
 from bhl.braidedhopf import (BialgebraData, check_hopf, check_hopf_morphism,
                              solve_antipode)
 from bhl.catalog import BUILTIN_NAMES, build, group_algebra, sweedler
-from bhl.cli import main
+from bhl.cli import datum_from_spec, main
 from bhl.coend import (CoendResult, Diagram, _block_spaces, compute_coend,
                        reconstruction_diagram)
 from bhl.comodcat import direct_sum_comodule, regular_comodule, unit_comodule
 from bhl.exactalg import (Matrix, NoSolutionError, QuotientPresentation,
                           _null_space)
 from bhl.gradedcat import GradedMorphism, GradedObject, identity_mor
-from bhl.reconstruct import (
-    NotIsoError, Reconstruction, canonical_comparison, extract_antipode,
-    extract_coproduct, extract_counit, extract_product, reconstruct,
-)
+from bhl.reconstruct import (NotIsoError, Reconstruction,
+                             canonical_comparison, reconstruct)
+from oracles import (coproduct_by_read_off, counit_by_read_off,
+                     extract_by_read_off, perfbench_module,
+                     product_by_read_off, psi_bar)
 
 
 def test_reconstruct_passes_on_all_builtins():
@@ -84,8 +88,8 @@ def wrong_antipode(monkeypatch):
     Sweedler's algebra S^2 != id, so it is not Q's antipode."""
     extract = bhl.reconstruct.extract_antipode
 
-    def inverse(res):
-        S = extract(res)
+    def inverse(res, E):
+        S = extract(res, E)
         S_inv = S.inverse()
         assert S_inv != S and S * S_inv == identity_mor(S.source)
         return S_inv
@@ -119,14 +123,16 @@ def test_a_comparison_that_is_not_a_morphism_leaves_the_quotient_hopf(
         monkeypatch):
     # 2h is bijective and degree-preserving but breaks respects_m; the
     # quotient itself is untouched, so the diagnosis must find it Hopf
-    compare = bhl.reconstruct.canonical_comparison
+    # (planted where the morphism check reads h, so the section that the
+    # quotient's maps are read through is the true comparison's)
+    check = bhl.reconstruct.check_hopf_morphism
 
-    def doubled(res):
-        h = compare(res)
+    def doubled(h, H, Q):
         two = h.source.ctx.field.scalar(2)
-        return GradedMorphism(h.source, h.target, h.matrix.scale(two))
+        return check(GradedMorphism(h.source, h.target, h.matrix.scale(two)),
+                     H, Q)
 
-    monkeypatch.setattr(bhl.reconstruct, "canonical_comparison", doubled)
+    monkeypatch.setattr(bhl.reconstruct, "check_hopf_morphism", doubled)
     r = reconstruct(sweedler())
     assert not flags(r)["comparison_is_hopf_morphism"]
     assert flags(r)["quotient_is_hopf"]
@@ -148,12 +154,15 @@ def test_not_iso_guard():
     assert err.value.code == "NotIso"
 
 
+def enlarged_diagram(H):
+    return reconstruction_diagram(H).enlarged(
+        direct_sum_comodule(regular_comodule(H), unit_comodule(H)))
+
+
 def test_custom_diagram_reconstructs_too():
     # an enlarged diagram must reconstruct the same Hopf algebra
     H = group_algebra(2)
-    D = reconstruction_diagram(H).enlarged(
-        direct_sum_comodule(regular_comodule(H), unit_comodule(H)))
-    r = reconstruct(H, diagram=D)
+    r = reconstruct(H, diagram=enlarged_diagram(H))
     assert r.passed, r.checks.failures()
     assert r.coend.dim == 2
 
@@ -169,8 +178,49 @@ def test_report_names_cover_all_families():
     assert any(n.startswith("block_comodule") for n in names)
 
 
-@pytest.mark.parametrize("extract", [extract_counit, extract_coproduct,
-                                     extract_product])
+def seed0_spec_datum(base, dense):
+    """The benchmark's seed-0 spec of `base`, read as the CLI does."""
+    doc = json.loads(perfbench_module("gen").generate(base, 0, dense))
+    return datum_from_spec(doc)[0]
+
+
+READ_OFF_CASES = {name: (lambda name=name: (build(name), None))
+                  for name in BUILTIN_NAMES + ["taft:3", "nichols_cyclic:5",
+                                               "group_algebra:2,2"]}
+READ_OFF_CASES["enlarged_group_algebra:2"] = lambda: (
+    group_algebra(2), enlarged_diagram(group_algebra(2)))
+READ_OFF_CASES["cyclo5-diag"] = lambda: (
+    seed0_spec_datum("nichols_cyclic:5", False), None)
+READ_OFF_CASES["taft2-dense"] = lambda: (seed0_spec_datum("taft:2", True),
+                                         None)
+
+
+@pytest.mark.parametrize("case", READ_OFF_CASES)
+def test_the_section_gives_the_maps_every_block_pins(case):
+    # pi_reg is onto the quotient, so X . pi_reg = C_reg has one solution;
+    # the oracle reads it off every block pair's constraints and verifies
+    # each, so the other blocks' constraints hold too
+    H, diagram = READ_OFF_CASES[case]()
+    r = reconstruct(H, diagram)
+    Q = r.quotient_hopf
+    assert extract_by_read_off(r.coend) == (Q.eps, Q.delta, Q.m, Q.S)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_each_block_projection_is_the_comparison_after_psi_bar(name):
+    # the projection is P_F^-1 P, and h = P_F^-1 by H's counit axiom
+    H = build(name)
+    res = compute_coend(reconstruction_diagram(H))
+    h = canonical_comparison(res)
+    for i, B in enumerate(res.diagram.blocks):
+        assert res.pi_matrix(i) == h.matrix * psi_bar(
+            B.coaction, H.carrier, B.carrier).matrix, i
+
+
+@pytest.mark.parametrize("extract", [
+    pytest.param(counit_by_read_off, id="extract_counit"),
+    pytest.param(coproduct_by_read_off, id="extract_coproduct"),
+    pytest.param(product_by_read_off, id="extract_product")])
 def test_a_constraint_the_read_off_map_fails_raises(extract, monkeypatch):
     # doubling the unit block's projection leaves the regular block, which
     # already fixes the map, unchanged; the unit block's constraints then

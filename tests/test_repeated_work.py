@@ -4,7 +4,8 @@ instead of rebuilding them.  Each relation of a base diagram is reduced
 once, however many enlargements of it are computed, and the enlargements
 resume from the base's reduced rows on the cofree blocks instead of
 re-adding them.  A coend keeps its projection and free coordinates, and
-no copy derived from them.  Each Hopf input is checked once, at the CLI's
+no copy derived from them; the structure maps read off it form no
+Kronecker product of two projections.  Each Hopf input is checked once, at the CLI's
 entry check or by `check-hopf` itself, and never again by the catalog; the
 reconstructed quotient is proved Hopf by transport, not checked again."""
 
@@ -23,7 +24,9 @@ import bhl.reconstruct
 from bhl.catalog import build
 from bhl.cli import canonical_json, hopf_to_spec
 from bhl.coend import compute_coend, default_diagram, reconstruction_diagram
-from bhl.reconstruct import reconstruct
+from bhl.reconstruct import (canonical_comparison, extract_antipode,
+                             extract_coproduct, extract_counit,
+                             extract_product, reconstruct, regular_section)
 from oracles import perfbench_module
 
 CONSTRUCTORS = ("regular_comodule", "unit_comodule", "comodule_tensor",
@@ -158,6 +161,26 @@ def test_coend_retains_little_beyond_its_projection():
         tracemalloc.stop()
     assert res.dim == 9
     assert retained < 1e6, retained
+
+
+def test_structure_maps_peak_small():
+    """taft:4's four structure maps (n = 16), read through one section of
+    the regular block's projection once the coend is computed, peak below
+    8 MiB: no pi_reg (x) pi_reg, with its n^4 columns, and no transpose of
+    pi_{reg(x)reg}.  Read off every block pair's constraints, they peaked
+    at 10.6 MiB."""
+    res = compute_coend(reconstruction_diagram(build("taft:4")))
+    h = canonical_comparison(res)
+    tracemalloc.start()
+    try:
+        E = regular_section(res, h)
+        for extract in (extract_counit, extract_coproduct, extract_product,
+                        extract_antipode):
+            extract(res, E)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2 ** 20, peak
 
 
 def count_calls(name, args, monkeypatch, tmp_path):
