@@ -70,6 +70,15 @@ def regular_section(res, h):
                  (V.dim, dual_morphism(res.diagram.hopf.eps), 1))
 
 
+def _derived_block(D, name, construct, *operands):
+    """D.index(D.derived(...)), or InvalidStructureError naming the block."""
+    try:
+        return D.index(D.derived(construct, *operands))
+    except KeyError:
+        raise InvalidStructureError("the %s is not a block of the diagram"
+                                    % name) from None
+
+
 def extract_counit(res, E):
     """eps = ev . E, from eps . pi_reg = ev_{F(reg)}."""
     return left_dual(res.diagram.hopf.carrier).ev * E
@@ -88,8 +97,8 @@ def extract_coproduct(res, E):
 
 def extract_unit(res):
     """u: 1 -> Q is the unit block's projection."""
-    D = res.diagram
-    return res.pi(D.index(D.derived(unit_comodule)))
+    return res.pi(_derived_block(res.diagram, "unit comodule",
+                                 unit_comodule))
 
 
 def extract_product(res, E):
@@ -103,11 +112,8 @@ def extract_product(res, E):
     D, Q = res.diagram, res.quotient
     V = D.hopf.carrier
     n, q = V.dim, res.dim
-    try:
-        ab = D.index(D.derived(comodule_tensor, D.regular, D.regular))
-    except KeyError:
-        raise InvalidStructureError("the tensor square of the regular block "
-                                    "is not a block of the diagram") from None
+    ab = _derived_block(D, "tensor square of the regular block",
+                        comodule_tensor, D.regular, D.regular)
     mid = braiding(dual_object(V), tensor_obj(V, dual_object(V)))
     X = Matrix.identity(Q.ctx.field, q * q)
     for a, f, b in ((q, E, 1), (1, E, n * n), (n, mid, 1),
@@ -124,7 +130,8 @@ def extract_antipode(res, E):
     n = V.dim
     dV = left_dual(V)
     ddV = left_dual(dV.space)
-    pi_dual = res.pi(D.index(D.derived(comodule_dual, D.regular)))
+    pi_dual = res.pi(_derived_block(D, "dual of the regular block",
+                                    comodule_dual, D.regular))
     # (ev (x) id) (id (x) c^-1_{*V,Q}) (id (x) pi_dual (x) id) (id (x) coev) E
     return chain(res.quotient, res.quotient, (1, E, 1), (n * n, ddV.coev, 1),
                  (n, pi_dual, n), (n, braiding_inverse(dV.space, res.quotient), 1),

@@ -16,28 +16,34 @@ the free coordinates instead of forming the product P * E_free.  `parse_scalar_b
 for an unknown map X by eliminating one equation per entry, the oracle for
 `read_off` and `solve_antipode`.  `coend_by_elimination` divides every
 relation column of a coend diagram out by exact elimination, the oracle
-for the certified `compute_coend`.  `kron` is the Kronecker product entry by
-entry, and the `*_by_kron` functions state the axiom residuals, induced
-braidings, comodule coactions and the coproduct's constraint as products of
-Kronecker products: the oracles for `exactalg.whiskered` and the chains of
-`gradedcat.chain` that replace them; `check_comodule_by_kron` states the
-comodule axioms that way, the oracle for the comodules built by theorem.
+for the certified `compute_coend`.  `stability_by_kappa` computes the
+comparison kappa between a coend and an enlargement's, the oracle for
+`check_stability`, which reports its flags by lemma.  `kron` is the
+Kronecker product entry by entry, and the `*_by_kron` functions state the
+axiom residuals, induced braidings, comodule coactions and the coproduct's
+constraint as products of Kronecker products: the oracles for
+`exactalg.whiskered` and the chains of `gradedcat.chain` that replace them;
+`check_comodule_by_kron` states the comodule axioms that way, the oracle
+for the comodules built by theorem.
 `extract_by_read_off` reads the quotient's counit, coproduct, product and
 antipode off the constraints of every block pair that pins them, each
 verified against all of its constraints by `read_off`: the oracle for
 `reconstruct`, which reads each map through one section of the regular
 block's projection.
 `perfbench_module` loads a module of the benchmark, whose generator builds
-the seeded spec files.
+the seeded spec files; `seed0_spec_datum` reads one of them as the CLI does.
 """
 
 import importlib.util
+import json
 import re
 import sys
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
+from bhl.cli import datum_from_spec
+from bhl.coend import _block_at
 from bhl.comodcat import (FlagReport, act, comodule_dual, comodule_tensor,
                           trivial_comodule, unit_comodule)
 from bhl.exactalg import (Matrix, NonUniqueError, NoSolutionError,
@@ -59,6 +65,12 @@ def perfbench_module(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def seed0_spec_datum(base, dense):
+    """The benchmark's seed-0 spec of `base`, read as the CLI does."""
+    doc = json.loads(perfbench_module("gen").generate(base, 0, dense))
+    return datum_from_spec(doc)[0]
 
 
 def kron(A, B):
@@ -505,6 +517,32 @@ def coend_by_elimination(diagram):
     free, projection = _null_space(field, total, elim.rref_rows())
     return QuotientPresentation(total, free,
                                 Matrix.from_rows(field, projection, total))
+
+
+def stability_by_kappa(small, big):
+    """Compare the coends of a diagram and an enlargement of it.
+
+    The comparison sends each small quotient basis vector, at its free
+    ambient coordinate, through the big projection; it must be an
+    isomorphism commuting with every shared universal map.  The oracle
+    for `coend.check_stability`, which reports these flags by the lemma
+    that both projections are P_F^-1 P of one candidate P.
+    """
+    checks = [("dims_match", small.dim == big.dim)]
+    shared = [big.diagram.index(B) for B in small.diagram.blocks]
+    Pb = big.presentation.projection
+    Pb_cols = Pb.transpose().data
+    kappa = Matrix.from_rows(
+        Pb.field, [Pb_cols[big.offsets[shared[i]] + q] for i, q in
+                   (_block_at(small.offsets, p) for p in small.presentation.free)],
+        big.dim).transpose()
+    checks.append(("comparison_iso",
+                   small.dim == big.dim and kappa.rank() == small.dim))
+    for i, j in enumerate(shared):
+        lhs = kappa * small.pi_matrix(i)
+        rhs = big.pi_matrix(j)
+        checks.append(("intertwines_pi[%d]" % i, lhs == rhs))
+    return FlagReport(checks)
 
 
 def rational_matrix(field, rows):

@@ -1,5 +1,6 @@
 """Coend quotients: dimensions, grading, surjectivity, stability."""
 
+import copy
 import io
 import json
 import re
@@ -29,7 +30,7 @@ from bhl.gradedcat import (GradedMorphism, GradedObject, identity_mor,
                            left_dual, line_object, tensor_obj, unit_object)
 from oracles import (coend_by_elimination, hom_basis_by_elimination,
                      is_comodule_morphism, prebalancing, psi_bar,
-                     rational_matrix)
+                     rational_matrix, seed0_spec_datum, stability_by_kappa)
 
 
 def test_coend_dim_equals_hopf_dim_on_all_builtins():
@@ -128,6 +129,49 @@ def test_stability_under_enlargements():
             rep = check_stability(small, big)
             assert rep.passed, rep.failures()
             assert big.dim == H.carrier.dim
+
+
+STABILITY_CASES = {name: (lambda name=name: (build(name), ()))
+                   for name in BUILTIN_NAMES + ["taft:3", "nichols_cyclic:5",
+                                               "group_algebra:2,2"]}
+STABILITY_CASES["nichols_cyclic:3 --probes 1"] = lambda: (
+    build("nichols_cyclic:3"), ((1,),))
+STABILITY_CASES["cyclo5-diag"] = lambda: (
+    seed0_spec_datum("nichols_cyclic:5", False), ())
+
+
+@pytest.mark.parametrize("case", STABILITY_CASES)
+def test_stability_flags_by_lemma_are_the_computed_ones(case):
+    # both coends certify, so the flags that `check_stability` reports by
+    # the lemma are those the computed comparison kappa gives
+    H, probes = STABILITY_CASES[case]()
+    base = default_diagram(H, [H.carrier.ctx.group.element(d)
+                               for d in probes])
+    small = compute_coend(base)
+    for _, block in stability_blocks(base):
+        big = small.enlarged(block)
+        assert (stability_by_kappa(small, big).checks
+                == check_stability(small, big).checks)
+
+
+def test_the_stability_oracle_fails_on_a_doubled_projection_row():
+    # the big projection with its row 0 written twice, over row 1: the
+    # computed kappa loses rank (the presentation is no longer the identity
+    # on the free coordinates, so it is set in place, unverified); the lemma
+    # reads no projection, so it still passes
+    H = sweedler()
+    base = default_diagram(H)
+    small = compute_coend(base)
+    big = small.enlarged(stability_blocks(base)[0][1])
+    doubled = copy.copy(big)
+    doubled.presentation = copy.copy(big.presentation)
+    P = big.presentation.projection
+    rows = list(P.data)
+    rows[1] = rows[0]
+    doubled.presentation.projection = Matrix.from_rows(P.field, rows, P.cols)
+    failures = stability_by_kappa(small, doubled).failures()
+    assert failures == ["comparison_iso"]
+    assert check_stability(small, doubled).passed
 
 
 STOCK = list(BUILTIN_NAMES) + ["nichols_cyclic:5"]

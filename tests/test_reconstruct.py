@@ -4,7 +4,9 @@ Hopf by transport along the comparison, with the full axiom check as the
 diagnosis when the comparison is not a Hopf morphism.  The maps read
 through one section of the regular block's projection are those that the
 constraints of every block pair pin (`oracles.extract_by_read_off`), and
-each block's projection is the comparison after psi_bar of its coaction."""
+each block's projection is the comparison after psi_bar of its coaction,
+so each block over the quotient coacts through the comparison.  A diagram
+without a block that an extraction reads raises InvalidStructure."""
 
 import json
 
@@ -14,18 +16,20 @@ import bhl.reconstruct
 from bhl.braidedhopf import (BialgebraData, check_hopf, check_hopf_morphism,
                              solve_antipode)
 from bhl.catalog import BUILTIN_NAMES, build, group_algebra, sweedler
-from bhl.cli import datum_from_spec, main
+from bhl.cli import main
 from bhl.coend import (CoendResult, Diagram, _block_spaces, compute_coend,
-                       reconstruction_diagram)
-from bhl.comodcat import direct_sum_comodule, regular_comodule, unit_comodule
-from bhl.exactalg import (Matrix, NoSolutionError, QuotientPresentation,
-                          _null_space)
+                       default_diagram, reconstruction_diagram)
+from bhl.comodcat import (comodule_dual, comodule_tensor, direct_sum_comodule,
+                          regular_comodule, unit_comodule)
+from bhl.exactalg import (InvalidStructureError, Matrix, NoSolutionError,
+                          QuotientPresentation, _null_space, whiskered)
 from bhl.gradedcat import GradedMorphism, GradedObject, identity_mor
 from bhl.reconstruct import (NotIsoError, Reconstruction,
-                             canonical_comparison, reconstruct)
+                             canonical_comparison, comodule_over_quotient,
+                             reconstruct)
 from oracles import (coproduct_by_read_off, counit_by_read_off,
-                     extract_by_read_off, perfbench_module,
-                     product_by_read_off, psi_bar)
+                     extract_by_read_off, product_by_read_off, psi_bar,
+                     seed0_spec_datum)
 
 
 def test_reconstruct_passes_on_all_builtins():
@@ -154,6 +158,27 @@ def test_not_iso_guard():
     assert err.value.code == "NotIso"
 
 
+def without_the_unit_block(H):
+    """The regular block, its tensor square and its dual, and no unit
+    block: every structure map but the unit can be read off."""
+    reg = regular_comodule(H)
+    return Diagram(H, [reg, comodule_tensor(reg, reg), comodule_dual(reg)])
+
+
+@pytest.mark.parametrize("diagram, block", [
+    (default_diagram, "dual of the regular block"),
+    (without_the_unit_block, "unit comodule")])
+def test_a_diagram_without_a_block_an_extraction_reads_raises(diagram,
+                                                              block):
+    # the diagram's coend is certified, and the extraction that needs the
+    # missing block names it
+    H = sweedler()
+    with pytest.raises(InvalidStructureError) as err:
+        reconstruct(H, diagram(H))
+    assert err.value.code == "InvalidStructure"
+    assert str(err.value) == "the %s is not a block of the diagram" % block
+
+
 def enlarged_diagram(H):
     return reconstruction_diagram(H).enlarged(
         direct_sum_comodule(regular_comodule(H), unit_comodule(H)))
@@ -176,12 +201,6 @@ def test_report_names_cover_all_families():
     assert any(n.startswith("hom_dims") for n in names)
     assert any(n.startswith("action_carried") for n in names)
     assert any(n.startswith("block_comodule") for n in names)
-
-
-def seed0_spec_datum(base, dense):
-    """The benchmark's seed-0 spec of `base`, read as the CLI does."""
-    doc = json.loads(perfbench_module("gen").generate(base, 0, dense))
-    return datum_from_spec(doc)[0]
 
 
 READ_OFF_CASES = {name: (lambda name=name: (build(name), None))
@@ -215,6 +234,19 @@ def test_each_block_projection_is_the_comparison_after_psi_bar(name):
     for i, B in enumerate(res.diagram.blocks):
         assert res.pi_matrix(i) == h.matrix * psi_bar(
             B.coaction, H.carrier, B.carrier).matrix, i
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES + ["taft:3", "nichols_cyclic:5",
+                                                  "group_algebra:2,2"])
+def test_each_block_over_the_quotient_coacts_through_the_comparison(name):
+    # q_of[B] = (h (x) id) rho_B for every block B, the premise from which
+    # the equivalence samples would follow by transport along h
+    r = reconstruct(build(name))
+    h = r.comparison.matrix
+    for i, B in enumerate(r.coend.diagram.blocks):
+        q_of = comodule_over_quotient(r.coend, r.quotient_hopf, B)
+        assert q_of.coaction.matrix == whiskered(1, h, B.carrier.dim,
+                                                 B.coaction.matrix), i
 
 
 @pytest.mark.parametrize("extract", [

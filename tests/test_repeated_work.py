@@ -5,9 +5,11 @@ once, however many enlargements of it are computed, and the enlargements
 resume from the base's reduced rows on the cofree blocks instead of
 re-adding them.  A coend keeps its projection and free coordinates, and
 no copy derived from them; the structure maps read off it form no
-Kronecker product of two projections.  Each Hopf input is checked once, at the CLI's
-entry check or by `check-hopf` itself, and never again by the catalog; the
-reconstructed quotient is proved Hopf by transport, not checked again."""
+Kronecker product of two projections, and `stability` reports its flags
+by lemma, with no comparison matrix.  Each Hopf input is checked once, at
+the CLI's entry check or by `check-hopf` itself, and never again by the
+catalog; the reconstructed quotient is proved Hopf by transport, not
+checked again."""
 
 import re
 import sys
@@ -24,6 +26,7 @@ import bhl.reconstruct
 from bhl.catalog import build
 from bhl.cli import canonical_json, hopf_to_spec
 from bhl.coend import compute_coend, default_diagram, reconstruction_diagram
+from bhl.exactalg import Matrix
 from bhl.reconstruct import (canonical_comparison, extract_antipode,
                              extract_coproduct, extract_counit,
                              extract_product, reconstruct, regular_section)
@@ -146,6 +149,40 @@ def test_reconstruction_stops_the_cofree_stream_at_the_bound(monkeypatch,
     stops after 273 of them, when their rank reaches |T| - n = 145."""
     assert count_cofree_adds(monkeypatch, tmp_path,
                              "verify-reconstruction") == [273]
+
+
+def test_stability_reports_its_flags_without_a_matrix_product(monkeypatch,
+                                                               tmp_path):
+    """During `stability --builtin taft:3`, `check_stability` transposes,
+    multiplies and ranks no matrix: its flags hold by the lemma that both
+    coends are P_F^-1 P of one candidate, so no comparison kappa is
+    formed."""
+    inside, started = [], []
+    check_stability = bhl.coend.check_stability
+
+    def marked(small, big):
+        inside.append(True)
+        try:
+            return check_stability(small, big)
+        finally:
+            inside.pop()
+
+    def recording(name):
+        fn = getattr(Matrix, name)
+
+        def wrapper(*args, **kwargs):
+            if inside:
+                started.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(bhl.coend, "check_stability", marked)
+    for name in ("transpose", "__mul__", "rank"):
+        monkeypatch.setattr(Matrix, name, recording(name))
+    out = tmp_path / "stability.json"
+    assert bhl.cli.main(["stability", "--builtin", "taft:3",
+                         "--out", str(out)]) == 0
+    assert started == []
 
 
 def test_coend_retains_little_beyond_its_projection():
