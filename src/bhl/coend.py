@@ -55,12 +55,14 @@ presentation, the one exact elimination of the relations would give, is
 read off P: coordinate j is free iff P e_j is independent of the columns
 after j, and the projection is P_F^-1 P (the reduced relation of any other
 coordinate p is then e_p - sum_k proj[k][p] e_(free k), which is not
-stored).  The certificate is the only way a coend is computed.  It checks
-the four premises that an input or a hand-built `Diagram` can break, and
-CoendNotCertifiedError names the first that fails with its witness: a
-glued block that coacts unlike its anchor, a block in S with a degree that
-no cofree block has, rank P < n, or relations on T short of |T| - n (a
-non-Hopf input, a diagram too small to cut H out).  Every input of the
+stored).  The coend keeps P_F and P_F^-1, which is the comparison H -> Q
+by H's counit axiom (see `reconstruct`).  The certificate is the only way
+a coend is computed.  It checks the four premises that an input or a
+hand-built `Diagram` can break, and CoendNotCertifiedError names the first
+that fails with its witness: a glued block that coacts unlike its anchor,
+a block in S with a degree that no cofree block has, rank P < n, or
+relations on T short of |T| - n (a non-Hopf input, a diagram too small to
+cut H out).  Every input of the
 command line is proved Hopf before its diagram is built, and the stock
 diagrams have a cofree block at every degree, so their coends are
 certified.  The presentation is read off P alone, so the stream order
@@ -301,15 +303,20 @@ class CoendResult:
     block i's F(B) (x) *F(B) as a morphism of the graded category.
     `certificate` holds the reduced rows {pivot: row} of the relations
     supported on the cofree blocks that certified the presentation (see the
-    module docstring), from which `enlarged` resumes.
+    module docstring), from which `enlarged` resumes.  `p_free` is P_F, the
+    candidate's columns at the free coordinates (H's basis by the
+    quotient's), and `p_free_inverse` is P_F^-1.
     """
 
-    def __init__(self, diagram, offsets, presentation, quotient, certificate):
+    def __init__(self, diagram, offsets, presentation, quotient, certificate,
+                 p_free, p_free_inverse):
         self.diagram = diagram
         self.offsets = offsets
         self.presentation = presentation
         self.quotient = quotient
         self.certificate = certificate
+        self.p_free = p_free
+        self.p_free_inverse = p_free_inverse
 
     @property
     def dim(self):
@@ -373,10 +380,10 @@ def _candidate(diagram, offsets, total):
 
 
 def _canonical_projection(field, P, n):
-    """(F, the rows of P_F^-1 P) for F the coordinates j whose column P e_j
-    is independent of the later columns -- the free coordinates of the
-    canonical presentation of ker P.  CoendNotCertifiedError if rank
-    P < n."""
+    """(F, P_F, P_F^-1, the rows of P_F^-1 P) for F the coordinates j whose
+    column P e_j is independent of the later columns -- the free
+    coordinates of the canonical presentation of ker P -- and P_F the n x n
+    matrix of P's columns at F.  CoendNotCertifiedError if rank P < n."""
     elim = SparseEliminator(field)
     free = []
     for j in range(len(P) - 1, -1, -1):
@@ -392,8 +399,10 @@ def _canonical_projection(field, P, n):
     for k, j in enumerate(free):
         for h, v in P[j].items():
             rows[h][k] = v
-    inv = Matrix.from_rows(field, rows, n).inverse()
-    return free, (inv * Matrix.from_rows(field, P, n).transpose()).data
+    p_free = Matrix.from_rows(field, rows, n)
+    inv = p_free.inverse()
+    projection = inv * Matrix.from_rows(field, P, n).transpose()
+    return free, p_free, inv, projection.data
 
 
 def _check_counit_lemma(diagram, cofree):
@@ -429,7 +438,8 @@ def _certify(diagram, base=None):
               if d is not None}
     _check_counit_lemma(diagram, cofree)
     P = _candidate(diagram, offsets, total)
-    free, projection = _canonical_projection(ctx.field, P, n)
+    free, p_free, p_free_inverse, projection = _canonical_projection(
+        ctx.field, P, n)
     del P  # not needed by the presentation: lower its peak memory
 
     elim, prefix = SparseEliminator(ctx.field), ()
@@ -457,7 +467,8 @@ def _certify(diagram, base=None):
 
     quotient = GradedObject(ctx, [("c%d" % k, coord_degree(p))
                                   for k, p in enumerate(free)])
-    return CoendResult(diagram, offsets, pres, quotient, elim.rows)
+    return CoendResult(diagram, offsets, pres, quotient, elim.rows, p_free,
+                       p_free_inverse)
 
 
 def compute_coend(diagram):
@@ -476,9 +487,16 @@ def check_stability(small, big):
     are P_F^-1 P of one candidate P, so kappa = Pb_F^-1 Ps_F is invertible
     when the dimensions agree, and kappa pi_small,i = Pb_F^-1 P|_i =
     pi_big,j.  The flags hold by that lemma once its premise is checked: each
-    block of small is one of big (KeyError if not).  The tests' oracle
-    `stability_by_kappa` computes kappa."""
-    shared = [big.diagram.index(B) for B in small.diagram.blocks]
+    block of small is one of big (InvalidStructureError naming the first
+    that is not).  The tests' oracle `stability_by_kappa` computes kappa."""
+    blocks = small.diagram.blocks
+    for i, B in enumerate(blocks):
+        try:
+            big.diagram.index(B)
+        except KeyError:
+            raise InvalidStructureError(
+                "block %d of the diagram is not a block of its enlargement"
+                % i) from None
     same = small.dim == big.dim
     return FlagReport([("dims_match", same), ("comparison_iso", same)] + [
-        ("intertwines_pi[%d]" % i, True) for i in range(len(shared))])
+        ("intertwines_pi[%d]" % i, True) for i in range(len(blocks))])

@@ -11,8 +11,8 @@ held to Python's digit limit for int literals first.  Everything
 downstream (graded categories, Hopf structure checks, coend quotients)
 reduces to the handful of primitives in this module: sparse products,
 `whiskered`, the one kernel for tensored maps, (I (x) f (x) I) X without the
-Kronecker product, sparse elimination to reduced rows, the null space
-read off them, the quotient presentation given by its projection, and
+Kronecker product, sparse elimination to reduced rows, the quotient
+presentation given by its projection, and
 `read_off`, the one solve for an unknown linear map X from equations
 X * B_t = C_t: it streams the columns of each B_t, extended by those of C_t,
 into one eliminator, and reads X off the reduced rows.  Matrix inverses and
@@ -807,23 +807,6 @@ class SparseEliminator:
                             row[kk] = nc * vv
             reduced[p] = row
         return [(p, reduced[p]) for p in pivs]
-
-
-def _null_space(field, ncols, rref_rows):
-    """(free, basis): the canonical null space of reduced rows on `ncols`
-    coordinates.  `free` lists the coordinates that are no row's pivot, in
-    order; basis[k] is the sparse vector {coordinate: value} that is 1 at
-    free[k] and -row_p[free[k]] at each pivot p."""
-    pivots = {p for p, _ in rref_rows}
-    free = [j for j in range(ncols) if j not in pivots]
-    free_pos = {j: k for k, j in enumerate(free)}
-    one = field.one
-    basis = [{j: one} for j in free]
-    for p, row in rref_rows:
-        for j, v in row.items():
-            if j != p:
-                basis[free_pos[j]][p] = -v
-    return free, basis
 
 
 class QuotientPresentation:

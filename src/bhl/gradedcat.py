@@ -374,12 +374,3 @@ def phi_left(X, Y):
             data[(i * Y.dim + j, j * X.dim + i)] = one
     return GradedMorphism(source, target,
                           Matrix.from_dict(X.ctx.field, target.dim, source.dim, data))
-
-
-def psi(f, X, Y):
-    """Turn f: X (x) *Y -> Z into X -> Z (x) Y (currying the right dual leg)."""
-    dual = left_dual(Y)
-    require(f.source == tensor_obj(X, dual.space),
-            "psi: source must be X (x) *Y")
-    return chain(X, tensor_obj(f.target, Y), (X.dim, dual.coev, 1),
-                 (1, f, Y.dim))

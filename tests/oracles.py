@@ -30,6 +30,14 @@ antipode off the constraints of every block pair that pins them, each
 verified against all of its constraints by `read_off`: the oracle for
 `reconstruct`, which reads each map through one section of the regular
 block's projection.
+`comparison_by_chain` composes the comparison h = pi_reg (id (x) *eps),
+the oracle for `canonical_comparison`, which takes h = P_F^-1 from the
+coend's certificate.  `equivalence_by_hom_spaces` computes the equivalence
+samples, each block over the quotient by `comodule_over_quotient` (psi of
+its projection) and every hom space by `hom_basis_by_elimination`: the
+oracle for `verify_equivalence_samples`, which reports them by transport
+along h.  `null_space` reads the canonical null space off reduced rows,
+and `psi` curries a map's dual leg, the inverse of `psi_bar`.
 `perfbench_module` loads a module of the benchmark, whose generator builds
 the seeded spec files; `seed0_spec_datum` reads one of them as the CLI does.
 """
@@ -44,15 +52,16 @@ from pathlib import Path
 
 from bhl.cli import datum_from_spec
 from bhl.coend import _block_at
-from bhl.comodcat import (FlagReport, act, comodule_dual, comodule_tensor,
-                          trivial_comodule, unit_comodule)
+from bhl.comodcat import (Comodule, FlagReport, act, act_coaction,
+                          comodule_dual, comodule_tensor, trivial_comodule,
+                          unit_comodule)
 from bhl.exactalg import (Matrix, NonUniqueError, NoSolutionError,
                           QuotientPresentation, Scalar, SparseEliminator,
-                          _null_space, read_off, require)
+                          read_off, require)
 from bhl.braidedhopf import CheckReport
 from bhl.gradedcat import (GradedMorphism, braiding, braiding_inverse, chain,
-                           dual_object, identity_mor, left_dual, phi_left,
-                           tensor_obj, unit_object)
+                           dual_morphism, dual_object, identity_mor,
+                           left_dual, phi_left, tensor_obj, unit_object)
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -302,6 +311,23 @@ def is_comodule_morphism(f, A, B):
     return (B.coaction * f - (iH @ f) * A.coaction).is_zero()
 
 
+def null_space(field, ncols, rref_rows):
+    """(free, basis): the canonical null space of reduced rows on `ncols`
+    coordinates.  `free` lists the coordinates that are no row's pivot, in
+    order; basis[k] is the sparse vector {coordinate: value} that is 1 at
+    free[k] and -row_p[free[k]] at each pivot p."""
+    pivots = {p for p, _ in rref_rows}
+    free = [j for j in range(ncols) if j not in pivots]
+    free_pos = {j: k for k, j in enumerate(free)}
+    one = field.one
+    basis = [{j: one} for j in free]
+    for p, row in rref_rows:
+        for j, v in row.items():
+            if j != p:
+                basis[free_pos[j]][p] = -v
+    return free, basis
+
+
 def hom_basis_by_elimination(A, B):
     """A basis of the comodule maps A -> B, by exact elimination: the null
     space of f |-> rho_B f - (id (x) f) rho_A on the degree-preserving
@@ -320,7 +346,7 @@ def hom_basis_by_elimination(A, B):
     elim = SparseEliminator(field)
     for row in Matrix.from_rows(field, columns, n_eq).transpose().data:
         elim.add(dict(row))
-    _, basis = _null_space(field, len(units), elim.rref_rows())
+    _, basis = null_space(field, len(units), elim.rref_rows())
     return [GradedMorphism(VA, VB, Matrix.from_dict(
                 field, VB.dim, VA.dim, {units[k]: v for k, v in vec.items()}))
             for vec in basis]
@@ -394,6 +420,15 @@ def prebalancing(A, B, X):
     require(A.hopf == B.hopf,
             "prebalancing needs comodules over the same Hopf algebra")
     return identity_mor(B.carrier) @ phi_left(A.carrier, X).inverse()
+
+
+def psi(f, X, Y):
+    """Turn f: X (x) *Y -> Z into X -> Z (x) Y (currying the right dual leg)."""
+    dual = left_dual(Y)
+    require(f.source == tensor_obj(X, dual.space),
+            "psi: source must be X (x) *Y")
+    return chain(X, tensor_obj(f.target, Y), (X.dim, dual.coev, 1),
+                 (1, f, Y.dim))
 
 
 def psi_bar(g, Z, Y):
@@ -514,7 +549,7 @@ def coend_by_elimination(diagram):
                                 p = offsets[ai] + a * dA + j
                                 col[p] = col.get(p, field.zero) - v
                         elim.add(col)
-    free, projection = _null_space(field, total, elim.rref_rows())
+    free, projection = null_space(field, total, elim.rref_rows())
     return QuotientPresentation(total, free,
                                 Matrix.from_rows(field, projection, total))
 
@@ -542,6 +577,60 @@ def stability_by_kappa(small, big):
         lhs = kappa * small.pi_matrix(i)
         rhs = big.pi_matrix(j)
         checks.append(("intertwines_pi[%d]" % i, lhs == rhs))
+    return FlagReport(checks)
+
+
+def comparison_by_chain(res):
+    """h: H -> Q composed as pi_reg (id (x) *eps), the class of (x,
+    counit-slot) in the regular block."""
+    H = res.diagram.hopf
+    return chain(H.carrier, res.quotient,
+                 (H.carrier.dim, dual_morphism(H.eps), 1),
+                 (1, res.pi(res.diagram.regular), 1))
+
+
+def comodule_over_quotient(res, quotient_hopf, B):
+    """The image of a block under the equivalence: same carrier, coaction
+    rho = psi(pi_B) curried out of the block projection.
+
+    Its premises are eps . pi_B = ev_{F(B)} and Delta . pi_B = (pi_B (x)
+    pi_B)(id (x) coev (x) id): entry by entry, (eps (x) id) rho is then the
+    identity and (Delta (x) id) rho = (id (x) rho) rho both read
+    sum_k pi_B[q1, (v, k)] pi_B[q2, (k, w)] at ((q1, q2, w), v).  Both
+    follow by transport once quotient_hopf's counit and coproduct are h's
+    transport of H's: pi_B = h . psi_bar(rho_B), so they are B's comodule
+    axioms carried along h."""
+    rho = psi(res.pi(res.diagram.index(B)), B.carrier, B.carrier)
+    return Comodule(quotient_hopf, B.carrier, rho)
+
+
+def equivalence_by_hom_spaces(res, quotient_hopf):
+    """The equivalence samples computed: every block of dimension at most
+    dim H becomes a quotient comodule, hom-space dimensions agree on the
+    pairs reg -> reg, unit -> reg and unit -> unit, and the inert right
+    action is carried to the inert right action.  The oracle for
+    `reconstruct.verify_equivalence_samples`, which reports these flags by
+    transport along the comparison."""
+    D = res.diagram
+    reg, one = D.regular, D.index(D.derived(unit_comodule))
+    checks = []
+    q_of = {}
+    for i, B in enumerate(D.blocks):
+        if B.carrier.dim > D.hopf.carrier.dim:
+            continue
+        q_of[i] = comodule_over_quotient(res, quotient_hopf, B)
+        checks.append(("block_comodule[%d]" % i, True))
+    for k, (a, b) in enumerate(((reg, reg), (one, reg), (one, one))):
+        dim_H = len(hom_basis_by_elimination(D.blocks[a], D.blocks[b]))
+        checks.append(("hom_dims[%d]" % k, dim_H == len(
+            hom_basis_by_elimination(q_of[a], q_of[b]))))
+    for k, (ci, wi, X) in enumerate(D.acted):
+        if ci not in q_of or wi not in q_of:
+            continue
+        # block ci's carrier is F(W) (x) X, so comparing coactions decides
+        # q_of[ci] == act(q_of[wi], X)
+        checks.append(("action_carried[%d]" % k,
+                       q_of[ci].coaction == act_coaction(q_of[wi], X)))
     return FlagReport(checks)
 
 

@@ -14,12 +14,13 @@ from bhl.braidedhopf import (BialgebraData, bosonize_with_maps, check_hopf,
 from bhl.catalog import BUILTIN_NAMES, build
 from bhl.cli import main
 from bhl.coend import check_stability, compute_coend, default_diagram
-from bhl.comodcat import (act, comodule_dual, direct_sum_comodule, hom_space,
+from bhl.comodcat import (act, comodule_dual, direct_sum_comodule,
                           regular_comodule, unit_comodule)
 from bhl.exactalg import CycloField
 from bhl.gradedcat import (AbelianGroup, Bicharacter, Context, GradedObject,
                            braiding, identity_mor, line_object, tensor_obj)
-from bhl.reconstruct import comodule_over_quotient, reconstruct
+from bhl.reconstruct import reconstruct
+from oracles import comodule_over_quotient, hom_basis_by_elimination
 
 EXPECTED_DIMS = dict(zip(BUILTIN_NAMES, (2, 3, 4, 2, 3, 4)))
 
@@ -50,7 +51,7 @@ def test_criterion_2_coend_dimension_and_comparison():
         assert res.dim == EXPECTED_DIMS[name], name
         res.check_regular_surjective()
         h = canonical_comparison(res)
-        E = regular_section(res, h)
+        E = regular_section(res)
         eps_q = extract_counit(res, E)
         delta_q = extract_coproduct(res, E)
         assert delta_q * h == (h @ h) * H.delta, name
@@ -176,8 +177,8 @@ def test_criterion_6_hom_spaces_and_colinearity(reconstructions):
                  ((one, reg), (q_one, q_reg)),
                  ((one, one), (q_one, q_one))]
         for (A, B), (QA, QB) in pairs:
-            basis = hom_space(A, B)
-            assert len(hom_space(QA, QB)) == len(basis), name
+            basis = hom_basis_by_elimination(A, B)
+            assert len(hom_basis_by_elimination(QA, QB)) == len(basis), name
             for f in basis:
                 residual = QB.coaction * f - (iQ @ f) * QA.coaction
                 assert residual.is_zero(), name

@@ -10,7 +10,6 @@ import pytest
 
 import bhl.cli
 import bhl.coend
-import bhl.comodcat
 from bhl.catalog import BUILTIN_NAMES, build, exterior_line, group_algebra, sweedler
 from bhl.braidedhopf import HopfAlgebraData
 from bhl.cli import canonical_json, hopf_to_spec
@@ -25,11 +24,11 @@ from bhl.comodcat import (
     hom_space, regular_comodule, unit_comodule,
 )
 from bhl.exactalg import (InvalidStructureError, Matrix, QuotientPresentation,
-                          SparseEliminator, _null_space)
+                          SparseEliminator)
 from bhl.gradedcat import (GradedMorphism, GradedObject, identity_mor,
                            left_dual, line_object, tensor_obj, unit_object)
 from oracles import (coend_by_elimination, hom_basis_by_elimination,
-                     is_comodule_morphism, prebalancing, psi_bar,
+                     is_comodule_morphism, null_space, prebalancing, psi_bar,
                      rational_matrix, seed0_spec_datum, stability_by_kappa)
 
 
@@ -174,6 +173,19 @@ def test_the_stability_oracle_fails_on_a_doubled_projection_row():
     assert check_stability(small, doubled).passed
 
 
+def test_stability_against_a_diagram_that_is_no_enlargement_raises():
+    # the lemma's one premise: the default diagram lacks the reconstruction
+    # diagram's last block, the dual of the regular block
+    H = sweedler()
+    small = compute_coend(reconstruction_diagram(H))
+    big = compute_coend(default_diagram(H))
+    with pytest.raises(InvalidStructureError) as err:
+        check_stability(small, big)
+    assert err.value.code == "InvalidStructure"
+    assert str(err.value) == ("block %d of the diagram is not a block of its "
+                              "enlargement" % len(big.diagram.blocks))
+
+
 STOCK = list(BUILTIN_NAMES) + ["nichols_cyclic:5"]
 
 
@@ -316,19 +328,21 @@ def test_cofree_hom_bases_match_the_elimination_oracle(name):
 @pytest.mark.parametrize("name", STOCK)
 def test_certified_coend_eliminates_no_hom_space(name, monkeypatch):
     # at the rank bound the stream is still inside the cofree families, so
-    # no hom space is eliminated; the presentation is elimination's
+    # every hom space is the formula basis into a cofree block and none is
+    # eliminated; the presentation is elimination's
     D = reconstruction_diagram(build(name))
-    eliminators = []
+    targets = []
+    hom_space = bhl.coend.hom_space
 
-    class Counting(bhl.comodcat.SparseEliminator):
-        def __init__(self, field):
-            eliminators.append(self)
-            super().__init__(field)
+    def recording(A, B):
+        targets.append(B)
+        return hom_space(A, B)
 
     with monkeypatch.context() as patch:
-        patch.setattr(bhl.comodcat, "SparseEliminator", Counting)
+        patch.setattr(bhl.coend, "hom_space", recording)
         res = compute_coend(D)
-    assert eliminators == []
+    assert targets
+    assert [B for B in targets if cofree_degree(B) is None] == []
     assert_is_the_eliminated_coend(res)
 
 
@@ -517,10 +531,10 @@ def test_pi_not_surjective_guard():
     offsets, total = _block_spaces(D)
     field = H.carrier.ctx.field
     rows = [(p, {p: field.one}) for p in range(offsets[1])]
-    free, proj = _null_space(field, total, rows)
+    free, proj = null_space(field, total, rows)
     pres = QuotientPresentation(total, free, Matrix.from_rows(field, proj, total))
     quotient = GradedObject(H.carrier.ctx, [("c0", ())])
-    res = CoendResult(D, offsets, pres, quotient, {})
+    res = CoendResult(D, offsets, pres, quotient, {}, None, None)
     with pytest.raises(PiNotSurjectiveError) as err:
         res.check_regular_surjective()
     assert err.value.code == "PiNotSurjective"

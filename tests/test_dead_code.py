@@ -1,6 +1,7 @@
 """src/ holds only what the engine runs: every public module-level function
-and class of bhl is referenced from src/ outside its own definition, and so
-is every public method of a src class.  Code that only tests call belongs
+and class of bhl, and every private module-level function, is referenced
+from src/ outside its own definition, and so is every public method of a
+src class.  Code that only tests call belongs
 under tests/ (see tests/oracles.py).  And src/ holds no `assert`: the
 checks it runs are the same under `python -O`; and no `@` outside a
 `__matmul__` method: the engine forms no Kronecker product.
@@ -37,7 +38,8 @@ def test_every_public_definition_is_used_in_src():
     defined, used = {}, set()
     for path in sorted(SRC.glob("*.py")):
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
-            if (isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+            if (isinstance(stmt, ast.FunctionDef)
+                    or isinstance(stmt, ast.ClassDef)
                     and not stmt.name.startswith("_")):
                 defined[stmt.name] = path.name
                 # a definition's own body does not count as a use of it

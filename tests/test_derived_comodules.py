@@ -14,8 +14,9 @@ from bhl.coend import default_diagram, reconstruction_diagram
 from bhl.comodcat import (act, comodule_dual, direct_sum_comodule,
                           unit_comodule)
 from bhl.gradedcat import line_object
-from bhl.reconstruct import comodule_over_quotient, reconstruct
-from oracles import check_comodule_by_kron, perfbench_module
+from bhl.reconstruct import reconstruct
+from oracles import (check_comodule_by_kron, comodule_over_quotient,
+                     perfbench_module)
 
 CYCLO5 = "nichols_cyclic:5 seed 0"
 

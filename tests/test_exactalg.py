@@ -23,10 +23,9 @@ import bhl
 from bhl.exactalg import (
     CycloField, InvalidStructureError, Matrix, NoSolutionError,
     NonUniqueError, QuotientPresentation, Scalar, SparseEliminator,
-    _null_space, cyclotomic_polynomial, format_scalar, parse_scalar,
-    read_off, whiskered,
+    cyclotomic_polynomial, format_scalar, parse_scalar, read_off, whiskered,
 )
-from oracles import (format_scalar_by_fractions, kron,
+from oracles import (format_scalar_by_fractions, kron, null_space,
                      parse_scalar_by_fractions, rational_matrix,
                      solve_product_constraints, verify_presentation_by_product)
 
@@ -215,15 +214,15 @@ def rref_rows(m):
 
 
 def kernel(m):
-    """m's null space through the path `hom_space` takes, its basis
-    vectors as columns."""
-    _, basis = _null_space(m.field, m.cols, rref_rows(m))
+    """m's null space read off its reduced rows (`oracles.null_space`),
+    its basis vectors as columns."""
+    _, basis = null_space(m.field, m.cols, rref_rows(m))
     return Matrix.from_rows(m.field, basis, m.cols).transpose()
 
 
 def cokernel(m):
     """The row-index space of m modulo the span of m's columns."""
-    free, basis = _null_space(m.field, m.rows, rref_rows(m.transpose()))
+    free, basis = null_space(m.field, m.rows, rref_rows(m.transpose()))
     return QuotientPresentation(m.rows, free,
                                 Matrix.from_rows(m.field, basis, m.rows))
 

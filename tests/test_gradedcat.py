@@ -16,9 +16,9 @@ from bhl.exactalg import CycloField, InvalidStructureError, Matrix
 from bhl.gradedcat import (
     AbelianGroup, Bicharacter, Context, GradedMorphism, GradedObject,
     braiding, braiding_inverse, direct_sum_obj, dual_morphism, identity_mor,
-    left_dual, line_object, phi_left, psi, tensor_obj, unit_object,
+    left_dual, line_object, phi_left, tensor_obj, unit_object,
 )
-from oracles import psi_bar, rational_matrix
+from oracles import psi, psi_bar, rational_matrix
 
 
 def super_ctx():
@@ -332,7 +332,8 @@ TYPE_CHECKS = textwrap.dedent("""
     from bhl.exactalg import CycloField, InvalidStructureError
     from bhl.gradedcat import (AbelianGroup, Bicharacter, Context,
                                braiding, braiding_inverse, identity_mor,
-                               line_object, phi_left, psi, tensor_obj)
+                               line_object, phi_left, tensor_obj)
+    from oracles import psi
     Z2, Z3 = AbelianGroup([2]), AbelianGroup([3])
     ctx = Context(CycloField(1), Z2, Bicharacter(Z2, 2, [[1]]))
     other = Context(CycloField(3), Z3, Bicharacter(Z3, 3, [[1]]))
@@ -357,8 +358,9 @@ TYPE_CHECKS = textwrap.dedent("""
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_mistyped_morphisms_raise_without_asserts(flags):
-    env = dict(os.environ, PYTHONPATH=str(
-        Path(bhl.__file__).resolve().parent.parent))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(bhl.__file__).resolve().parent.parent),
+         str(Path(__file__).resolve().parent)]))
     out = subprocess.run([sys.executable] + flags + ["-c", TYPE_CHECKS],
                          capture_output=True, text=True, timeout=60, env=env)
     assert out.returncode == 0, out.stderr

@@ -6,7 +6,11 @@ through one section of the regular block's projection are those that the
 constraints of every block pair pin (`oracles.extract_by_read_off`), and
 each block's projection is the comparison after psi_bar of its coaction,
 so each block over the quotient coacts through the comparison.  A diagram
-without a block that an extraction reads raises InvalidStructure."""
+without a block that an extraction reads raises InvalidStructure.  The
+comparison is the certificate's P_F^-1, which is the chain
+pi_reg (id (x) *eps), and the equivalence samples reported by transport
+along it are those that the hom spaces compute
+(`oracles.equivalence_by_hom_spaces`)."""
 
 import json
 
@@ -17,19 +21,20 @@ from bhl.braidedhopf import (BialgebraData, check_hopf, check_hopf_morphism,
                              solve_antipode)
 from bhl.catalog import BUILTIN_NAMES, build, group_algebra, sweedler
 from bhl.cli import main
-from bhl.coend import (CoendResult, Diagram, _block_spaces, compute_coend,
-                       default_diagram, reconstruction_diagram)
+from bhl.coend import (CoendResult, Diagram, compute_coend, default_diagram,
+                       reconstruction_diagram)
 from bhl.comodcat import (comodule_dual, comodule_tensor, direct_sum_comodule,
                           regular_comodule, unit_comodule)
 from bhl.exactalg import (InvalidStructureError, Matrix, NoSolutionError,
-                          QuotientPresentation, _null_space, whiskered)
-from bhl.gradedcat import GradedMorphism, GradedObject, identity_mor
-from bhl.reconstruct import (NotIsoError, Reconstruction,
-                             canonical_comparison, comodule_over_quotient,
-                             reconstruct)
-from oracles import (coproduct_by_read_off, counit_by_read_off,
-                     extract_by_read_off, product_by_read_off, psi_bar,
-                     seed0_spec_datum)
+                          whiskered)
+from bhl.gradedcat import GradedMorphism, identity_mor
+from bhl.reconstruct import (Reconstruction, canonical_comparison,
+                             reconstruct, regular_section,
+                             verify_equivalence_samples)
+from oracles import (comodule_over_quotient, comparison_by_chain,
+                     coproduct_by_read_off, counit_by_read_off,
+                     equivalence_by_hom_spaces, extract_by_read_off,
+                     product_by_read_off, psi_bar, seed0_spec_datum)
 
 
 def test_reconstruct_passes_on_all_builtins():
@@ -142,22 +147,6 @@ def test_a_comparison_that_is_not_a_morphism_leaves_the_quotient_hopf(
     assert flags(r)["quotient_is_hopf"]
 
 
-def test_not_iso_guard():
-    # a presentation that kills the regular block cannot be compared
-    H = group_algebra(2)
-    D = Diagram(H, [regular_comodule(H), unit_comodule(H)])
-    offsets, total = _block_spaces(D)
-    field = H.carrier.ctx.field
-    rows = [(p, {p: field.one}) for p in range(offsets[1])]
-    free, proj = _null_space(field, total, rows)
-    pres = QuotientPresentation(total, free, Matrix.from_rows(field, proj, total))
-    quotient = GradedObject(H.carrier.ctx, [("c0", ())])
-    res = CoendResult(D, offsets, pres, quotient, {})
-    with pytest.raises(NotIsoError) as err:
-        canonical_comparison(res)
-    assert err.value.code == "NotIso"
-
-
 def without_the_unit_block(H):
     """The regular block, its tensor square and its dual, and no unit
     block: every structure map but the unit can be read off."""
@@ -223,6 +212,51 @@ def test_the_section_gives_the_maps_every_block_pins(case):
     r = reconstruct(H, diagram)
     Q = r.quotient_hopf
     assert extract_by_read_off(r.coend) == (Q.eps, Q.delta, Q.m, Q.S)
+
+
+@pytest.mark.parametrize("case", READ_OFF_CASES)
+def test_the_comparison_is_the_chain_and_the_section_splits_it(case):
+    # h = P_F^-1 is pi_reg (id (x) *eps) by H's counit axiom, and
+    # E = (id (x) *eps) P_F is a right inverse of pi_reg
+    H, diagram = READ_OFF_CASES[case]()
+    res = compute_coend(diagram if diagram is not None
+                        else reconstruction_diagram(H))
+    assert canonical_comparison(res) == comparison_by_chain(res)
+    assert (res.pi(res.diagram.regular) * regular_section(res)
+            == identity_mor(res.quotient))
+
+
+@pytest.mark.parametrize("case", READ_OFF_CASES)
+def test_the_equivalence_samples_by_transport_are_the_computed_ones(case):
+    # every block over the quotient coacts through h (x) id, so the flags
+    # reported by transport are those the hom spaces compute
+    H, diagram = READ_OFF_CASES[case]()
+    r = reconstruct(H, diagram)
+    assert (equivalence_by_hom_spaces(r.coend, r.quotient_hopf).checks
+            == verify_equivalence_samples(r.coend).checks)
+
+
+def test_the_equivalence_oracle_fails_on_a_doubled_acted_projection(
+        monkeypatch):
+    # doubling the acted block's projection breaks its coaction over the
+    # quotient, and the computed samples say so; the lemma reads no
+    # projection, so its report is unchanged
+    r = reconstruct(sweedler())
+    res = r.coend
+    acted = res.diagram.acted[0][0]
+    lemma = verify_equivalence_samples(res).checks
+    two = res.diagram.hopf.carrier.ctx.field.scalar(2)
+    pi_matrix = CoendResult.pi_matrix
+
+    def doubled(self, i):
+        p = pi_matrix(self, i)
+        return p.scale(two) if i == acted else p
+
+    monkeypatch.setattr(CoendResult, "pi_matrix", doubled)
+    oracle = equivalence_by_hom_spaces(res, r.quotient_hopf)
+    assert oracle.failures() == ["action_carried[0]"]
+    assert verify_equivalence_samples(res).checks == lemma
+    assert all(ok for _, ok in lemma)
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
