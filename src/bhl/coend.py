@@ -20,10 +20,11 @@ The quotient map is written down, then proved exact.  By the
 reconstruction theorem the coend is H itself, and pi_B sends
 F(B) (x) *F(B) to B's matrix coefficients: the candidate P is psi_bar of
 each block's coaction, an n x N matrix (n = dim H, N the ambient
-dimension).  The certificate trusts the two computations it is built
-from -- `_candidate`, which writes P down from the coactions, and
-`hom_space`, whose basis into a cofree block is the formula basis below
--- and the tests check both against oracles.  It shows
+dimension) that is never formed whole -- block B's part is built from
+rho_B alone.  The certificate trusts the two computations it is built
+from -- `_block_candidate`, which writes B's part of P down from rho_B,
+and `hom_space`, whose basis into a cofree block is the formula basis
+below -- and the tests check both against oracles.  It shows
 
 * (a) span R is inside ker P, by a lemma instead of a pass over the
   columns.  P kills the dinaturality columns of f: A -> B exactly when
@@ -53,20 +54,21 @@ from -- `_candidate`, which writes P down from the coactions, and
 With rank P = n, (a) and (b) give span R = ker P exactly.  Its canonical
 presentation, the one exact elimination of the relations would give, is
 read off P: coordinate j is free iff P e_j is independent of the columns
-after j, and the projection is P_F^-1 P (the reduced relation of any other
-coordinate p is then e_p - sum_k proj[k][p] e_(free k), which is not
-stored).  The coend keeps P_F and P_F^-1, which is the comparison H -> Q
-by H's counit axiom (see `reconstruct`).  The certificate is the only way
-a coend is computed.  It checks the four premises that an input or a
-hand-built `Diagram` can break, and CoendNotCertifiedError names the first
-that fails with its witness: a glued block that coacts unlike its anchor,
-a block in S with a degree that no cofree block has, rank P < n, or
-relations on T short of |T| - n (a non-Hopf input, a diagram too small to
-cut H out).  Every input of the
-command line is proved Hopf before its diagram is built, and the stock
-diagrams have a cofree block at every degree, so their coends are
-certified.  The presentation is read off P alone, so the stream order
-changes no output.
+after j, found by a backward scan of one block's candidate at a time
+that stops at n free coordinates, and the projection is P_F^-1 P.  The
+coend stores F, P_F and P_F^-1 -- the comparison H -> Q by H's counit
+axiom (see `reconstruct`) -- and no projection: pi_B = P_F^-1
+psi_bar(rho_B) is built from block B's coaction when asked, and is the
+identity on F once P_F^-1 P_F = I is checked.  The certificate is the
+only way a coend is computed.  It checks the four premises that an input
+or a hand-built `Diagram` can break, and CoendNotCertifiedError names the
+first that fails with its witness: a glued block that coacts unlike its
+anchor, a block in S with a degree that no cofree block has, rank P < n,
+or relations on T short of |T| - n (a non-Hopf input, a diagram too small
+to cut H out).  Every input of the command line is proved Hopf before its
+diagram is built, and the stock diagrams have a cofree block at every
+degree, so their coends are certified.  The presentation is read off P
+alone, so the stream order changes no output.
 
 An enlargement certifies itself from its own candidate:
 `Diagram.enlarged` only appends blocks and gluings, so the base's offsets
@@ -223,12 +225,22 @@ def reconstruction_diagram(H, probes=()):
     return base.enlarged(base.derived(comodule_dual, base.regular))
 
 
+def derived_block(D, name, construct, *operands):
+    """D.index(D.derived(...)), or InvalidStructureError naming the block."""
+    try:
+        return D.index(D.derived(construct, *operands))
+    except KeyError:
+        raise InvalidStructureError("the %s is not a block of the diagram"
+                                    % name) from None
+
+
 def stability_blocks(base):
     """The enlargements `bhl stability` checks, as (name, block): the
     regular block acted on by a degree-zero line, its sum with the unit
     block, and its dual."""
     ctx = base.hopf.carrier.ctx
-    reg, one = base.regular, base.index(base.derived(unit_comodule))
+    reg = base.regular
+    one = derived_block(base, "unit comodule", unit_comodule)
     line = line_object(ctx, "s", ctx.group.zero)
     return [("action_line_block", base.derived(act, reg, line)),
             ("direct_sum_block", base.derived(direct_sum_comodule, reg, one)),
@@ -303,20 +315,18 @@ class CoendResult:
     block i's F(B) (x) *F(B) as a morphism of the graded category.
     `certificate` holds the reduced rows {pivot: row} of the relations
     supported on the cofree blocks that certified the presentation (see the
-    module docstring), from which `enlarged` resumes.  `p_free` is P_F, the
-    candidate's columns at the free coordinates (H's basis by the
-    quotient's), and `p_free_inverse` is P_F^-1.
+    module docstring), from which `enlarged` resumes.  `presentation`
+    stores the free coordinates F, P_F -- the candidate's columns at F, H's
+    basis by the quotient's -- and P_F^-1; no projection is stored, and
+    each pi_B is built from B's own coaction.
     """
 
-    def __init__(self, diagram, offsets, presentation, quotient, certificate,
-                 p_free, p_free_inverse):
+    def __init__(self, diagram, offsets, presentation, quotient, certificate):
         self.diagram = diagram
         self.offsets = offsets
         self.presentation = presentation
         self.quotient = quotient
         self.certificate = certificate
-        self.p_free = p_free
-        self.p_free_inverse = p_free_inverse
 
     @property
     def dim(self):
@@ -336,14 +346,10 @@ class CoendResult:
                               self.pi_matrix(i))
 
     def pi_matrix(self, i):
-        """The matrix of `pi(i)`, block i's columns of the projection, for
+        """The matrix of `pi(i)`, P_F^-1 times block i's candidate, for
         callers that need no labelled source object."""
-        off = self.offsets[i]
-        end = off + self.diagram.blocks[i].carrier.dim ** 2
-        P = self.presentation.projection
-        rows = [{k - off: v for k, v in row.items() if off <= k < end}
-                for row in P.data]
-        return Matrix.from_rows(P.field, rows, end - off)
+        return self.presentation.p_free_inverse * _block_candidate(
+            self.diagram.blocks[i], self.diagram.hopf.carrier.dim)
 
     def check_regular_surjective(self):
         """The regular block alone must already cover the quotient."""
@@ -365,44 +371,38 @@ class CoendResult:
         return FlagReport([("presentation", ok)])
 
 
-def _candidate(diagram, offsets, total):
-    """The columns {h: value} of the matrix-coefficient map P: block B's
-    columns are psi_bar of its coaction, P[h][off + c*dB + k] =
-    coaction[h*dB + k][c], read off the coaction's nonzeros."""
-    cols = [{} for _ in range(total)]
-    for B, off in zip(diagram.blocks, offsets):
-        d = B.carrier.dim
-        for row, entries in enumerate(B.coaction.matrix.data):
-            h, k = divmod(row, d)
-            for c, v in entries.items():
-                cols[off + c * d + k][h] = v
-    return cols
-
-
-def _canonical_projection(field, P, n):
-    """(F, P_F, P_F^-1, the rows of P_F^-1 P) for F the coordinates j whose
-    column P e_j is independent of the later columns -- the free
-    coordinates of the canonical presentation of ker P -- and P_F the n x n
-    matrix of P's columns at F.  CoendNotCertifiedError if rank P < n."""
-    elim = SparseEliminator(field)
-    free = []
-    for j in range(len(P) - 1, -1, -1):
-        if P[j] and elim.add(dict(P[j])):
-            free.append(j)
-            if len(free) == n:
-                break
-    if len(free) < n:
-        raise CoendNotCertifiedError("rank P is %d, below dim H = %d"
-                                     % (len(free), n))
-    free.reverse()
+def _block_candidate(B, n):
+    """Block B's columns of the matrix-coefficient map P, psi_bar of its
+    coaction: the n x dB^2 matrix with P[h][c*dB + k] = coaction[h*dB + k][c],
+    read off the coaction's nonzeros."""
+    d = B.carrier.dim
     rows = [{} for _ in range(n)]
-    for k, j in enumerate(free):
-        for h, v in P[j].items():
-            rows[h][k] = v
-    p_free = Matrix.from_rows(field, rows, n)
-    inv = p_free.inverse()
-    projection = inv * Matrix.from_rows(field, P, n).transpose()
-    return free, p_free, inv, projection.data
+    for row, entries in enumerate(B.coaction.matrix.data):
+        h, k = divmod(row, d)
+        for c, v in entries.items():
+            rows[h][c * d + k] = v
+    return Matrix.from_rows(B.carrier.ctx.field, rows, d * d)
+
+
+def _free_coordinates(diagram, offsets, n):
+    """(F, P_F) for F the coordinates j whose column P e_j is independent
+    of the later columns -- the free coordinates of the canonical
+    presentation of ker P -- and P_F the n x n matrix of P's columns at F.
+    The scan runs backwards, one block's candidate at a time, and stops at
+    n; CoendNotCertifiedError if rank P < n."""
+    elim = SparseEliminator(diagram.hopf.carrier.ctx.field)
+    free, rows = [], [{} for _ in range(n)]
+    for bi in range(len(diagram.blocks) - 1, -1, -1):
+        cols = _block_candidate(diagram.blocks[bi], n).transpose().data
+        for j in range(len(cols) - 1, -1, -1):
+            if cols[j] and elim.add(dict(cols[j])):
+                for h, v in cols[j].items():
+                    rows[h][n - 1 - len(free)] = v
+                free.append(offsets[bi] + j)
+                if len(free) == n:
+                    return free[::-1], Matrix.from_rows(elim.field, rows, n)
+    raise CoendNotCertifiedError("rank P is %d, below dim H = %d"
+                                 % (len(free), n))
 
 
 def _check_counit_lemma(diagram, cofree):
@@ -437,10 +437,7 @@ def _certify(diagram, base=None):
                                   for bi, B in enumerate(blocks))
               if d is not None}
     _check_counit_lemma(diagram, cofree)
-    P = _candidate(diagram, offsets, total)
-    free, p_free, p_free_inverse, projection = _canonical_projection(
-        ctx.field, P, n)
-    del P  # not needed by the presentation: lower its peak memory
+    free, p_free = _free_coordinates(diagram, offsets, n)
 
     elim, prefix = SparseEliminator(ctx.field), ()
     if base is not None:
@@ -456,8 +453,7 @@ def _certify(diagram, base=None):
             "the relations on the cofree blocks reach rank %d, and "
             "|T| - n = %d is needed" % (elim.rank, target))
 
-    pres = QuotientPresentation(
-        total, free, Matrix.from_rows(ctx.field, projection, total))
+    pres = QuotientPresentation(total, free, p_free, p_free.inverse())
 
     def coord_degree(p):  # deg v_c - deg v_k at v_c (x) *v_k
         bi, q = _block_at(offsets, p)
@@ -467,8 +463,7 @@ def _certify(diagram, base=None):
 
     quotient = GradedObject(ctx, [("c%d" % k, coord_degree(p))
                                   for k, p in enumerate(free)])
-    return CoendResult(diagram, offsets, pres, quotient, elim.rows, p_free,
-                       p_free_inverse)
+    return CoendResult(diagram, offsets, pres, quotient, elim.rows)
 
 
 def compute_coend(diagram):

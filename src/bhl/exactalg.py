@@ -12,7 +12,7 @@ downstream (graded categories, Hopf structure checks, coend quotients)
 reduces to the handful of primitives in this module: sparse products,
 `whiskered`, the one kernel for tensored maps, (I (x) f (x) I) X without the
 Kronecker product, sparse elimination to reduced rows, the quotient
-presentation given by its projection, and
+presentation given by its free coordinates F, P_F and P_F^-1, and
 `read_off`, the one solve for an unknown linear map X from equations
 X * B_t = C_t: it streams the columns of each B_t, extended by those of C_t,
 into one eliminator, and reads X off the reduced rows.  Matrix inverses and
@@ -810,18 +810,17 @@ class SparseEliminator:
 
 
 class QuotientPresentation:
-    """An ambient space modulo a subspace, given by its projection: the
-    identity on the free coordinates, one per quotient basis vector.  The
-    coend's is read off its certified candidate P as P_F^-1 P (see
-    `coend`), and that identity is all there is to check.  The relation of
-    each other coordinate p is e_p - sum_k projection[k][p] e_(free k), so
-    these N - q relations are reduced (only p's has an entry at p), killed
-    by the projection, and span its kernel."""
+    """An ambient space modulo a subspace, presented by its free
+    coordinates F in ascending order, one per quotient basis vector, P_F
+    and P_F^-1.  The coend's P_F is its certified candidate P at F, and its
+    projection is P_F^-1 P, built block by block (see `coend`): the
+    identity on F by construction once P_F^-1 P_F = I is checked."""
 
-    def __init__(self, ambient_dim, free, projection):
+    def __init__(self, ambient_dim, free, p_free, p_free_inverse):
         self.ambient_dim = ambient_dim
         self.free = free
-        self.projection = projection
+        self.p_free = p_free
+        self.p_free_inverse = p_free_inverse
         self.verify()
 
     @property
@@ -829,16 +828,14 @@ class QuotientPresentation:
         return len(self.free)
 
     def verify(self):
-        q, amb = self.quotient_dim, self.ambient_dim
-        require(self.projection.rows == q and self.projection.cols == amb,
-                "projection is not quotient x ambient")
-        free_pos = {j: k for k, j in enumerate(self.free)}
-        require(len(free_pos) == q and all(0 <= j < amb for j in free_pos),
-                "free coordinates are not distinct ambient coordinates")
-        one = self.projection.field.one
-        require(all({free_pos[j]: v for j, v in row.items() if j in free_pos}
-                    == {k: one} for k, row in enumerate(self.projection.data)),
-                "projection is not the identity on the free coordinates")
+        q, P, inv = self.quotient_dim, self.p_free, self.p_free_inverse
+        require(P.rows == P.cols == inv.rows == inv.cols == q,
+                "P_F is not quotient x quotient")
+        require(list(self.free) == sorted(set(self.free))
+                and all(0 <= j < self.ambient_dim for j in self.free),
+                "free coordinates are not ascending ambient coordinates")
+        require(inv * P == Matrix.identity(P.field, q),
+                "P_F^-1 is not the inverse of P_F")
 
 
 # ---------------------------------------------------------------------------

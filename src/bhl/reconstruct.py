@@ -5,7 +5,7 @@ universal property imposes through the block projections pi_B.  The
 regular block alone fixes X: pi_reg is onto the quotient Q, so
 X . pi_reg = C_reg has at most one solution, and any right inverse of
 pi_reg reads it off.  `reconstruct` takes the comparison h = pi_reg (id (x)
-*eps): H -> Q from the coend's certificate: the projection is P_F^-1 P (see
+*eps): H -> Q from the coend's presentation: the projection is P_F^-1 P (see
 `coend`), and pi_reg (x (x) *eps) = P_F^-1 x by H's counit axiom, so
 h = P_F^-1 (`canonical_comparison`), invertible by construction.  Its one
 section is E = (id (x) *eps) P_F: Q -> F(reg) (x) *F(reg), so pi_reg E =
@@ -34,10 +34,10 @@ inverted or ranked.
 """
 
 from .braidedhopf import HopfAlgebraData, check_hopf, check_hopf_morphism
-from .coend import compute_coend, reconstruction_diagram
+from .coend import compute_coend, derived_block, reconstruction_diagram
 from .comodcat import (FlagReport, comodule_dual, comodule_tensor,
                        unit_comodule)
-from .exactalg import InvalidStructureError, Matrix, whiskered
+from .exactalg import Matrix, whiskered
 from .gradedcat import (GradedMorphism, braiding, braiding_inverse, chain,
                         dual_morphism, dual_object, left_dual, phi_left,
                         tensor_obj)
@@ -52,7 +52,7 @@ def canonical_comparison(res):
     docstring); the tests' oracle `comparison_by_chain` composes the chain.
     """
     return GradedMorphism(res.diagram.hopf.carrier, res.quotient,
-                          res.p_free_inverse)
+                          res.presentation.p_free_inverse)
 
 
 def regular_section(res):
@@ -61,17 +61,9 @@ def regular_section(res):
     comparison h is P_F^-1."""
     V = res.diagram.hopf.carrier
     return chain(res.quotient, tensor_obj(V, dual_object(V)),
-                 (1, GradedMorphism(res.quotient, V, res.p_free), 1),
+                 (1, GradedMorphism(res.quotient, V,
+                                    res.presentation.p_free), 1),
                  (V.dim, dual_morphism(res.diagram.hopf.eps), 1))
-
-
-def _derived_block(D, name, construct, *operands):
-    """D.index(D.derived(...)), or InvalidStructureError naming the block."""
-    try:
-        return D.index(D.derived(construct, *operands))
-    except KeyError:
-        raise InvalidStructureError("the %s is not a block of the diagram"
-                                    % name) from None
 
 
 def extract_counit(res, E):
@@ -92,8 +84,8 @@ def extract_coproduct(res, E):
 
 def extract_unit(res):
     """u: 1 -> Q is the unit block's projection."""
-    return res.pi(_derived_block(res.diagram, "unit comodule",
-                                 unit_comodule))
+    return res.pi(derived_block(res.diagram, "unit comodule",
+                                unit_comodule))
 
 
 def extract_product(res, E):
@@ -107,8 +99,8 @@ def extract_product(res, E):
     D, Q = res.diagram, res.quotient
     V = D.hopf.carrier
     n, q = V.dim, res.dim
-    ab = _derived_block(D, "tensor square of the regular block",
-                        comodule_tensor, D.regular, D.regular)
+    ab = derived_block(D, "tensor square of the regular block",
+                       comodule_tensor, D.regular, D.regular)
     mid = braiding(dual_object(V), tensor_obj(V, dual_object(V)))
     X = Matrix.identity(Q.ctx.field, q * q)
     for a, f, b in ((q, E, 1), (1, E, n * n), (n, mid, 1),
@@ -125,8 +117,8 @@ def extract_antipode(res, E):
     n = V.dim
     dV = left_dual(V)
     ddV = left_dual(dV.space)
-    pi_dual = res.pi(_derived_block(D, "dual of the regular block",
-                                    comodule_dual, D.regular))
+    pi_dual = res.pi(derived_block(D, "dual of the regular block",
+                                   comodule_dual, D.regular))
     # (ev (x) id) (id (x) c^-1_{*V,Q}) (id (x) pi_dual (x) id) (id (x) coev) E
     return chain(res.quotient, res.quotient, (1, E, 1), (n * n, ddV.coev, 1),
                  (n, pi_dual, n), (n, braiding_inverse(dV.space, res.quotient), 1),

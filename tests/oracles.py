@@ -8,15 +8,16 @@ build the prebalancing exchange that the balancing relations encode and
 psi_bar, the map the certified coend's candidate is built from entrywise,
 and `hom_basis_by_elimination`, the oracle for the hom bases that
 `hom_space` writes down by formula.  `verify_presentation_by_product` is
-the oracle for `QuotientPresentation.verify`, which reads the projection at
-the free coordinates instead of forming the product P * E_free.  `parse_scalar_by_fractions` and
+the oracle for `QuotientPresentation.verify`: it checks P_F P_F^-1 = I
+where `verify` checks P_F^-1 P_F = I.  `parse_scalar_by_fractions` and
 `format_scalar_by_fractions` read and write scalar literals with
 `fractions.Fraction` (held to the int digit limit), the oracle for the int-only `parse_scalar` and
 `format_scalar`.  `solve_product_constraints` solves sum_t A_t X B_t = C
 for an unknown map X by eliminating one equation per entry, the oracle for
 `read_off` and `solve_antipode`.  `coend_by_elimination` divides every
 relation column of a coend diagram out by exact elimination, the oracle
-for the certified `compute_coend`.  `stability_by_kappa` computes the
+for the certified `compute_coend`; `full_projection` stacks a coend's
+block projections into the one n x N projection that it compares with.  `stability_by_kappa` computes the
 comparison kappa between a coend and an enlargement's, the oracle for
 `check_stability`, which reports its flags by lemma.  `kron` is the
 Kronecker product entry by entry, and the `*_by_kron` functions state the
@@ -55,9 +56,8 @@ from bhl.coend import _block_at
 from bhl.comodcat import (Comodule, FlagReport, act, act_coaction,
                           comodule_dual, comodule_tensor, trivial_comodule,
                           unit_comodule)
-from bhl.exactalg import (Matrix, NonUniqueError, NoSolutionError,
-                          QuotientPresentation, Scalar, SparseEliminator,
-                          read_off, require)
+from bhl.exactalg import (Matrix, NonUniqueError, NoSolutionError, Scalar,
+                          SparseEliminator, read_off, require)
 from bhl.braidedhopf import CheckReport
 from bhl.gradedcat import (GradedMorphism, braiding, braiding_inverse, chain,
                            dual_morphism, dual_object, identity_mor,
@@ -439,21 +439,18 @@ def psi_bar(g, Z, Y):
 
 
 def verify_presentation_by_product(pres):
-    """QuotientPresentation.verify with the identity on the free
-    coordinates checked by forming projection x E_free, E_free the ambient
-    x quotient matrix whose column k is e_(free k)."""
+    """QuotientPresentation.verify with P_F^-1 checked as a right inverse,
+    P_F P_F^-1 = I, and the free coordinates checked pair by pair."""
     q, amb = pres.quotient_dim, pres.ambient_dim
-    require(pres.projection.rows == q and pres.projection.cols == amb,
-            "projection is not quotient x ambient")
-    require(len(set(pres.free)) == q and all(0 <= j < amb for j in pres.free),
-            "free coordinates are not distinct ambient coordinates")
-    field = pres.projection.field
-    e_free = [{} for _ in range(amb)]
-    for k, j in enumerate(pres.free):
-        e_free[j][k] = field.one
-    require(pres.projection * Matrix.from_rows(field, e_free, q)
-            == Matrix.identity(field, q),
-            "projection is not the identity on the free coordinates")
+    shapes = [(M.rows, M.cols) for M in (pres.p_free, pres.p_free_inverse)]
+    require(shapes == [(q, q), (q, q)], "P_F is not quotient x quotient")
+    free = list(pres.free)
+    require(all(0 <= j < amb for j in free)
+            and all(a < b for a, b in zip(free, free[1:])),
+            "free coordinates are not ascending ambient coordinates")
+    require(pres.p_free * pres.p_free_inverse
+            == Matrix.identity(pres.p_free.field, q),
+            "P_F^-1 is not the inverse of P_F")
 
 
 def solve_product_constraints(field, constraint_groups, shape):
@@ -513,8 +510,8 @@ def solve_product_constraints(field, constraint_groups, shape):
 
 
 def coend_by_elimination(diagram):
-    """The canonical presentation of the coend of `diagram`, by exact
-    elimination of every relation column as the `bhl.coend` module
+    """(free coordinates, projection) of the canonical presentation of the
+    coend of `diagram`, by exact elimination of every relation column as the `bhl.coend` module
     docstring defines them, and the projection read off the null space of
     the reduced relations.  Block B's coordinates (i, j) of F(B) (x) *F(B)
     follow those of the blocks before it.  Dinaturality gives, for every
@@ -550,8 +547,18 @@ def coend_by_elimination(diagram):
                                 col[p] = col.get(p, field.zero) - v
                         elim.add(col)
     free, projection = null_space(field, total, elim.rref_rows())
-    return QuotientPresentation(total, free,
-                                Matrix.from_rows(field, projection, total))
+    return free, Matrix.from_rows(field, projection, total)
+
+
+def full_projection(res):
+    """The n x N projection P_F^-1 P of a coend, every block's `pi_matrix`
+    at its offset."""
+    rows = [{} for _ in range(res.dim)]
+    for i, off in enumerate(res.offsets):
+        for row, pi_row in zip(rows, res.pi_matrix(i).data):
+            row.update((off + j, v) for j, v in pi_row.items())
+    return Matrix.from_rows(res.quotient.ctx.field, rows,
+                            res.presentation.ambient_dim)
 
 
 def stability_by_kappa(small, big):
@@ -565,7 +572,7 @@ def stability_by_kappa(small, big):
     """
     checks = [("dims_match", small.dim == big.dim)]
     shared = [big.diagram.index(B) for B in small.diagram.blocks]
-    Pb = big.presentation.projection
+    Pb = full_projection(big)
     Pb_cols = Pb.transpose().data
     kappa = Matrix.from_rows(
         Pb.field, [Pb_cols[big.offsets[shared[i]] + q] for i, q in

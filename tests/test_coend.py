@@ -16,7 +16,7 @@ from bhl.cli import canonical_json, hopf_to_spec
 from bhl.coend import (
     CoendNotCertifiedError, CoendResult, Diagram, PiNotSurjectiveError,
     check_stability, compute_coend, default_diagram, reconstruction_diagram,
-    stability_blocks, _block_spaces, _candidate, _check_counit_lemma,
+    stability_blocks, _block_candidate, _block_spaces, _check_counit_lemma,
     _relation_columns,
 )
 from bhl.comodcat import (
@@ -27,9 +27,10 @@ from bhl.exactalg import (InvalidStructureError, Matrix, QuotientPresentation,
                           SparseEliminator)
 from bhl.gradedcat import (GradedMorphism, GradedObject, identity_mor,
                            left_dual, line_object, tensor_obj, unit_object)
-from oracles import (coend_by_elimination, hom_basis_by_elimination,
-                     is_comodule_morphism, null_space, prebalancing, psi_bar,
-                     rational_matrix, seed0_spec_datum, stability_by_kappa)
+from oracles import (coend_by_elimination, full_projection,
+                     hom_basis_by_elimination, is_comodule_morphism,
+                     prebalancing, psi_bar, rational_matrix, seed0_spec_datum,
+                     stability_by_kappa)
 
 
 def test_coend_dim_equals_hopf_dim_on_all_builtins():
@@ -85,11 +86,22 @@ def test_residual_report_passes():
 
 def test_residual_report_flags_a_broken_presentation():
     # the presentation identities are checked without assert, so broken
-    # free coordinates are reported under python -O too
+    # free coordinates, and a P_F^-1 that is no inverse, are reported under
+    # python -O too
     res = compute_coend(default_diagram(group_algebra(2)))
     pres = res.presentation
     pres.free = pres.free[::-1]
     with pytest.raises(InvalidStructureError):
+        pres.verify()
+    assert res.residual_report().failures() == ["presentation"]
+    res = compute_coend(default_diagram(sweedler()))
+    pres = res.presentation
+    rows = list(pres.p_free_inverse.data)
+    rows[1] = rows[0]
+    pres.p_free_inverse = Matrix.from_rows(pres.p_free.field, rows,
+                                           pres.quotient_dim)
+    with pytest.raises(InvalidStructureError,
+                       match="P_F\\^-1 is not the inverse of P_F"):
         pres.verify()
     assert res.residual_report().failures() == ["presentation"]
 
@@ -98,7 +110,7 @@ def test_deterministic_presentation():
     H = exterior_line()
     a = compute_coend(default_diagram(H))
     b = compute_coend(default_diagram(H))
-    assert a.presentation.projection == b.presentation.projection
+    assert full_projection(a) == full_projection(b)
     assert a.presentation.free == b.presentation.free
     assert a.quotient == b.quotient
 
@@ -154,9 +166,9 @@ def test_stability_flags_by_lemma_are_the_computed_ones(case):
 
 
 def test_the_stability_oracle_fails_on_a_doubled_projection_row():
-    # the big projection with its row 0 written twice, over row 1: the
-    # computed kappa loses rank (the presentation is no longer the identity
-    # on the free coordinates, so it is set in place, unverified); the lemma
+    # the big P_F^-1 with its row 0 written twice, over row 1, doubles row 0
+    # of every block projection: the computed kappa loses rank (P_F^-1 is
+    # no longer an inverse, so it is set in place, unverified); the lemma
     # reads no projection, so it still passes
     H = sweedler()
     base = default_diagram(H)
@@ -164,13 +176,25 @@ def test_the_stability_oracle_fails_on_a_doubled_projection_row():
     big = small.enlarged(stability_blocks(base)[0][1])
     doubled = copy.copy(big)
     doubled.presentation = copy.copy(big.presentation)
-    P = big.presentation.projection
-    rows = list(P.data)
+    inv = big.presentation.p_free_inverse
+    rows = list(inv.data)
     rows[1] = rows[0]
-    doubled.presentation.projection = Matrix.from_rows(P.field, rows, P.cols)
+    doubled.presentation.p_free_inverse = Matrix.from_rows(inv.field, rows,
+                                                           inv.cols)
     failures = stability_by_kappa(small, doubled).failures()
     assert failures == ["comparison_iso"]
     assert check_stability(small, doubled).passed
+
+
+def test_stability_blocks_of_a_diagram_without_a_unit_block_raise():
+    # the direct-sum enlargement needs the unit block: a diagram of the
+    # regular block alone ends in a structured error naming it
+    H = sweedler()
+    with pytest.raises(InvalidStructureError) as err:
+        stability_blocks(Diagram(H, [regular_comodule(H)]))
+    assert err.value.code == "InvalidStructure"
+    assert str(err.value) == ("the unit comodule is not a block of the "
+                              "diagram")
 
 
 def test_stability_against_a_diagram_that_is_no_enlargement_raises():
@@ -190,17 +214,17 @@ STOCK = list(BUILTIN_NAMES) + ["nichols_cyclic:5"]
 
 
 def assert_same_coend(a, b):
-    for attr in ("projection", "free"):
-        assert getattr(a.presentation, attr) == getattr(b.presentation, attr)
+    assert full_projection(a) == full_projection(b)
+    assert a.presentation.free == b.presentation.free
     assert a.quotient == b.quotient
 
 
 def assert_is_the_eliminated_coend(res):
     """res's presentation is the one exact elimination of every relation
     column of its diagram gives."""
-    pres = coend_by_elimination(res.diagram)
-    assert res.presentation.free == pres.free
-    assert res.presentation.projection == pres.projection
+    free, projection = coend_by_elimination(res.diagram)
+    assert res.presentation.free == free
+    assert full_projection(res) == projection
 
 
 @pytest.mark.parametrize("name, probes", [(name, ()) for name in BUILTIN_NAMES]
@@ -283,17 +307,9 @@ def test_candidate_is_psi_bar_of_each_coaction():
     for name in ("group_algebra:2", "sweedler", "exterior_line",
                  "nichols_cyclic:3"):
         H = build(name)
-        D = default_diagram(H)
-        offsets, total = _block_spaces(D)
-        P = _candidate(D, offsets, total)
-        for B, off in zip(D.blocks, offsets):
+        for B in reconstruction_diagram(H).blocks:
             want = psi_bar(B.coaction, H.carrier, B.carrier).matrix
-            cols = P[off:off + want.cols]
-            got = Matrix.from_rows(want.field,
-                                   [{j: col[h] for j, col in enumerate(cols)
-                                     if h in col} for h in range(want.rows)],
-                                   want.cols)
-            assert got == want, name
+            assert _block_candidate(B, H.carrier.dim) == want, name
 
 
 def span_rank(maps):
@@ -524,17 +540,17 @@ def test_relation_columns_with_denominators_are_certified():
 
 
 def test_pi_not_surjective_guard():
-    # a hand-made presentation that kills the whole regular block: the unit
-    # block survives on its own, so the regular projection cannot cover it
-    H = group_algebra(2)
+    # a hand-made presentation over a coproduct whose candidate has rank 1:
+    # P_F = I at the unit block and the last regular coordinate, so the
+    # regular projection, P_F^-1 psi_bar(Delta), covers one dimension of two
+    H = left_unit_coproduct(group_algebra(2))
     D = Diagram(H, [regular_comodule(H), unit_comodule(H)])
     offsets, total = _block_spaces(D)
-    field = H.carrier.ctx.field
-    rows = [(p, {p: field.one}) for p in range(offsets[1])]
-    free, proj = null_space(field, total, rows)
-    pres = QuotientPresentation(total, free, Matrix.from_rows(field, proj, total))
-    quotient = GradedObject(H.carrier.ctx, [("c0", ())])
-    res = CoendResult(D, offsets, pres, quotient, {}, None, None)
+    identity = Matrix.identity(H.carrier.ctx.field, 2)
+    pres = QuotientPresentation(total, [offsets[1] - 1, offsets[1]], identity,
+                                identity)
+    quotient = GradedObject(H.carrier.ctx, [("c0", ()), ("c1", ())])
+    res = CoendResult(D, offsets, pres, quotient, {})
     with pytest.raises(PiNotSurjectiveError) as err:
         res.check_regular_surjective()
     assert err.value.code == "PiNotSurjective"
@@ -625,7 +641,8 @@ def test_balancing_is_what_cuts_the_dimension():
         D = default_diagram(H)
         assert compute_coend(D).dim == H.carrier.dim
         stripped = Diagram(H, D.blocks)
-        assert coend_by_elimination(stripped).quotient_dim == inflated
+        free, _ = coend_by_elimination(stripped)
+        assert len(free) == inflated
         with pytest.raises(CoendNotCertifiedError,
                            match="relations on the cofree blocks reach"):
             compute_coend(stripped)

@@ -221,10 +221,13 @@ def kernel(m):
 
 
 def cokernel(m):
-    """The row-index space of m modulo the span of m's columns."""
+    """The row-index space of m modulo the span of m's columns: its
+    presentation and its projection, the identity on the free coordinates
+    (P_F = I)."""
     free, basis = null_space(m.field, m.rows, rref_rows(m.transpose()))
-    return QuotientPresentation(m.rows, free,
-                                Matrix.from_rows(m.field, basis, m.rows))
+    identity = Matrix.identity(m.field, len(free))
+    return (QuotientPresentation(m.rows, free, identity, identity),
+            Matrix.from_rows(m.field, basis, m.rows))
 
 
 def test_rref_worked_example():
@@ -282,15 +285,15 @@ def test_kernel_membership_random():
 def test_cokernel_worked_examples():
     F = CycloField(1)
     # identity relations: nothing survives
-    assert cokernel(Matrix.identity(F, 3)).quotient_dim == 0
+    assert cokernel(Matrix.identity(F, 3))[0].quotient_dim == 0
     # no relations: everything survives
-    q = cokernel(Matrix.zeros(F, 3, 2))
+    q, projection = cokernel(Matrix.zeros(F, 3, 2))
     assert q.quotient_dim == 3
-    assert q.projection == Matrix.identity(F, 3)
+    assert projection == Matrix.identity(F, 3)
     # glue the two coordinates of dim 2 along (1,1)^T
-    q = cokernel(rational_matrix(F, [[1], [1]]))
+    q, projection = cokernel(rational_matrix(F, [[1], [1]]))
     assert q.quotient_dim == 1
-    assert q.projection * rational_matrix(F, [[1], [1]]) == Matrix.zeros(F, 1, 1)
+    assert projection * rational_matrix(F, [[1], [1]]) == Matrix.zeros(F, 1, 1)
 
 
 def test_quotient_presentation_invariants_random():
@@ -300,31 +303,37 @@ def test_quotient_presentation_invariants_random():
         rows, cols = rng.randint(1, 6), rng.randint(0, 6)
         m = rational_matrix(F, [[rng.randint(-2, 2) for _ in range(cols)]
                                      for _ in range(rows)])
-        q = cokernel(m)
+        q, projection = cokernel(m)
         assert isinstance(q, QuotientPresentation)
         # verify() ran at construction; the projection is onto the quotient
-        assert q.projection.rank() == q.quotient_dim
+        # and is the identity on the free coordinates, so P_F = I
+        assert projection.rank() == q.quotient_dim
+        assert all(projection[i, j] == (F.one if i == k else F.zero)
+                   for i in range(q.quotient_dim)
+                   for k, j in enumerate(q.free))
         if cols:
-            assert (q.projection * m).is_zero()
+            assert (projection * m).is_zero()
 
 
 def test_quotient_presentation_rejects_bad_free_coordinates():
     F = CycloField(1)
-    proj = rational_matrix(F, [[1, -1]])
+    two, half = rational_matrix(F, [[2]]), rational_matrix(F, [[Fraction(1, 2)]])
+    I2 = Matrix.identity(F, 2)
     # a free coordinate outside the ambient space
-    with pytest.raises(InvalidStructureError, match="distinct ambient"):
-        QuotientPresentation(2, [2], proj)
-    # one free coordinate twice
-    with pytest.raises(InvalidStructureError, match="distinct ambient"):
-        QuotientPresentation(2, [0, 0], rational_matrix(F, [[1, -1], [1, -1]]))
-    # 2 at the free coordinate
-    with pytest.raises(InvalidStructureError, match="identity on the free"):
-        QuotientPresentation(2, [0], rational_matrix(F, [[2, -1]]))
-    # a projection of the wrong shape
-    with pytest.raises(InvalidStructureError, match="quotient x ambient"):
-        QuotientPresentation(3, [0], proj)
-    pres = QuotientPresentation(2, [0], proj)
-    assert pres.quotient_dim == 1 and pres.projection.rank() == 1
+    with pytest.raises(InvalidStructureError, match="ascending ambient"):
+        QuotientPresentation(2, [2], two, half)
+    # one free coordinate twice, or two out of order
+    for free in ([0, 0], [1, 0]):
+        with pytest.raises(InvalidStructureError, match="ascending ambient"):
+            QuotientPresentation(2, free, I2, I2)
+    # a P_F^-1 that is no inverse
+    with pytest.raises(InvalidStructureError, match="not the inverse"):
+        QuotientPresentation(2, [0], two, two)
+    # a P_F of the wrong shape
+    with pytest.raises(InvalidStructureError, match="quotient x quotient"):
+        QuotientPresentation(2, [0], rational_matrix(F, [[2, -1]]), half)
+    pres = QuotientPresentation(2, [1], two, half)
+    assert pres.quotient_dim == 1 and pres.free == [1]
 
 
 def test_solve_unknown_map_basic():
@@ -709,10 +718,10 @@ def _verdict(check, pres):
 
 
 def _corruptions(pres, rng):
-    """Copies of pres's parts with one projection entry or the free list
-    changed; each yields (projection, free)."""
-    F = pres.projection.field
-    P, free = pres.projection, list(pres.free)
+    """Copies of pres's parts with one entry of P_F^-1 or the free list
+    changed; each yields (P_F^-1, free)."""
+    F = pres.p_free.field
+    P, free = pres.p_free_inverse, list(pres.free)
     values = [F.zero, F.one, -F.one, F.scalar(2), F.zeta()]
 
     def changed(M, i, j, v):
@@ -724,14 +733,13 @@ def _corruptions(pres, rng):
         return Matrix.from_rows(F, rows, M.cols)
 
     for _ in range(40):
-        # half of them at a free coordinate, the only entries verify checks
-        i = rng.randrange(P.rows)
-        j = rng.choice([rng.randrange(P.cols), rng.choice(free)])
-        yield changed(P, i, j, rng.choice(values)), free
+        yield changed(P, rng.randrange(P.rows), rng.randrange(P.cols),
+                      rng.choice(values)), free
     for _ in range(20):
         bent = list(free)
         k = rng.randrange(len(bent))
-        bent[k] = rng.choice([rng.randrange(P.cols), bent[k - 1], P.cols])
+        bent[k] = rng.choice([rng.randrange(pres.ambient_dim), bent[k - 1],
+                              pres.ambient_dim])
         yield P, bent
     yield P, free[:-1]
 
@@ -743,16 +751,17 @@ def test_presentation_check_agrees_with_the_product_oracle(name):
     pres = compute_coend(default_diagram(build(name))).presentation
     rng = random.Random(name)
     verdicts = []
-    for P, free in _corruptions(pres, rng):
+    for inv, free in _corruptions(pres, rng):
         bent = object.__new__(QuotientPresentation)
-        bent.ambient_dim, bent.free, bent.projection = pres.ambient_dim, free, P
+        bent.ambient_dim, bent.free = pres.ambient_dim, free
+        bent.p_free, bent.p_free_inverse = pres.p_free, inv
         verdict = _verdict(QuotientPresentation.verify, bent)
         assert verdict == _verdict(verify_presentation_by_product, bent)
         verdicts.append(verdict)
     assert None in verdicts  # a zero written over a zero changes nothing
-    assert "projection is not quotient x ambient" in verdicts
-    assert "free coordinates are not distinct ambient coordinates" in verdicts
-    assert "projection is not the identity on the free coordinates" in verdicts
+    assert "P_F is not quotient x quotient" in verdicts
+    assert "free coordinates are not ascending ambient coordinates" in verdicts
+    assert "P_F^-1 is not the inverse of P_F" in verdicts
 
 
 # -- the read-off against the full solve --------------------------------------

@@ -3,8 +3,9 @@ diagram memoizes its blocks and hom bases, and callers find blocks by index
 instead of rebuilding them.  Each relation of a base diagram is reduced
 once, however many enlargements of it are computed, and the enlargements
 resume from the base's reduced rows on the cofree blocks instead of
-re-adding them.  A coend keeps its projection and free coordinates, and
-no copy derived from them; the structure maps read off it form no
+re-adding them.  A coend keeps its free coordinates F, P_F and P_F^-1,
+and no projection: each block's is built from its coaction when asked, so
+certifying a coend peaks small.  The structure maps read off it form no
 Kronecker product of two projections, and `stability` reports its flags
 by lemma, with no comparison matrix.  After the coend, `reconstruct`
 eliminates, inverts and ranks nothing: the comparison is the certificate's
@@ -220,8 +221,8 @@ def test_reconstruct_solves_nothing_after_the_coend(monkeypatch):
 
 def test_coend_retains_little_beyond_its_projection():
     """The coend of taft:3's reconstruction diagram (N = 6,805 ambient
-    coordinates) keeps its projection and free coordinates: no relation
-    matrix rebuilt from them, and no labelled F(B) (x) *F(B) per block."""
+    coordinates) keeps its free coordinates, P_F and P_F^-1: no projection,
+    no relation matrix, and no labelled F(B) (x) *F(B) per block."""
     D = reconstruction_diagram(build("taft:3"))
     tracemalloc.start()
     try:
@@ -231,6 +232,25 @@ def test_coend_retains_little_beyond_its_projection():
         tracemalloc.stop()
     assert res.dim == 9
     assert retained < 1e6, retained
+
+
+def test_coend_peaks_small():
+    """Certifying taft:5's reconstruction diagram (n = 25, N = 392,501
+    ambient coordinates) peaks below 8 MiB above what is held before the
+    call: the free coordinates come from a backward scan of one block's
+    candidate at a time, and no n x N projection is formed.  With a column
+    dict per ambient coordinate and the whole projection it peaked at
+    31.2 MiB."""
+    D = reconstruction_diagram(build("taft:5"))
+    tracemalloc.start()
+    try:
+        held, _ = tracemalloc.get_traced_memory()
+        res = compute_coend(D)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.dim == 25
+    assert peak - held <= 8 * 2 ** 20, peak - held
 
 
 def test_structure_maps_peak_small():
